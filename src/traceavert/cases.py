@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import math
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, Sized
 
 from .params import ModelParams, ValidationReport
 
@@ -236,9 +237,17 @@ def _open_reader(path: Path, expected: Sequence[str]) -> Iterable[dict[str, str]
 
 def _parse_number(path: Path, lineno: int, column: str, text: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ValueError(f"{path}:{lineno}: column {column!r}: not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{path}:{lineno}: column {column!r}: not a finite number: {text!r}")
+    return value
+
+
+def _require_rows(path: Path, rows: Sized) -> None:
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
 
 
 def load_raw_csv(path: str | Path) -> list[WeeklyRawRecord]:
@@ -257,6 +266,7 @@ def load_raw_csv(path: str | Path) -> list[WeeklyRawRecord]:
             "app_without_symptoms": values["app_without_symptoms"],
             "k_app": values["k_app"],
         }))
+    _require_rows(path, records)
     return records
 
 
@@ -288,6 +298,7 @@ def load_presplit_csv(path: str | Path) -> CaseSeries:
             c_app_minus=values["c_app_minus"],
             c_app_plus=values["c_app_plus"],
         ))
+    _require_rows(path, weeks)
     return CaseSeries(tuple(weeks))
 
 
@@ -308,6 +319,7 @@ def load_hospitalizations_csv(path: str | Path) -> dict[dt.date, float]:
             raise ValueError(f"{path}:{lineno}: dates must be strictly increasing")
         previous = day
         admissions[day] = count
+    _require_rows(path, admissions)
     return admissions
 
 

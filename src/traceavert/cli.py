@@ -138,13 +138,15 @@ def _effective_params(args: argparse.Namespace) -> ModelParams:
     return params_from_config(args.config, overrides)
 
 
+def _load_raw(args: argparse.Namespace) -> tuple[list, dict]:
+    if args.data is None or args.hosp is None:
+        raise ValueError("--raw needs both --data and --hosp")
+    return cases.load_raw_csv(args.data), cases.load_hospitalizations_csv(args.hosp)
+
+
 def _load_series(args: argparse.Namespace, p: ModelParams) -> cases.CaseSeries:
     if args.raw:
-        if args.data is None or args.hosp is None:
-            raise ValueError("--raw needs both --data and --hosp")
-        records = cases.load_raw_csv(args.data)
-        admissions = cases.load_hospitalizations_csv(args.hosp)
-        return cases.build_series_from_raw(records, admissions, p)
+        return cases.build_series_from_raw(*_load_raw(args), p)
     if args.data is None:
         return cases.load_fixture()
     return cases.load_presplit_csv(args.data)
@@ -302,16 +304,27 @@ def _run_sweep(args: argparse.Namespace) -> int:
         raise ValueError(f"--sweep {name}: empty value list")
 
     base = _effective_params(args)
-    lines = ["param,value,s_ct_total,s_app_total,"
-             "hosp_ct,icu_ct,deaths_ct,hosp_app,icu_app,deaths_app,"
-             "rt_reduction_ct,rt_reduction_app"]
+    params = []
     for text in values:
         p = apply_overrides(base, {name: text})
         if _report_violations(validate(p), f"params ({name}={text})", sys.stderr):
             return 1
-        series = _load_series(args, p)
+        params.append(p)
+    # The input files are read once; only a raw series depends on the parameters.
+    if args.raw:
+        records, admissions = _load_raw(args)
+    else:
+        series = _load_series(args, base)
         if _report_violations(cases.validate_series(series), "series", sys.stderr):
             return 1
+    lines = ["param,value,s_ct_total,s_app_total,"
+             "hosp_ct,icu_ct,deaths_ct,hosp_app,icu_app,deaths_app,"
+             "rt_reduction_ct,rt_reduction_app"]
+    for text, p in zip(values, params):
+        if args.raw:
+            series = cases.build_series_from_raw(records, admissions, p)
+            if _report_violations(cases.validate_series(series), "series", sys.stderr):
+                return 1
         profile = InfectivityProfile.from_params(p)
         table = LambdaTable.build(p, profile)
         ct = counterfactual.averted_ct(series, table.per_type, p)

@@ -81,10 +81,6 @@ class SimOutcome:
     tertiary_potential: float
 
 
-def _padded_profile(profile: InfectivityProfile, horizon: int) -> np.ndarray:
-    return np.concatenate([profile.i_w, np.zeros(horizon - profile.i_w.size)])
-
-
 def _run_trees(
     rng: np.random.Generator,
     n: int,
@@ -99,10 +95,14 @@ def _run_trees(
     """Per-tree realized/potential tertiary ratios.
 
     ``quarantine_day``, ``warn_latency`` and ``warn_fraction`` are per-tree
-    arrays; ``np.inf`` as quarantine day means never quarantined.
+    arrays; ``np.inf`` as quarantine day means never quarantined. Draws run
+    over the days of the horizon on which ``i_w`` can be nonzero only: a
+    zero-mean Poisson or zero-trial binomial draw consumes no random numbers
+    and adds nothing, so the result is the same as on the full horizon.
     """
-    days = np.arange(1, horizon + 1)
-    i_w = _padded_profile(profile, horizon)
+    width = min(horizon, profile.i_w.size)
+    days = np.arange(1, width + 1)
+    i_w = profile.i_w[:width]
     self_iso_day = p.t_sym + p.t_plan
 
     adherent = rng.random(n) < p.a_base

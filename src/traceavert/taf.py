@@ -5,57 +5,47 @@ from passing the infection on. The TAF of a scenario is the fraction of all
 *possible* third-generation infections that is still realized: 1 means nobody
 ever quarantines, 0 means tertiary spread is fully suppressed.
 
-The calculus is built in four layers:
+The calculus is a little linear algebra over day-indexed arrays (entry ``d``
+is day ``d``) of the 14-day profile:
 
 ``lambda_pair(l, h)``
-    a contact infected by an index who roams ``l + h`` days realizes
-    ``sum_x i_w(x) * i_c(l + h - x)`` of its tertiary potential — day ``x``
-    produces ``i_w(x)`` of the secondary infections, and a contact infected on
-    day ``x`` runs free for ``l + h - x`` days before the warning lands;
+    entry ``l + h`` of the convolution of ``i_w`` with ``icx``, which is
+    ``i_c`` under the model's boundary rules (0 on days <= 0, ``i_c_inf``
+    from day 13 on): a contact infected on day ``x`` runs free for
+    ``l + h - x`` days before the warning lands;
 ``lambda_alpha(x, channel)``
-    mixes the warned outcome with the unwarned one: a fraction
-    ``adherence * reach`` of contacts reacts to a warning sent by an index who
-    isolates on day ``x``, the rest realizes ``i_c(x) * i_c_inf`` (index
-    stopped on day ``x``; contacts follow base adherence only);
+    one row per channel over isolation days ``x``: the fraction
+    ``wf = adherence * reach`` of contacts that heeds the warning realizes
+    ``lambda_pair(delay, x)``, the rest ``icx(x) * i_c_inf``;
 ``capital_lambda(l, h, b, channel)``
-    averages ``lambda_alpha`` over when the index itself got infected, with
-    infection-day weights ``i_w(x + b)`` over a window of width ``h``;
+    the dot product of the infection-day weights ``i_w(b+1 .. b+h)`` with
+    that row on isolation days ``l+h .. l+1`` (late infection, early
+    isolation), divided by the sum of the weights;
 ``delta_mix(l, h, b)``
-    app-usage-weighted mixture of the app and manual-tracing variants of
-    ``capital_lambda``.
+    the app-usage (``u_app``) mix of the app and manual-tracing averages.
+
+``i_w`` is zero after day 14 and ``icx`` is constant from day 13, so every
+row is constant from day 27 on; indices clip there.
 
 From these, :func:`case_type_lambdas` derives one average TAF per surveillance
-case type. Reference values for the default parameter set are bundled so
-reports can show deviations, and :func:`calibrate_variant` picks the argument
-pairing for ``lambda_alpha`` that best reproduces the reference rows (two
-readings circulate; they differ in whether the warned term gets ``x`` or
-``t_alpha + x`` days of slack — see VARIANTS).
+case type, and :func:`calibrate_variant` picks the argument pairing of
+``lambda_alpha`` (see VARIANTS) that best reproduces the bundled reference rows.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Mapping
 
+import numpy as np
+
 from .infectivity import InfectivityProfile
 from .params import ModelParams
 
 __all__ = [
-    "WarningChannel",
-    "LambdaTable",
-    "CASE_TYPES",
-    "VARIANTS",
-    "ct_channel",
-    "app_channel",
-    "lambda_pair",
-    "lambda_alpha",
-    "capital_lambda",
-    "delta_mix",
-    "case_type_lambdas",
-    "calibrate_variant",
-    "REFERENCE_LAMBDA_PAIR_ROW",
-    "REFERENCE_LAMBDA_CT_ROW",
-    "REFERENCE_LAMBDA_APP_ROW",
-    "REFERENCE_CASE_TYPE_TAF",
+    "WarningChannel", "LambdaTable", "CASE_TYPES", "VARIANTS", "ct_channel", "app_channel",
+    "lambda_pair", "lambda_alpha", "capital_lambda", "delta_mix", "case_type_lambdas",
+    "calibrate_variant", "REFERENCE_LAMBDA_PAIR_ROW", "REFERENCE_LAMBDA_CT_ROW",
+    "REFERENCE_LAMBDA_APP_ROW", "REFERENCE_CASE_TYPE_TAF",
 ]
 
 #: the six exclusive surveillance case types, in reporting order
@@ -80,16 +70,14 @@ REFERENCE_LAMBDA_APP_ROW: tuple[float, ...] = (
     0.7254, 0.7712, 0.8060, 0.8338, 0.8577, 0.8607, 0.8607,
 )
 REFERENCE_CASE_TYPE_TAF: Mapping[str, float] = {
-    "miss": 0.87,
-    "sym": 0.70,
-    "pers": 0.36,
-    "ct": 0.60,
-    "app_plus": 0.60,
-    "app_minus": 0.27,
+    "miss": 0.87, "sym": 0.70, "pers": 0.36,
+    "ct": 0.60, "app_plus": 0.60, "app_minus": 0.27,
 }
 
-#: day range over which the variant calibration scores row agreement
-_CALIBRATION_DAYS = range(3, 14)
+#: days over which the variant calibration scores row agreement
+_CALIBRATION_DAYS = np.arange(3, 14)
+
+_Rows = tuple[np.ndarray, np.ndarray]  # the manual-tracing and app rows of lambda_alpha
 
 
 @dataclass(frozen=True)
@@ -139,97 +127,117 @@ def app_channel(p: ModelParams) -> WarningChannel:
     return WarningChannel(kind="app", delay=p.t_app, reach=p.f_app, adherence=p.a_app)
 
 
+def _sum(terms: np.ndarray) -> np.ndarray:
+    """Left-to-right sum over the last axis, rounding as the scalar formulas do:
+    pair-row entries such as 0.76995 sit on 4-decimal ties in printed reports."""
+    return np.cumsum(terms, axis=-1)[..., -1]
+
+
+def _check_day(x: int) -> None:
+    if x < 1:
+        raise ValueError(f"isolation day x must be >= 1, got {x}")
+
+
+class _Days:
+    """The day-indexed arrays of one profile and the operations on them."""
+
+    def __init__(self, profile: InfectivityProfile) -> None:
+        self.i_c_inf = profile.i_c_inf
+        n = profile.i_w.size
+        self.iwx = np.concatenate(([0.0], profile.i_w, [0.0]))  # days 0..15
+        self.icx = profile.i_c_at(np.arange(2 * n))  # days 0..27
+        lags = np.arange(2 * n)[:, None] - np.arange(1, n + 1)  # s - x, spans s, days x
+        self.pair = _sum(profile.i_w * self.icx.take(lags, mode="clip"))  # lambda_pair(s)
+
+    def row(self, channel: WarningChannel, variant: str) -> np.ndarray:
+        """``lambda_alpha(x, channel)`` for isolation days ``x = 0..27``."""
+        if variant not in VARIANTS:
+            raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+        if channel.delay < 1:
+            raise ValueError(f"{channel.kind} warning delay must be >= 1 day, got {channel.delay}")
+        shift = channel.delay if variant == "table" else 2 * channel.delay
+        wf = channel.warn_fraction
+        warned = self.pair.take(np.arange(self.icx.size) + shift, mode="clip")
+        return wf * warned + (1.0 - wf) * (self.icx * self.i_c_inf)
+
+    def rows(self, p: ModelParams, variant: str) -> _Rows:
+        return self.row(ct_channel(p), variant), self.row(app_channel(p), variant)
+
+    def mean(self, row: np.ndarray, l: int, h: int, b: int) -> float:
+        """Mean of ``row`` on days ``l+h .. l+1``, weighted by ``i_w(b+1 .. b+h)``."""
+        if h < 1:
+            raise ValueError(f"window width h must be >= 1, got {h}")
+        weights = self.iwx.take(np.arange(b + 1, b + h + 1), mode="clip")
+        total = _sum(weights)
+        if total <= 0.0:
+            raise ValueError(f"all infectivity weights vanish for window h={h}, offset b={b}")
+        _check_day(l + 1)
+        return float(_sum(weights * row.take(np.arange(l + h, l, -1), mode="clip")) / total)
+
+    def mix(self, p: ModelParams, rows: _Rows, l: int, h: int, b: int) -> float:
+        lam_app, lam_ct = self.mean(rows[1], l, h, b), self.mean(rows[0], l, h, b)
+        return p.u_app * lam_app + (1.0 - p.u_app) * lam_ct
+
+    def per_type(self, p: ModelParams, rows: _Rows) -> dict[str, float]:
+        span = p.t_sym + p.t_plan
+        _check_day(span)
+        return {
+            "miss": self.i_c_inf ** 2,
+            "sym": float(rows[0].take(span, mode="clip")),
+            "pers": self.mean(rows[0], p.t_pers, span, 0),
+            "ct": self.mean(rows[0], p.t_ct, span, 0),
+            "app_plus": self.mix(p, rows, p.t_sym - 1, p.t_app + p.t_plan + 1, 0),
+            "app_minus": self.mix(p, rows, p.t_app, p.t_plan, p.t_sym),
+        }
+
+
 def lambda_pair(l: int, h: int, profile: InfectivityProfile) -> float:
     """Tertiary fraction realized when contacts run loose ``l + h`` days.
 
-    ``sum_{x=1}^{l+h-1} i_w(x) * i_c(l+h-x)``: the index infects ``i_w(x)``
-    of its contacts on day ``x``, and a contact infected on day ``x`` realizes
-    ``i_c(l+h-x)`` of its own potential before the warning arrives.
+    ``sum_{x=1}^{l+h-1} i_w(x) * i_c(l+h-x)``: a contact infected on day ``x``
+    (weight ``i_w(x)``) realizes ``i_c(l+h-x)`` before the warning arrives.
     """
     if l < 1:
         raise ValueError(f"warning delay l must be >= 1, got {l}")
-    span = l + h
-    return float(sum(
-        profile.i_w_at(x) * profile.i_c_at(span - x) for x in range(1, span)
-    ))
+    return float(_Days(profile).pair.take(l + h, mode="clip"))
 
 
 def lambda_alpha(
-    x: int,
-    channel: WarningChannel,
-    profile: InfectivityProfile,
-    variant: str = "table",
+    x: int, channel: WarningChannel, profile: InfectivityProfile, variant: str = "table"
 ) -> float:
     """Average TAF of an index isolating on day ``x`` who warns via ``channel``.
 
-    A fraction ``channel.warn_fraction`` of the infected contacts receives and
-    follows the warning; the rest spreads unimpeded except for base adherence:
-    the index stopped infecting on day ``x`` (factor ``i_c(x)``) and each
-    contact realizes ``i_c_inf`` of its own potential.
-
-    ``variant`` selects the warned-term pairing (see :data:`VARIANTS`):
-    ``"table"`` uses ``lambda_pair(delay, x)``, ``"text"`` uses
-    ``lambda_pair(delay, delay + x)``.
+    ``variant`` picks the warned term (see :data:`VARIANTS`): ``"table"`` uses
+    ``lambda_pair(delay, x)``, ``"text"`` uses ``lambda_pair(delay, delay + x)``.
     """
-    if x < 1:
-        raise ValueError(f"isolation day x must be >= 1, got {x}")
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    horizon = x if variant == "table" else channel.delay + x
-    warned = lambda_pair(channel.delay, horizon, profile)
-    unwarned = profile.i_c_at(x) * profile.i_c_inf
-    wf = channel.warn_fraction
-    return wf * warned + (1.0 - wf) * unwarned
+    _check_day(x)
+    return float(_Days(profile).row(channel, variant).take(x, mode="clip"))
 
 
 def capital_lambda(
-    l: int,
-    h: int,
-    b: int,
-    channel: WarningChannel,
-    profile: InfectivityProfile,
+    l: int, h: int, b: int, channel: WarningChannel, profile: InfectivityProfile,
     variant: str = "table",
 ) -> float:
     """Infectivity-weighted average of :func:`lambda_alpha` over a window.
 
-    The index was infected on day ``x + b`` of its own infector's timeline,
-    with ``x`` running over ``1..h`` and weights ``i_w(x + b)``; an index
-    infected late in the window isolates correspondingly early
-    (``lambda_alpha`` argument ``l + h + 1 - x``).
+    The index was infected on day ``x + b`` of its infector's timeline, with
+    ``x = 1..h`` and weights ``i_w(x + b)``, and isolates on day ``l + h + 1 - x``.
     """
-    if h < 1:
-        raise ValueError(f"window width h must be >= 1, got {h}")
-    weights = [profile.i_w_at(x + b) for x in range(1, h + 1)]
-    total = sum(weights)
-    if total <= 0.0:
-        raise ValueError(
-            f"all infectivity weights vanish for window h={h}, offset b={b}"
-        )
-    acc = sum(
-        w * lambda_alpha(l + h + 1 - x, channel, profile, variant)
-        for x, w in zip(range(1, h + 1), weights)
-    )
-    return acc / total
+    days = _Days(profile)
+    return days.mean(days.row(channel, variant), l, h, b)
 
 
 def delta_mix(
-    l: int,
-    h: int,
-    b: int,
-    p: ModelParams,
-    profile: InfectivityProfile,
+    l: int, h: int, b: int, p: ModelParams, profile: InfectivityProfile,
     variant: str = "table",
 ) -> float:
     """App-usage-weighted mixture of the app and manual-tracing averages."""
-    lam_app = capital_lambda(l, h, b, app_channel(p), profile, variant)
-    lam_ct = capital_lambda(l, h, b, ct_channel(p), profile, variant)
-    return p.u_app * lam_app + (1.0 - p.u_app) * lam_ct
+    days = _Days(profile)
+    return days.mix(p, days.rows(p, variant), l, h, b)
 
 
 def case_type_lambdas(
-    p: ModelParams,
-    profile: InfectivityProfile,
-    variant: str = "table",
+    p: ModelParams, profile: InfectivityProfile, variant: str = "table"
 ) -> dict[str, float]:
     """Average TAF per surveillance case type.
 
@@ -247,40 +255,30 @@ def case_type_lambdas(
       ``t_plan``), warned with app lead ``t_app``. Both app types mix warning
       channels by app usage ``u_app``.
     """
-    ct = ct_channel(p)
-    isolation_span = p.t_sym + p.t_plan
-    return {
-        "miss": profile.i_c_inf ** 2,
-        "sym": lambda_alpha(isolation_span, ct, profile, variant),
-        "pers": capital_lambda(p.t_pers, isolation_span, 0, ct, profile, variant),
-        "ct": capital_lambda(p.t_ct, isolation_span, 0, ct, profile, variant),
-        "app_plus": delta_mix(p.t_sym - 1, p.t_app + p.t_plan + 1, 0, p, profile, variant),
-        "app_minus": delta_mix(p.t_app, p.t_plan, p.t_sym, p, profile, variant),
-    }
+    days = _Days(profile)
+    return days.per_type(p, days.rows(p, variant))
 
 
-def _row_deviation(p: ModelParams, profile: InfectivityProfile, variant: str) -> float:
+def _row_deviation(rows: _Rows) -> float:
     """Max absolute deviation from the reference channel rows over days 3..13."""
-    worst = 0.0
-    for channel, reference in (
-        (ct_channel(p), REFERENCE_LAMBDA_CT_ROW),
-        (app_channel(p), REFERENCE_LAMBDA_APP_ROW),
-    ):
-        for day in _CALIBRATION_DAYS:
-            value = lambda_alpha(day, channel, profile, variant)
-            worst = max(worst, abs(value - reference[day - 1]))
-    return worst
+    computed = np.array(rows)[:, _CALIBRATION_DAYS]
+    reference = np.array((REFERENCE_LAMBDA_CT_ROW, REFERENCE_LAMBDA_APP_ROW))
+    return float(np.abs(computed - reference[:, _CALIBRATION_DAYS - 1]).max())
 
 
-def calibrate_variant(
-    p: ModelParams, profile: InfectivityProfile
-) -> tuple[str, dict[str, float]]:
+def _calibrated(days: _Days, p: ModelParams) -> tuple[dict[str, _Rows], dict[str, float], str]:
+    """Both variants' channel rows, their scores and the best-scoring variant."""
+    rows = {variant: days.rows(p, variant) for variant in VARIANTS}
+    scores = {variant: _row_deviation(rows[variant]) for variant in VARIANTS}
+    return rows, scores, min(scores, key=lambda name: (scores[name], name))
+
+
+def calibrate_variant(p: ModelParams, profile: InfectivityProfile) -> tuple[str, dict[str, float]]:
     """Pick the ``lambda_alpha`` variant that best reproduces the reference rows.
 
     Returns the winning variant name plus the max-deviation score per variant.
     """
-    scores = {variant: _row_deviation(p, profile, variant) for variant in VARIANTS}
-    winner = min(scores, key=lambda name: (scores[name], name))
+    _, scores, winner = _calibrated(_Days(profile), p)
     return winner, scores
 
 
@@ -290,8 +288,8 @@ class LambdaTable:
 
     ``lambda_pair_row`` holds ``lambda_pair(1, x)`` for days ``x = 1..14``;
     the channel rows hold ``lambda_alpha(x, channel)``. ``per_type`` maps each
-    case type to its average TAF. ``variant`` records which argument pairing
-    produced the table.
+    case type to its average TAF. ``variant`` is the argument pairing used;
+    ``scores`` holds each pairing's calibration score (see calibrate_variant).
     """
 
     variant: str
@@ -299,24 +297,25 @@ class LambdaTable:
     lambda_ct_row: tuple[float, ...]
     lambda_app_row: tuple[float, ...]
     per_type: Mapping[str, float]
+    scores: Mapping[str, float]
 
     @classmethod
     def build(
-        cls,
-        p: ModelParams,
-        profile: InfectivityProfile,
-        variant: str | None = None,
+        cls, p: ModelParams, profile: InfectivityProfile, variant: str | None = None
     ) -> "LambdaTable":
         """Compute the full table; calibrates the variant when not given."""
-        if variant is None:
-            variant, _ = calibrate_variant(p, profile)
-        days = range(1, profile.i_w.size + 1)
-        ct = ct_channel(p)
-        app = app_channel(p)
+        days = _Days(profile)
+        rows, scores, winner = _calibrated(days, p)
+        variant = winner if variant is None else variant
+        if variant not in VARIANTS:
+            raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+        n = profile.i_w.size
+        ct_row, app_row = rows[variant]
         return cls(
             variant=variant,
-            lambda_pair_row=tuple(lambda_pair(1, x, profile) for x in days),
-            lambda_ct_row=tuple(lambda_alpha(x, ct, profile, variant) for x in days),
-            lambda_app_row=tuple(lambda_alpha(x, app, profile, variant) for x in days),
-            per_type=case_type_lambdas(p, profile, variant),
+            lambda_pair_row=tuple(days.pair[2 : n + 2].tolist()),
+            lambda_ct_row=tuple(ct_row[1 : n + 1].tolist()),
+            lambda_app_row=tuple(app_row[1 : n + 1].tolist()),
+            per_type=days.per_type(p, rows[variant]),
+            scores=scores,
         )

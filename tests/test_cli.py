@@ -6,6 +6,8 @@ shell user sees.
 """
 from __future__ import annotations
 
+import datetime as dt
+
 import pytest
 
 from traceavert import cli
@@ -27,6 +29,25 @@ def write_presplit(path, rows) -> str:
     lines.extend(",".join(str(cell) for cell in row) for row in rows)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return str(path)
+
+
+RAW_HEADER = "week,sym_positives,ct_found,app_with_symptoms,app_without_symptoms,k_app"
+
+
+def write_raw_inputs(directory, rows=("2020-10,100,50,10,5,0.5", "2020-11,120,60,12,6,0.5"),
+                     admissions=None) -> tuple[str, str]:
+    """Raw weekly counts plus admissions covering both week windows."""
+    raw = directory / "raw.csv"
+    raw.write_text("\n".join((RAW_HEADER, *rows)) + "\n", encoding="utf-8")
+    if admissions is None:
+        admissions = ["1.32" if offset < 7 else "2.64" for offset in range(14)]
+    lines = ["date,admissions"]
+    for offset, value in enumerate(admissions):
+        day = dt.date(2020, 3, 7) + dt.timedelta(days=offset)
+        lines.append(f"{day.isoformat()},{value}")
+    hosp = directory / "hosp.csv"
+    hosp.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(raw), str(hosp)
 
 
 # --------------------------------------------------------------------------
@@ -132,6 +153,13 @@ class TestEstimateErrors:
             capsys, "estimate", "--raw", "--data", str(data))
         assert code == 2
         assert "--hosp" in err
+
+    def test_zero_tracing_delay_exits_2_naming_delay(self, tmp_path, capsys):
+        code, _, err = run_cli(
+            capsys, "estimate", "--param", "t_ct=0", "--out", str(tmp_path))
+        assert code == 2
+        assert "ct warning delay" in err and "got 0" in err
+        assert "Traceback" not in err
 
     def test_raw_and_presplit_are_mutually_exclusive(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -240,6 +268,23 @@ class TestSweep:
         assert code == 2
         assert "KEY=V1,V2" in err
 
+    def test_raw_sweep_rows_match_single_estimates(self, tmp_path, capsys):
+        raw, hosp = write_raw_inputs(tmp_path)
+        code, out, _ = run_cli(
+            capsys, "sweep", "--sweep", "t_ct=2,4", "--raw",
+            "--data", raw, "--hosp", hosp)
+        assert code == 0
+        rows = out.splitlines()[1:]
+        assert len(rows) == 2
+        for row, value in zip(rows, ("2", "4")):
+            out_dir = tmp_path / f"t_ct{value}"
+            assert run_cli(
+                capsys, "estimate", "--param", f"t_ct={value}", "--raw",
+                "--data", raw, "--hosp", hosp, "--out", str(out_dir))[0] == 0
+            summary = (out_dir / "summary.csv").read_text().splitlines()
+            averted = dict(line.split(",", 1) for line in summary[1:])["averted_cases"]
+            assert row.split(",")[2:4] == averted.split(",")
+
     def test_out_of_range_sweep_value_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--sweep", "u_app=0.1,1.5")
         assert code == 1
@@ -270,26 +315,9 @@ class TestValidate:
 class TestRawMode:
     @pytest.fixture()
     def raw_inputs(self, tmp_path):
-        raw = tmp_path / "raw.csv"
-        raw.write_text(
-            "week,sym_positives,ct_found,app_with_symptoms,"
-            "app_without_symptoms,k_app\n"
-            "2020-10,100,50,10,5,0.5\n"
-            "2020-11,120,60,12,6,0.5\n",
-            encoding="utf-8",
-        )
-        # admissions covering offsets +5..+11 from both week-start Mondays
+        # admissions cover offsets +5..+11 from both week-start Mondays
         # (2020-03-02 and 2020-03-09): 2020-03-07 .. 2020-03-20
-        import datetime as dt
-
-        lines = ["date,admissions"]
-        for offset in range(14):
-            day = dt.date(2020, 3, 7) + dt.timedelta(days=offset)
-            value = 1.32 if offset < 7 else 2.64
-            lines.append(f"{day.isoformat()},{value}")
-        hosp = tmp_path / "hosp.csv"
-        hosp.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        return str(raw), str(hosp)
+        return write_raw_inputs(tmp_path)
 
     def test_estimate_from_raw_counts(self, raw_inputs, tmp_path, capsys):
         raw, hosp = raw_inputs
@@ -311,3 +339,55 @@ class TestRawMode:
             capsys, "validate", "--raw", "--data", raw, "--hosp", hosp)
         assert code == 0
         assert "series: ok (2 weeks, 2020-10 .. 2020-11)" in out
+
+
+# --------------------------------------------------------------------------
+# unusable input files end in a named error (exit 2), never a report
+
+
+@pytest.mark.parametrize("command", ["validate", "estimate"])
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+class TestNonFiniteInput:
+    def run(self, capsys, tmp_path, command, *argv):
+        out_dir = tmp_path / "out"
+        extra = ("--out", str(out_dir)) if command == "estimate" else ()
+        code, out, err = run_cli(capsys, command, *argv, *extra)
+        assert code == 2
+        assert "Traceback" not in err
+        assert not out_dir.exists()
+        return err
+
+    def test_presplit(self, capsys, tmp_path, command, text):
+        data = write_presplit(tmp_path / "weekly.csv", [
+            ("2020-10", 1000, 300, 40, 60, 5, 10),
+            ("2020-11", 1100, text, 44, 66, 6, 11),
+        ])
+        err = self.run(capsys, tmp_path, command, "--data", data)
+        assert f"weekly.csv:3: column 'c_sym': not a finite number: '{text}'" in err
+
+    def test_raw_counts(self, capsys, tmp_path, command, text):
+        raw, hosp = write_raw_inputs(
+            tmp_path, rows=("2020-10,100,50,10,5,0.5", f"2020-11,120,60,{text},6,0.5"))
+        err = self.run(capsys, tmp_path, command, "--raw", "--data", raw, "--hosp", hosp)
+        assert f"raw.csv:3: column 'app_with_symptoms': not a finite number: '{text}'" in err
+
+    def test_raw_admissions(self, capsys, tmp_path, command, text):
+        admissions = ["1.32"] * 14
+        admissions[4] = text
+        raw, hosp = write_raw_inputs(tmp_path, admissions=admissions)
+        err = self.run(capsys, tmp_path, command, "--raw", "--data", raw, "--hosp", hosp)
+        assert f"hosp.csv:6: column 'admissions': not a finite number: '{text}'" in err
+
+
+class TestEmptyInput:
+    def test_presplit_without_rows_exits_2(self, tmp_path, capsys):
+        data = write_presplit(tmp_path / "weekly.csv", [])
+        code, _, err = run_cli(capsys, "validate", "--data", data)
+        assert code == 2
+        assert "weekly.csv: no data rows" in err
+
+    def test_raw_without_rows_exits_2(self, tmp_path, capsys):
+        raw, hosp = write_raw_inputs(tmp_path, rows=())
+        code, _, err = run_cli(capsys, "validate", "--raw", "--data", raw, "--hosp", hosp)
+        assert code == 2
+        assert "raw.csv: no data rows" in err

@@ -7,7 +7,17 @@ from traceavert.cases import CaseSeries, CaseWeek, WeeklyRawRecord, derive_case_
 from traceavert.counterfactual import averted_app, averted_ct, rt_series
 from traceavert.oracle import SimConfig, empirical_case_type_taf
 from traceavert.params import apply_overrides, dump_config, params_from_config
-from traceavert.taf import CASE_TYPES, capital_lambda, ct_channel, delta_mix, lambda_pair
+from traceavert.infectivity import InfectivityProfile
+from traceavert.taf import (
+    CASE_TYPES,
+    VARIANTS,
+    app_channel,
+    capital_lambda,
+    ct_channel,
+    delta_mix,
+    lambda_alpha,
+    lambda_pair,
+)
 
 _count = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
 _positive_count = st.floats(min_value=1.0, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -103,3 +113,73 @@ def test_config_file_roundtrip_is_exact(u_app, t_ct, params, tmp_path_factory):
     path = tmp_path_factory.mktemp("conf") / "model.conf"
     dump_config(p, path)
     assert params_from_config(path) == p
+
+
+# Literal transcriptions of the TAF formulas as the taf docstrings state them,
+# one scalar term at a time; the array calculus must reproduce them.
+
+
+def _i_w(profile, day):
+    return float(profile.i_w[day - 1]) if 1 <= day <= profile.i_w.size else 0.0
+
+
+def _i_c(profile, day):
+    if day <= 0:
+        return 0.0
+    if day >= 13:
+        return profile.i_c_inf
+    return float(profile.i_c[day - 1])
+
+
+def _loop_pair(l, h, profile):
+    return sum(_i_w(profile, x) * _i_c(profile, l + h - x) for x in range(1, l + h))
+
+
+def _loop_alpha(x, channel, profile, variant):
+    horizon = x if variant == "table" else channel.delay + x
+    wf = channel.warn_fraction
+    return (wf * _loop_pair(channel.delay, horizon, profile)
+            + (1.0 - wf) * _i_c(profile, x) * profile.i_c_inf)
+
+
+def _loop_capital(l, h, b, channel, profile, variant):
+    weights = [_i_w(profile, x + b) for x in range(1, h + 1)]
+    total = sum(
+        w * _loop_alpha(l + h + 1 - x, channel, profile, variant)
+        for x, w in zip(range(1, h + 1), weights)
+    )
+    return total / sum(weights)
+
+
+_fraction = st.floats(min_value=0.05, max_value=0.95)
+
+
+@settings(deadline=None)
+@given(
+    fractions=st.tuples(_fraction, _fraction, _fraction, _fraction),
+    delays=st.tuples(*(st.integers(min_value=1, max_value=7) for _ in range(4))),
+    l=st.integers(min_value=1, max_value=7),
+    h=st.integers(min_value=1, max_value=12),
+    b=st.integers(min_value=0, max_value=10),
+    x=st.integers(min_value=1, max_value=30),
+    variant=st.sampled_from(VARIANTS),
+)
+def test_array_calculus_matches_scalar_formulas(fractions, delays, l, h, b, x, variant, params):
+    u_app, f_ct, f_app, a_sym = fractions
+    t_ct, t_app, t_sym, t_plan = delays
+    p = apply_overrides(params, {
+        "u_app": u_app, "f_ct": f_ct, "f_app": f_app, "a_sym": a_sym,
+        "t_ct": t_ct, "t_app": t_app, "t_sym": t_sym, "t_plan": t_plan,
+    })
+    profile = InfectivityProfile.from_params(p)
+    close = dict(rel=1e-12, abs=1e-12)
+    assert lambda_pair(l, h, profile) == pytest.approx(_loop_pair(l, h, profile), **close)
+    for channel in (ct_channel(p), app_channel(p)):
+        assert lambda_alpha(x, channel, profile, variant) == pytest.approx(
+            _loop_alpha(x, channel, profile, variant), **close)
+    assume(any(_i_w(profile, d + b) > 0.0 for d in range(1, h + 1)))
+    lam_ct = _loop_capital(l, h, b, ct_channel(p), profile, variant)
+    lam_app = _loop_capital(l, h, b, app_channel(p), profile, variant)
+    assert capital_lambda(l, h, b, ct_channel(p), profile, variant) == pytest.approx(lam_ct, **close)
+    assert delta_mix(l, h, b, p, profile, variant) == pytest.approx(
+        p.u_app * lam_app + (1.0 - p.u_app) * lam_ct, **close)

@@ -194,6 +194,20 @@ class TestCalibration:
             assert all(b >= a for a, b in zip(row, row[1:]))
             assert all(0.0 <= v <= ceiling for v in row)
 
+    def test_table_keeps_both_variant_scores(self, params, profile, table):
+        _, scores = calibrate_variant(params, profile)
+        assert table.scores == scores
+        assert LambdaTable.build(params, profile, variant="text").scores == scores
+
+    def test_unknown_explicit_variant_rejected(self, params, profile):
+        with pytest.raises(ValueError, match="variant"):
+            LambdaTable.build(params, profile, variant="middle")
+
+    def test_zero_delay_channel_rejected(self, params, profile):
+        ch = WarningChannel(kind="app", delay=0, reach=0.5, adherence=0.5)
+        with pytest.raises(ValueError, match="app warning delay"):
+            lambda_alpha(5, ch, profile)
+
     def test_explicit_variant_respected(self, params, profile):
         t = LambdaTable.build(params, profile, variant="text")
         assert t.variant == "text"
