@@ -9,7 +9,6 @@ epidemic without each channel.
 """
 from .cases import (
     CaseSeries,
-    CaseWeek,
     WeeklyRawRecord,
     build_series_from_raw,
     derive_case_types,
@@ -28,7 +27,6 @@ from .counterfactual import (
     rt_reduction,
     rt_series,
     severity_outcomes,
-    taf_volume,
 )
 from .infectivity import WEIBULL_PROFILE, InfectivityProfile
 from .oracle import SimConfig, SimOutcome, empirical_case_type_taf, simulate_trees
@@ -61,7 +59,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CASE_TYPES",
     "CaseSeries",
-    "CaseWeek",
     "CounterfactualResult",
     "InfectivityProfile",
     "LambdaTable",
@@ -100,7 +97,6 @@ __all__ = [
     "rt_series",
     "severity_outcomes",
     "simulate_trees",
-    "taf_volume",
     "validate",
     "validate_series",
     "__version__",

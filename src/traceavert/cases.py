@@ -10,26 +10,33 @@ Weekly inputs come in two shapes:
   shape of the bundled reference dataset (Dutch epidemic, weeks 2020-42
   through 2021-19).
 
-Case types: ``miss`` (never detected, the residual), ``sym`` (self-reported
-after symptoms), ``pers`` (personally informed by their index before the
-tracing call), ``ct`` (found by a manual-tracing call), ``app_minus`` /
-``app_plus`` (app-warned, without / with symptoms at test booking).
+Either way the result is a :class:`CaseSeries`: the week labels, a vector of
+weekly totals and a (weeks x 6) count matrix whose columns follow
+:data:`~traceavert.taf.CASE_TYPES`: ``miss`` (never detected, the residual),
+``sym`` (self-reported after symptoms), ``pers`` (personally informed by
+their index before the tracing call), ``ct`` (found by a manual-tracing
+call), ``app_minus`` / ``app_plus`` (app-warned, without / with symptoms at
+test booking).
 """
 from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
 import math
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence, Sized
+from typing import Iterator, Mapping, NoReturn, Sequence, Sized
+
+import numpy as np
 
 from .params import ModelParams, ValidationReport
+from .taf import CASE_TYPES
 
 __all__ = [
     "WeeklyRawRecord",
-    "CaseWeek",
     "CaseSeries",
     "estimate_total_cases",
     "derive_case_types",
@@ -57,6 +64,8 @@ _PRESPLIT_COLUMNS = (
     "week", "c_total", "c_sym", "c_pers", "c_ct", "c_app_minus", "c_app_plus",
 )
 _HOSP_COLUMNS = ("date", "admissions")
+#: names of the total and the six count columns, as violations print them
+_COUNT_NAMES = ("c_total",) + tuple(f"c_{name}" for name in CASE_TYPES)
 
 #: packaged default dataset (pre-split format)
 _FIXTURE_RESOURCE = "weekly_cases.csv"
@@ -78,53 +87,63 @@ class WeeklyRawRecord:
     k_app: float
 
 
-@dataclass(frozen=True)
-class CaseWeek:
-    """Derived per-week case counts, one field per exclusive type.
+@dataclass(frozen=True, eq=False)
+class CaseSeries:
+    """A weekly series: ISO week labels, weekly totals and per-type counts.
 
-    Counts are real-valued: they come out of proportional splits and a
-    hospitalization-based total estimate, and rounding them before the
-    counterfactual recurrence would compound error across weeks.
+    ``total`` has one entry per week; ``counts`` is a (weeks x 6) array whose
+    columns follow :data:`~traceavert.taf.CASE_TYPES`.  Both are converted to
+    float arrays.  Counts are real-valued: they come out of proportional
+    splits and a hospitalization-based total estimate, and rounding them
+    before the counterfactual recurrence would compound error across weeks.
     """
 
-    week_label: str
-    week_index: int
-    c_total: float
-    c_miss: float
-    c_sym: float
-    c_pers: float
-    c_ct: float
-    c_app_minus: float
-    c_app_plus: float
+    labels: tuple[str, ...]
+    total: np.ndarray
+    counts: np.ndarray
 
-
-@dataclass(frozen=True)
-class CaseSeries:
-    """An ordered, immutable run of :class:`CaseWeek` rows."""
-
-    weeks: tuple[CaseWeek, ...]
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "total", np.asarray(self.total, dtype=float))
+        object.__setattr__(self, "counts", np.asarray(self.counts, dtype=float))
+        weeks = len(self.labels)
+        if self.total.shape != (weeks,) or self.counts.shape != (weeks, len(CASE_TYPES)):
+            raise ValueError(f"{weeks} week labels need {weeks} totals and a {weeks} x 6 count "
+                             f"array, got shapes {self.total.shape} and {self.counts.shape}")
 
     def __len__(self) -> int:
-        return len(self.weeks)
+        return len(self.labels)
 
-    def __iter__(self) -> Iterator[CaseWeek]:
-        return iter(self.weeks)
 
-    def __getitem__(self, index: int) -> CaseWeek:
-        return self.weeks[index]
+def _week_mondays(labels: Sequence[str]) -> np.ndarray:
+    """Ordinal of the Monday of each ``YYYY-WW`` label (four-digit year, two-digit
+    ISO week of that year), or -1 where a label is not one."""
+    # Labels longer than 7 characters keep an 8th one and fail the check.
+    codes = np.array(labels, dtype="U8").view(np.uint32).reshape(-1, 8).astype(np.int64)
+    digits = codes - ord("0")
+    numeric = digits[:, [0, 1, 2, 3, 5, 6]]
+    year = digits[:, :4] @ np.array([1000, 100, 10, 1])
+    week = digits[:, 5] * 10 + digits[:, 6]
+    first = _iso_week_one(year)
+    valid = ((codes[:, 4] == ord("-")) & (codes[:, 7] == 0)
+             & ((numeric >= 0) & (numeric <= 9)).all(axis=1) & (year >= 1)
+             & (week >= 1) & (7 * week <= _iso_week_one(year + 1) - first))
+    return np.where(valid, first + 7 * (week - 1), -1)
 
-    def column(self, field: str) -> list[float]:
-        """One named field across all weeks, in order."""
-        return [getattr(week, field) for week in self.weeks]
+
+def _iso_week_one(year: np.ndarray) -> np.ndarray:
+    """Ordinal of the Monday of ISO week 1, the Monday on or before 4 January."""
+    y = year - 1
+    jan4 = 365 * y + y // 4 - y // 100 + y // 400 + 4
+    return jan4 - (jan4 + 6) % 7
 
 
 def week_start_date(week_label: str) -> dt.date:
     """Monday of an ISO ``YYYY-WW`` week label."""
-    try:
-        year_text, week_text = week_label.split("-", 1)
-        return dt.date.fromisocalendar(int(year_text), int(week_text), 1)
-    except ValueError:
-        raise ValueError(f"invalid ISO week label {week_label!r}") from None
+    monday = int(_week_mondays([week_label])[0])
+    if monday < 0:
+        raise ValueError(f"invalid ISO week label {week_label!r}")
+    return dt.date.fromordinal(monday)
 
 
 def estimate_total_cases(
@@ -158,14 +177,14 @@ def derive_case_types(
     raw: WeeklyRawRecord,
     c_total: float,
     p: ModelParams,
-    week_index: int = 0,
-) -> CaseWeek:
+) -> tuple[float, ...]:
     """Split raw weekly counts into the six exclusive case types.
 
     Manual-tracing positives split ``e_ct`` personal / ``1 - e_ct`` traced;
     symptomless app positives are down-corrected to the ``presym_fraction``
     share that is genuinely pre-symptomatic, the rest joining the symptomatic
-    app count; the missed count is the residual against ``c_total``.
+    app count; the missed count is the residual against ``c_total``.  The six
+    counts are returned in :data:`~traceavert.taf.CASE_TYPES` order.
 
     Raises
     ------
@@ -191,18 +210,7 @@ def derive_case_types(
             f"week {raw.week_label}: derived missed-case count is negative "
             f"({c_miss:.1f}); inputs are inconsistent with the total estimate"
         )
-    c_miss = max(c_miss, 0.0)
-    return CaseWeek(
-        week_label=raw.week_label,
-        week_index=week_index,
-        c_total=c_total,
-        c_miss=c_miss,
-        c_sym=c_sym,
-        c_pers=c_pers,
-        c_ct=c_ct,
-        c_app_minus=c_app_minus,
-        c_app_plus=c_app_plus,
-    )
+    return (max(c_miss, 0.0), c_sym, c_pers, c_ct, c_app_minus, c_app_plus)
 
 
 def build_series_from_raw(
@@ -211,28 +219,52 @@ def build_series_from_raw(
     p: ModelParams,
 ) -> CaseSeries:
     """Derive a full :class:`CaseSeries` from raw records and admissions."""
-    weeks = []
-    for index, record in enumerate(records):
-        total = estimate_total_cases(admissions, week_start_date(record.week_label), p)
-        weeks.append(derive_case_types(record, total, p, week_index=index))
-    return CaseSeries(tuple(weeks))
+    labels = tuple(record.week_label for record in records)
+    total = [estimate_total_cases(admissions, week_start_date(label), p) for label in labels]
+    counts = [derive_case_types(record, c_total, p) for record, c_total in zip(records, total)]
+    return CaseSeries(labels, total, counts)
 
 
 # ----------------------------------------------------------------------------
 # CSV ingestion. All formats: header row required, UTF-8, comma separator.
+# Blank lines are skipped; errors name the file line a row starts on.
 
 
-def _open_reader(path: Path, expected: Sequence[str]) -> Iterable[dict[str, str]]:
-    with path.open("r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
+def _read(path: Path) -> str:
+    """The whole file; read once, so a pipe can be parsed twice."""
+    try:
+        with path.open("r", encoding="utf-8", newline="") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _rows(path: Path, text: str, expected: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
+    """Data rows of ``text`` as ``(line, fields)``, the fields in ``expected`` order."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader, [])
         missing = [name for name in expected if name not in header]
         if missing:
             raise ValueError(f"{path}: missing required column(s): {', '.join(missing)}")
         unexpected = [name for name in header if name not in expected]
         if unexpected:
             raise ValueError(f"{path}: unexpected column(s): {', '.join(unexpected)}")
-        yield from reader
+        if len(header) != len(expected):
+            raise ValueError(f"{path}: repeated column(s) in header: {', '.join(header)}")
+        order = [header.index(name) for name in expected]
+        pick = None if order == list(range(len(expected))) else operator.itemgetter(*order)
+        end = reader.line_num
+        for row in reader:
+            # a quoted field can span lines: name the line the row starts on
+            lineno, end = end + 1, reader.line_num
+            if len(row) != len(header):
+                if not row:
+                    continue
+                raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+            yield lineno, row if pick is None else list(pick(row))
+    except csv.Error as exc:
+        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def _parse_number(path: Path, lineno: int, column: str, text: str) -> float:
@@ -245,61 +277,68 @@ def _parse_number(path: Path, lineno: int, column: str, text: str) -> float:
     return value
 
 
+def _parse_row(path: Path, lineno: int, row: list[str], columns: Sequence[str]) -> list[float]:
+    """The numbers of a row that starts with a week label, checked left to right."""
+    if _week_mondays(row[:1])[0] < 0:
+        raise ValueError(f"{path}:{lineno}: invalid ISO week label {row[0]!r} (expected YYYY-WW)")
+    return [_parse_number(path, lineno, name, text) for name, text in zip(columns[1:], row[1:])]
+
+
 def _require_rows(path: Path, rows: Sized) -> None:
     if not rows:
         raise ValueError(f"{path}: no data rows")
 
 
 def load_raw_csv(path: str | Path) -> list[WeeklyRawRecord]:
-    """Read raw weekly surveillance records."""
+    """Read raw weekly surveillance records; counts must be nonnegative."""
     path = Path(path)
     records = []
-    for lineno, row in enumerate(_open_reader(path, _RAW_COLUMNS), start=2):
-        values = {
-            name: _parse_number(path, lineno, name, row[name])
-            for name in _RAW_COLUMNS if name != "week"
-        }
-        records.append(WeeklyRawRecord(week_label=row["week"], **{
-            "sym_positives": values["sym_positives"],
-            "ct_found": values["ct_found"],
-            "app_with_symptoms": values["app_with_symptoms"],
-            "app_without_symptoms": values["app_without_symptoms"],
-            "k_app": values["k_app"],
-        }))
+    for lineno, row in _rows(path, _read(path), _RAW_COLUMNS):
+        values = _parse_row(path, lineno, row, _RAW_COLUMNS)
+        for name, text, value in zip(_RAW_COLUMNS[1:5], row[1:5], values):  # not k_app
+            if value < 0:
+                raise ValueError(f"{path}:{lineno}: column {name!r}: negative count: {text!r}")
+        records.append(WeeklyRawRecord(row[0], *values))
     _require_rows(path, records)
     return records
 
 
 def load_presplit_csv(path: str | Path) -> CaseSeries:
-    """Read an already-split weekly series; the missed count is the residual."""
+    """Read an already-split weekly series; the missed count is the residual.
+
+    The first row with an invalid label, a non-finite number or typed counts
+    above ``c_total`` is reported with its line, column and text.
+    """
     path = Path(path)
-    weeks = []
-    for lineno, row in enumerate(_open_reader(path, _PRESPLIT_COLUMNS), start=2):
-        values = {
-            name: _parse_number(path, lineno, name, row[name])
-            for name in _PRESPLIT_COLUMNS if name != "week"
-        }
-        parts = (values["c_sym"] + values["c_pers"] + values["c_ct"]
-                 + values["c_app_minus"] + values["c_app_plus"])
-        c_miss = values["c_total"] - parts
+    text = _read(path)
+    labels: list[str] = []
+    cells: list[str] = []
+    try:
+        for _, row in _rows(path, text, _PRESPLIT_COLUMNS):
+            labels.append(row[0])
+            cells += row[1:]
+        values = np.fromiter(map(float, cells), float, len(cells))
+    except ValueError:
+        _presplit_error(path, text)
+    _require_rows(path, labels)
+    values = values.reshape(-1, len(_PRESPLIT_COLUMNS) - 1)
+    total, typed = values[:, 0], values[:, 1:]
+    c_miss = total - np.cumsum(typed, axis=1)[:, -1]  # left to right, as the row check adds
+    if not (np.isfinite(values).all() and (c_miss >= 0.0).all()
+            and (_week_mondays(labels) >= 0).all()):
+        _presplit_error(path, text)
+    return CaseSeries(tuple(labels), total, np.column_stack((c_miss, typed)))
+
+
+def _presplit_error(path: Path, text: str) -> NoReturn:
+    """Parse a rejected presplit file again row by row and raise its first error."""
+    for lineno, row in _rows(path, text, _PRESPLIT_COLUMNS):
+        values = _parse_row(path, lineno, row, _PRESPLIT_COLUMNS)
+        c_miss = values[0] - (values[1] + values[2] + values[3] + values[4] + values[5])
         if c_miss < 0.0:
-            raise ValueError(
-                f"{path}:{lineno}: typed counts exceed c_total "
-                f"(residual missed count {c_miss:.1f})"
-            )
-        weeks.append(CaseWeek(
-            week_label=row["week"],
-            week_index=len(weeks),
-            c_total=values["c_total"],
-            c_miss=c_miss,
-            c_sym=values["c_sym"],
-            c_pers=values["c_pers"],
-            c_ct=values["c_ct"],
-            c_app_minus=values["c_app_minus"],
-            c_app_plus=values["c_app_plus"],
-        ))
-    _require_rows(path, weeks)
-    return CaseSeries(tuple(weeks))
+            raise ValueError(f"{path}:{lineno}: typed counts exceed c_total "
+                             f"(residual missed count {c_miss:.1f})")
+    raise AssertionError(f"{path}: rejected, but every row parses")
 
 
 def load_hospitalizations_csv(path: str | Path) -> dict[dt.date, float]:
@@ -307,12 +346,12 @@ def load_hospitalizations_csv(path: str | Path) -> dict[dt.date, float]:
     path = Path(path)
     admissions: dict[dt.date, float] = {}
     previous: dt.date | None = None
-    for lineno, row in enumerate(_open_reader(path, _HOSP_COLUMNS), start=2):
+    for lineno, (date_text, count_text) in _rows(path, _read(path), _HOSP_COLUMNS):
         try:
-            day = dt.date.fromisoformat(row["date"])
+            day = dt.date.fromisoformat(date_text)
         except ValueError:
-            raise ValueError(f"{path}:{lineno}: invalid date {row['date']!r}") from None
-        count = _parse_number(path, lineno, "admissions", row["admissions"])
+            raise ValueError(f"{path}:{lineno}: invalid date {date_text!r}") from None
+        count = _parse_number(path, lineno, "admissions", count_text)
         if count < 0:
             raise ValueError(f"{path}:{lineno}: negative admissions {count}")
         if previous is not None and day <= previous:
@@ -331,44 +370,33 @@ def load_fixture() -> CaseSeries:
 
 
 def validate_series(series: CaseSeries) -> ValidationReport:
-    """Check partition identity, nonnegativity and contiguous week indices."""
+    """Check labels, consecutive ISO weeks, the partition and nonnegativity."""
+    labels = series.labels
+    mondays = _week_mondays(labels)
+    step = np.diff(mondays, prepend=mondays[:1] - 7)
+    parts = np.cumsum(series.counts, axis=1)[:, -1]
+    negative = np.column_stack((series.total, series.counts)) < 0
+    broken = np.abs(parts - series.total) > _PARTITION_SLACK
+    flagged = (mondays < 0) | (step != 7) | broken | negative.any(axis=1)
     violations: list[str] = []
-    for position, week in enumerate(series):
-        if week.week_index != position:
-            violations.append(
-                f"week {week.week_label}: index {week.week_index} breaks the "
-                f"contiguous 0..n-1 numbering (expected {position})"
-            )
-        parts = (week.c_miss + week.c_sym + week.c_pers + week.c_ct
-                 + week.c_app_minus + week.c_app_plus)
-        if abs(parts - week.c_total) > _PARTITION_SLACK:
-            violations.append(
-                f"week {week.week_label}: typed counts sum to {parts:.1f} "
-                f"but c_total is {week.c_total:.1f}"
-            )
-        for field in ("c_total", "c_miss", "c_sym", "c_pers", "c_ct",
-                      "c_app_minus", "c_app_plus"):
-            if getattr(week, field) < 0:
-                violations.append(
-                    f"week {week.week_label}: {field} is negative "
-                    f"({getattr(week, field):.1f})"
-                )
+    for w in np.flatnonzero(flagged).tolist():
+        label = labels[w]
+        if mondays[w] < 0:
+            violations.append(f"week {label!r}: not an ISO YYYY-WW week label")
+        elif w and mondays[w - 1] >= 0 and step[w] != 7:
+            follow = "repeats" if step[w] == 0 else "does not follow"
+            violations.append(f"week {label}: {follow} {labels[w - 1]} "
+                              f"(ISO weeks must be consecutive)")
+        if broken[w]:
+            violations.append(f"week {label}: typed counts sum to {parts[w]:.1f} "
+                              f"but c_total is {series.total[w]:.1f}")
+        for name, value, bad in zip(_COUNT_NAMES, (series.total[w], *series.counts[w]),
+                                    negative[w]):
+            if bad:
+                violations.append(f"week {label}: {name} is negative ({value:.1f})")
     return ValidationReport(tuple(violations))
 
 
 def scale_series(series: CaseSeries, factor: float) -> CaseSeries:
     """Multiply every count of every week by ``factor`` (testing/sweep aid)."""
-    weeks = tuple(
-        replace(
-            week,
-            c_total=week.c_total * factor,
-            c_miss=week.c_miss * factor,
-            c_sym=week.c_sym * factor,
-            c_pers=week.c_pers * factor,
-            c_ct=week.c_ct * factor,
-            c_app_minus=week.c_app_minus * factor,
-            c_app_plus=week.c_app_plus * factor,
-        )
-        for week in series
-    )
-    return CaseSeries(weeks)
+    return CaseSeries(series.labels, series.total * factor, series.counts * factor)

@@ -49,6 +49,8 @@ _SUMMARY_METRICS = (
     ("averted_deaths", "averted deaths", "{:.0f}"),
     ("rt_reduction_avg", "average Rt reduction", "{:.4f}"),
 )
+_WEEKLY_ROW = "%s,%.0f,%.0f,%.0f,%.0f,%.0f,%.4f,%.4f,%.4f\n"
+_LAST_WEEKLY_ROW = "%s,%.0f,%.0f,%.0f,%.0f,%.0f,,,\n"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -56,10 +58,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -176,33 +175,26 @@ def _run_estimate(args: argparse.Namespace) -> int:
     table = LambdaTable.build(p, profile)
     ct = counterfactual.averted_ct(series, table.per_type, p)
     app = counterfactual.averted_app(series, table.per_type, p)
-    totals = series.column("c_total")
-    rt = counterfactual.rt_series(totals)
-    rt_ct = counterfactual.rt_series(list(ct.c_not_weekly))
-    rt_app = counterfactual.rt_series(list(app.c_not_weekly))
+    rt = counterfactual.rt_series(series.total)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    weekly = ["week,c,c_not_ct,s_ct,c_not_app,s_app,rt,rt_not_ct,rt_not_app"]
-    for w, week in enumerate(series):
-        rates = ("", "", "")
-        if w < len(rt):
-            rates = (f"{rt[w]:.4f}", f"{rt_ct[w]:.4f}", f"{rt_app[w]:.4f}")
-        weekly.append(
-            f"{week.week_label},{week.c_total:.0f},"
-            f"{ct.c_not_weekly[w]:.0f},{ct.s_weekly[w]:.0f},"
-            f"{app.c_not_weekly[w]:.0f},{app.s_weekly[w]:.0f},"
-            f"{rates[0]},{rates[1]},{rates[2]}"
-        )
-    _write_text(out_dir / "weekly.csv", weekly)
+    # one row per week; the last week has no forward-looking growth rate
+    columns = (series.labels, series.total.tolist(), ct.c_not_weekly, ct.s_weekly,
+               app.c_not_weekly, app.s_weekly)
+    with (out_dir / "weekly.csv").open("w", encoding="utf-8") as handle:
+        handle.write("week,c,c_not_ct,s_ct,c_not_app,s_app,rt,rt_not_ct,rt_not_app\n")
+        handle.writelines(_WEEKLY_ROW % row
+                          for row in zip(*columns, rt, ct.rt_weekly, app.rt_weekly))
+        handle.write(_LAST_WEEKLY_ROW % tuple(column[-1] for column in columns))
 
     summary_rows = _summary_rows(ct, app)
     summary = ["metric,ct,app"]
     summary.extend(f"{key},{ct_text},{app_text}" for key, _, ct_text, app_text in summary_rows)
     _write_text(out_dir / "summary.csv", summary)
 
-    print(f"weeks: {series[0].week_label} .. {series[-1].week_label} ({len(series)})")
+    print(f"weeks: {series.labels[0]} .. {series.labels[-1]} ({len(series)})")
     print(f"calibration variant: {table.variant}")
     print()
     width = max(len(label) for _, label, _, _ in summary_rows)
@@ -215,27 +207,12 @@ def _run_estimate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _summary_value(result: counterfactual.CounterfactualResult, key: str) -> float:
-    if key == "averted_cases":
-        return result.s_total
-    if key == "averted_hospitalizations":
-        return result.severity.hospitalizations
-    if key == "averted_icu_admissions":
-        return result.severity.icu_admissions
-    if key == "averted_deaths":
-        return result.severity.deaths
-    return result.rt_reduction_avg
-
-
 def _summary_rows(ct, app) -> list[tuple[str, str, str, str]]:
-    rows = []
-    for key, label, fmt in _SUMMARY_METRICS:
-        rows.append((
-            key, label,
-            fmt.format(_summary_value(ct, key)),
-            fmt.format(_summary_value(app, key)),
-        ))
-    return rows
+    """One row per ``_SUMMARY_METRICS`` entry: key, label, ct text, app text."""
+    values = [(r.s_total, r.severity.hospitalizations, r.severity.icu_admissions,
+               r.severity.deaths, r.rt_reduction_avg) for r in (ct, app)]
+    return [(key, label, fmt.format(ct_value), fmt.format(app_value))
+            for (key, label, fmt), ct_value, app_value in zip(_SUMMARY_METRICS, *values)]
 
 
 def _run_lambda_table(args: argparse.Namespace) -> int:
@@ -329,15 +306,10 @@ def _run_sweep(args: argparse.Namespace) -> int:
         table = LambdaTable.build(p, profile)
         ct = counterfactual.averted_ct(series, table.per_type, p)
         app = counterfactual.averted_app(series, table.per_type, p)
-        lines.append(
-            f"{name},{text},{ct.s_total:.0f},{app.s_total:.0f},"
-            f"{ct.severity.hospitalizations:.0f},{ct.severity.icu_admissions:.0f},"
-            f"{ct.severity.deaths:.0f},{app.severity.hospitalizations:.0f},"
-            f"{app.severity.icu_admissions:.0f},{app.severity.deaths:.0f},"
-            f"{ct.rt_reduction_avg:.4f},{app.rt_reduction_avg:.4f}"
-        )
-    for line in lines:
-        print(line)
+        _, _, ct_text, app_text = zip(*_summary_rows(ct, app))
+        lines.append(",".join((name, text, ct_text[0], app_text[0], *ct_text[1:4],
+                               *app_text[1:4], ct_text[4], app_text[4])))
+    print("\n".join(lines))
     if args.out is not None:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -354,7 +326,7 @@ def _run_validate(args: argparse.Namespace) -> int:
         return 1
     print("params: ok")
     print(f"series: ok ({len(series)} weeks, "
-          f"{series[0].week_label} .. {series[-1].week_label})")
+          f"{series.labels[0]} .. {series.labels[-1]})")
     return 0
 
 

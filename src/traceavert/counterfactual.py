@@ -17,24 +17,28 @@ cases, scaled by the observed per-case transmission volume of that week:
     extra(w+1)    = carried(w+1) * gap(w) / volume(w)
     c_not(w+1)    = carried(w+1) + extra(w+1)
 
-where ``gap(w)`` sums, over the reverted cases of week ``w``, the difference
-between their fallback and actual tertiary attack fractions, and ``volume(w)``
-is the fraction-weighted case total of the week.  Averted cases are
-``c_not - c`` per week; severity outcomes apply fixed infection-to-outcome
-rates to the total.
+Both weights are linear in the week's per-type counts: ``volume(w) = counts(w)
+· λ`` is the TAF-weighted case total and ``gap(w) = counts(w) · Δ``, where the
+channel's Δ holds each reverted type's fallback TAF minus its actual TAF.
+Averted cases are ``c_not - c`` per week; severity outcomes apply fixed
+infection-to-outcome rates to the total.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Mapping
 
-from .cases import CaseSeries, CaseWeek
+import numpy as np
+
+from .cases import CaseSeries
 from .params import ModelParams
 from .taf import CASE_TYPES
 
 __all__ = [
     "CounterfactualResult",
     "SeverityOutcomes",
-    "taf_volume",
+    "reconstruct",
     "averted_ct",
     "averted_app",
     "severity_outcomes",
@@ -42,18 +46,8 @@ __all__ = [
     "rt_reduction",
 ]
 
-#: generation interval, in days, used to convert weekly growth to Rt
-_GENERATION_DAYS = 4.0
-_WEEK_DAYS = 7.0
-
-_TYPE_FIELDS = {
-    "miss": "c_miss",
-    "sym": "c_sym",
-    "pers": "c_pers",
-    "ct": "c_ct",
-    "app_minus": "c_app_minus",
-    "app_plus": "c_app_plus",
-}
+#: weekly growth is rescaled to a 4-day generation interval to give Rt
+_RT_EXPONENT = 4.0 / 7.0
 
 
 @dataclass(frozen=True)
@@ -67,7 +61,8 @@ class SeverityOutcomes:
 
 @dataclass(frozen=True)
 class CounterfactualResult:
-    """Full output of one channel-removal reconstruction."""
+    """Full output of one channel-removal reconstruction (``rt_weekly`` is the
+    counterfactual Rt series, one entry shorter than the weekly series)."""
 
     intervention: str
     c_not_weekly: tuple[float, ...]
@@ -75,100 +70,100 @@ class CounterfactualResult:
     s_total: float
     severity: SeverityOutcomes
     rt_reduction_avg: float
-
-    @property
-    def averted_fraction(self) -> float:
-        """Averted cases as a fraction of the observed total."""
-        total = sum(week for week in self.s_weekly)
-        observed = sum(c_not - s for c_not, s in zip(self.c_not_weekly, self.s_weekly))
-        return total / observed if observed else 0.0
+    rt_weekly: tuple[float, ...]
 
 
-def taf_volume(week: CaseWeek, lambdas: dict[str, float]) -> float:
-    """Fraction-weighted case total of one week: sum of count x TAF by type."""
-    return sum(lambdas[name] * getattr(week, _TYPE_FIELDS[name]) for name in CASE_TYPES)
+def _weighted(counts: np.ndarray, weights: Mapping[str, float]) -> np.ndarray:
+    """Per-week sum of weight x count (types not named weigh 0), added left to
+    right in ``CASE_TYPES`` order so each week matches the scalar sum bit for bit."""
+    return np.cumsum(counts * [weights.get(name, 0.0) for name in CASE_TYPES], axis=1)[:, -1]
 
 
-def _reversion_gap_ct(week: CaseWeek, lambdas: dict[str, float]) -> float:
-    """Extra transmission volume if manual tracing had not existed.
+def reconstruct(
+    series: CaseSeries,
+    lambdas: Mapping[str, float],
+    delta: Mapping[str, float],
+    intervention: str,
+    p: ModelParams,
+) -> CounterfactualResult:
+    """Replay ``series`` without one warning channel.
+
+    ``lambdas`` holds the six per-type TAF constants; ``delta`` maps each
+    case type that reverts without the channel to its fallback TAF minus its
+    actual TAF (types it does not name do not revert).
+
+    Raises
+    ------
+    ValueError
+        If the series is shorter than 2 weeks, a weekly total or transmission
+        volume is not positive, or the replay overflows.
+    """
+    if len(series) < 2:
+        raise ValueError("counterfactual reconstruction needs at least 2 weeks")
+    c = series.total
+    nonpositive = np.flatnonzero(c <= 0.0)
+    if nonpositive.size:
+        w = nonpositive[0]
+        raise ValueError(f"week {series.labels[w]}: nonpositive case total "
+                         f"{c[w]:.1f} breaks the growth recurrence")
+    counts = series.counts[:-1]
+    volume = _weighted(counts, lambdas)
+    nonpositive = np.flatnonzero(volume <= 0.0)
+    if nonpositive.size:
+        w = nonpositive[0]
+        raise ValueError(f"week {series.labels[w]}: nonpositive transmission "
+                         f"volume {volume[w]:.1f}")
+    gap = _weighted(counts, delta)
+    growth = (c[1:] / c[:-1]).tolist()
+
+    c_not = [float(c[0])]
+    for g, gap_w, volume_w in zip(growth, gap.tolist(), volume.tolist()):
+        carried = c_not[-1] * g
+        c_not.append(carried + carried * gap_w / volume_w)
+
+    replay = np.array(c_not)
+    finite = np.isfinite(replay)
+    if not finite.all():
+        w = int(finite.argmin())
+        raise ValueError(f"{intervention} counterfactual overflows: week "
+                         f"{series.labels[w]} reaches {replay[w]}")
+    s_weekly = (replay - c).tolist()
+    s_total = sum(s_weekly)
+    rt_not = rt_series(replay)
+    rt_reduction_avg = rt_reduction([g ** _RT_EXPONENT for g in growth], rt_not)
+    if not (math.isfinite(s_total) and math.isfinite(rt_reduction_avg)):
+        raise ValueError(f"{intervention} counterfactual overflows: its totals are not finite")
+    return CounterfactualResult(
+        intervention=intervention,
+        c_not_weekly=tuple(c_not),
+        s_weekly=tuple(s_weekly),
+        s_total=s_total,
+        severity=severity_outcomes(s_total, p),
+        rt_reduction_avg=rt_reduction_avg,
+        rt_weekly=tuple(rt_not),
+    )
+
+
+def averted_ct(series: CaseSeries, lambdas: dict[str, float], p: ModelParams) -> CounterfactualResult:
+    """Reconstruct the epidemic without manual contact tracing.
 
     Only cases found by a tracing call revert: without the call they would
     never have learned of their exposure, i.e. they become missed cases.
     (Personally-informed cases are warned by their index, not by the call.)
     """
-    return week.c_ct * (lambdas["miss"] - lambdas["ct"])
+    return reconstruct(series, lambdas, {"ct": lambdas["miss"] - lambdas["ct"]}, "ct", p)
 
 
-def _reversion_gap_app(week: CaseWeek, lambdas: dict[str, float], p: ModelParams) -> float:
-    """Extra transmission volume if the notification app had not existed.
+def averted_app(series: CaseSeries, lambdas: dict[str, float], p: ModelParams) -> CounterfactualResult:
+    """Reconstruct the epidemic without the exposure-notification app.
 
     App-warned cases fall back on what manual tracing would have done for
     them: a share ``e_app`` would have been missed entirely, the rest found
     by a tracing call.
     """
     fallback = p.e_app * lambdas["miss"] + (1.0 - p.e_app) * lambdas["ct"]
-    return (week.c_app_minus * (fallback - lambdas["app_minus"])
-            + week.c_app_plus * (fallback - lambdas["app_plus"]))
-
-
-def _reconstruct(
-    series: CaseSeries,
-    lambdas: dict[str, float],
-    gap,
-    intervention: str,
-    p: ModelParams,
-) -> CounterfactualResult:
-    if len(series) < 2:
-        raise ValueError("counterfactual reconstruction needs at least 2 weeks")
-    c = series.column("c_total")
-    for index, total in enumerate(c[:-1]):
-        if total <= 0.0:
-            raise ValueError(
-                f"week {series[index].week_label}: nonpositive case total "
-                f"{total:.1f} breaks the growth recurrence"
-            )
-
-    c_not = [c[0]]
-    extras = [0.0]
-    for w in range(len(series) - 1):
-        volume = taf_volume(series[w], lambdas)
-        if volume <= 0.0:
-            raise ValueError(
-                f"week {series[w].week_label}: nonpositive transmission "
-                f"volume {volume:.1f}"
-            )
-        growth = c[w + 1] / c[w]
-        carried = c_not[w] * growth
-        extra = carried * gap(series[w]) / volume
-        c_not.append(carried + extra)
-        extras.append(extra)
-
-    s_weekly = tuple(cn - cw for cn, cw in zip(c_not, c))
-    s_total = sum(s_weekly)
-    actual_rt = rt_series(c)
-    counter_rt = rt_series(c_not)
-    return CounterfactualResult(
-        intervention=intervention,
-        c_not_weekly=tuple(c_not),
-        s_weekly=s_weekly,
-        s_total=s_total,
-        severity=severity_outcomes(s_total, p),
-        rt_reduction_avg=rt_reduction(actual_rt, counter_rt),
-    )
-
-
-def averted_ct(series: CaseSeries, lambdas: dict[str, float], p: ModelParams) -> CounterfactualResult:
-    """Reconstruct the epidemic without manual contact tracing."""
-    return _reconstruct(
-        series, lambdas, lambda week: _reversion_gap_ct(week, lambdas), "ct", p,
-    )
-
-
-def averted_app(series: CaseSeries, lambdas: dict[str, float], p: ModelParams) -> CounterfactualResult:
-    """Reconstruct the epidemic without the exposure-notification app."""
-    return _reconstruct(
-        series, lambdas, lambda week: _reversion_gap_app(week, lambdas, p), "app", p,
-    )
+    delta = {name: fallback - lambdas[name] for name in ("app_minus", "app_plus")}
+    return reconstruct(series, lambdas, delta, "app", p)
 
 
 def severity_outcomes(averted_cases: float, p: ModelParams) -> SeverityOutcomes:
@@ -180,7 +175,7 @@ def severity_outcomes(averted_cases: float, p: ModelParams) -> SeverityOutcomes:
     )
 
 
-def rt_series(totals: list[float] | tuple[float, ...]) -> list[float]:
+def rt_series(totals) -> list[float]:
     """Weekly reproduction numbers from consecutive case totals.
 
     The weekly growth factor is rescaled to the generation interval:
@@ -192,15 +187,13 @@ def rt_series(totals: list[float] | tuple[float, ...]) -> list[float]:
     ValueError
         If any total involved in a ratio is not positive.
     """
-    rt = []
-    for w in range(len(totals) - 1):
-        if totals[w] <= 0.0 or totals[w + 1] <= 0.0:
-            raise ValueError(
-                f"week index {w}: reproduction number undefined for "
-                f"nonpositive case totals ({totals[w]!r} -> {totals[w + 1]!r})"
-            )
-        rt.append((totals[w + 1] / totals[w]) ** (_GENERATION_DAYS / _WEEK_DAYS))
-    return rt
+    c = np.asarray(totals, dtype=float)
+    nonpositive = np.flatnonzero((c[:-1] <= 0.0) | (c[1:] <= 0.0))
+    if nonpositive.size:
+        w = nonpositive[0]
+        raise ValueError(f"week index {w}: reproduction number undefined for nonpositive "
+                         f"case totals ({float(c[w])!r} -> {float(c[w + 1])!r})")
+    return [ratio ** _RT_EXPONENT for ratio in (c[1:] / c[:-1]).tolist()]
 
 
 def rt_reduction(actual: list[float], counterfactual: list[float]) -> float:

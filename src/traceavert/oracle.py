@@ -55,8 +55,8 @@ class SimConfig:
     index_quarantine_day: int | None = None
 
     def __post_init__(self) -> None:
-        if self.trees < 1:
-            raise ValueError(f"trees must be at least 1, got {self.trees}")
+        if self.trees < 2:
+            raise ValueError(f"trees must be at least 2 for a standard error, got {self.trees}")
         if not self.r0 > 0.0:
             raise ValueError(f"r0 must be positive, got {self.r0}")
         if self.horizon < _PROFILE_DAYS:
@@ -240,7 +240,7 @@ def empirical_case_type_taf(
 
 def _summarize(ratios: np.ndarray, r0: float) -> SimOutcome:
     n = ratios.size
-    se = float(ratios.std(ddof=1) / np.sqrt(n)) if n > 1 else float("nan")
+    se = float(ratios.std(ddof=1) / np.sqrt(n))
     mean = float(ratios.mean())
     return SimOutcome(
         empirical_taf=mean,

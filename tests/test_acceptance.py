@@ -208,8 +208,8 @@ def test_criterion_8_property_suite(params, profile, series, lambdas):
     base = averted_ct(series, lambdas, params)
     tripled = averted_ct(scaled, lambdas, params)
     assert tripled.s_total == pytest.approx(3.0 * base.s_total, rel=1e-9)
-    assert rt_series(scaled.column("c_total")) == pytest.approx(
-        rt_series(series.column("c_total")), rel=1e-12)
+    assert rt_series(scaled.total) == pytest.approx(
+        rt_series(series.total), rel=1e-12)
 
     # no detection advantage (lambda_ct == lambda_miss) averts nothing
     flat = dict(lambdas)
@@ -230,7 +230,5 @@ def test_criterion_8_property_suite(params, profile, series, lambdas):
     assert first == second
 
     # per-type counts partition every weekly total exactly
-    for week in series:
-        parts = (week.c_miss + week.c_sym + week.c_pers
-                 + week.c_ct + week.c_app_minus + week.c_app_plus)
-        assert parts == pytest.approx(week.c_total, abs=1e-6), week.week_label
+    for label, total, counts in zip(series.labels, series.total, series.counts):
+        assert sum(counts) == pytest.approx(total, abs=1e-6), label

@@ -1,10 +1,11 @@
 import datetime as dt
+import os
 
+import numpy as np
 import pytest
 
 from traceavert.cases import (
     CaseSeries,
-    CaseWeek,
     WeeklyRawRecord,
     build_series_from_raw,
     derive_case_types,
@@ -17,6 +18,11 @@ from traceavert.cases import (
     validate_series,
     week_start_date,
 )
+from traceavert.taf import CASE_TYPES
+
+COLUMN = {name: index for index, name in enumerate(CASE_TYPES)}
+HEADER = "week,c_total,c_sym,c_pers,c_ct,c_app_minus,c_app_plus\n"
+RAW_HEADER = "week,sym_positives,ct_found,app_with_symptoms,app_without_symptoms,k_app\n"
 
 
 def _flat_admissions(start: dt.date, days: int, value: float) -> dict[dt.date, float]:
@@ -76,102 +82,138 @@ class TestDeriveCaseTypes:
         return WeeklyRawRecord(**base)
 
     def test_tracing_split(self, params):
-        week = derive_case_types(self._raw(ct_found=2500), 10_000, params)
-        assert week.c_pers == pytest.approx(1500)
-        assert week.c_ct == pytest.approx(1000)
+        _, _, c_pers, c_ct, _, _ = derive_case_types(self._raw(ct_found=2500), 10_000, params)
+        assert c_pers == pytest.approx(1500)
+        assert c_ct == pytest.approx(1000)
 
     def test_app_split(self, params):
-        week = derive_case_types(
+        *_, c_app_minus, c_app_plus = derive_case_types(
             self._raw(app_with_symptoms=300, app_without_symptoms=100), 10_000, params
         )
-        assert week.c_app_minus == pytest.approx(20)
-        assert week.c_app_plus == pytest.approx(380)
+        assert c_app_minus == pytest.approx(20)
+        assert c_app_plus == pytest.approx(380)
 
     def test_partition_reconstructs_total(self, params):
-        week = derive_case_types(
+        counts = derive_case_types(
             self._raw(sym_positives=500, ct_found=200, app_with_symptoms=30,
                       app_without_symptoms=10),
             5_000,
             params,
         )
-        parts = (week.c_miss + week.c_sym + week.c_pers + week.c_ct
-                 + week.c_app_minus + week.c_app_plus)
-        assert parts == pytest.approx(week.c_total)
+        assert len(counts) == len(CASE_TYPES)
+        assert sum(counts) == pytest.approx(5_000)
 
     def test_total_below_reported_rejected(self, params):
         with pytest.raises(ValueError, match="below"):
             derive_case_types(self._raw(sym_positives=100), 50, params)
 
-    def test_week_index_carried(self, params):
-        week = derive_case_types(self._raw(), 100, params, week_index=7)
-        assert week.week_index == 7
-
 
 class TestFixture:
     def test_shape(self, series):
         assert len(series) == 31
-        assert series[0].week_label == "2020-42"
-        assert series[-1].week_label == "2021-19"
+        assert series.labels[0] == "2020-42"
+        assert series.labels[-1] == "2021-19"
+        assert series.total.shape == (31,)
+        assert series.counts.shape == (31, len(CASE_TYPES))
 
     def test_first_row_values(self, series):
-        week = series[0]
-        assert week.c_total == 134772
-        assert week.c_sym == 53531
-        assert week.c_pers == 1760
-        assert week.c_ct == 1029
-        assert week.c_app_minus == 0
-        assert week.c_app_plus == 344
+        assert series.total[0] == 134772
+        assert series.counts[0, 1:].tolist() == [53531, 1760, 1029, 0, 344]
 
     def test_last_row_total(self, series):
-        assert series[-1].c_total == 74386
+        assert series.total[-1] == 74386
 
     def test_app_columns_week_2020_49(self, series):
-        week = series[7]
-        assert week.week_label == "2020-49"
-        assert week.c_app_minus == 106
-        assert week.c_app_plus == 447
+        assert series.labels[7] == "2020-49"
+        assert series.counts[7, COLUMN["app_minus"]] == 106
+        assert series.counts[7, COLUMN["app_plus"]] == 447
 
     def test_column_totals(self, series):
-        assert sum(series.column("c_total")) == 3453079
-        assert sum(series.column("c_sym")) == 955654
-        assert sum(series.column("c_pers")) == 269774
-        assert sum(series.column("c_ct")) == 173517
-        assert sum(series.column("c_app_minus")) == 3916
-        assert sum(series.column("c_app_plus")) == 10345
+        assert sum(series.total) == 3453079
+        column_totals = {"sym": 955654, "pers": 269774, "ct": 173517,
+                         "app_minus": 3916, "app_plus": 10345}
+        for name, total in column_totals.items():
+            assert sum(series.counts[:, COLUMN[name]]) == total, name
 
     def test_missed_is_residual(self, series):
-        for week in series:
-            others = (week.c_sym + week.c_pers + week.c_ct
-                      + week.c_app_minus + week.c_app_plus)
-            assert week.c_miss == pytest.approx(week.c_total - others)
-            assert week.c_miss >= 0
+        others = series.counts[:, 1:].sum(axis=1)
+        assert series.counts[:, COLUMN["miss"]] == pytest.approx(series.total - others)
+        assert (series.counts[:, COLUMN["miss"]] >= 0).all()
 
     def test_validates_clean(self, series):
         assert validate_series(series).ok
 
 
+def _series(labels, total=60.0, counts=(10.0,) * 6):
+    """A series with the same total and counts in every week."""
+    return CaseSeries(labels, [total] * len(labels), [counts] * len(labels))
+
+
+class TestCaseSeries:
+    def test_holds_float_arrays(self):
+        series = CaseSeries(["2020-42"], [60], [[10, 10, 10, 10, 10, 10]])
+        assert series.labels == ("2020-42",)
+        assert series.total.dtype == np.float64
+        assert series.counts.dtype == np.float64
+        assert len(series) == 1
+
+    @pytest.mark.parametrize("total, counts", [
+        ([60.0, 60.0], [[10.0] * 6]),
+        ([60.0], [[10.0] * 5]),
+        ([60.0], [10.0] * 6),
+    ])
+    def test_shape_mismatch_rejected(self, total, counts):
+        with pytest.raises(ValueError, match="count array"):
+            CaseSeries(["2020-42"], total, counts)
+
+
 class TestValidateSeries:
     def test_negative_count_flagged(self, series):
-        bad = CaseWeek("2020-42", 0, 100, -5, 50, 20, 20, 5, 10)
-        report = validate_series(CaseSeries((bad,)))
-        assert any("c_miss" in v for v in report.violations)
+        bad = CaseSeries(("2020-42",), [100], [[-5, 50, 20, 20, 5, 10]])
+        report = validate_series(bad)
+        assert report.violations == ("week 2020-42: c_miss is negative (-5.0)",)
 
     def test_partition_break_flagged(self):
-        bad = CaseWeek("2020-42", 0, 1000, 10, 10, 10, 10, 10, 10)
-        report = validate_series(CaseSeries((bad,)))
+        report = validate_series(_series(("2020-42",), total=1000.0))
         assert any("c_total" in v for v in report.violations)
 
     def test_index_gap_flagged(self):
-        weeks = (
-            CaseWeek("2020-42", 0, 60, 10, 10, 10, 10, 10, 10),
-            CaseWeek("2020-43", 2, 60, 10, 10, 10, 10, 10, 10),
-        )
-        report = validate_series(CaseSeries(weeks))
-        assert any("contiguous" in v for v in report.violations)
+        report = validate_series(_series(("2020-42", "2020-44")))
+        assert report.violations == (
+            "week 2020-44: does not follow 2020-42 (ISO weeks must be consecutive)",)
+
+    def test_duplicate_week_flagged(self):
+        report = validate_series(_series(("2020-42", "2020-43", "2020-43")))
+        assert report.violations == (
+            "week 2020-43: repeats 2020-43 (ISO weeks must be consecutive)",)
+
+    def test_weeks_out_of_order_flagged(self):
+        report = validate_series(_series(("2020-43", "2020-42")))
+        assert report.violations == (
+            "week 2020-42: does not follow 2020-43 (ISO weeks must be consecutive)",)
+
+    @pytest.mark.parametrize("labels", [
+        ("2020-52", "2020-53", "2021-01"),  # 2020 has 53 ISO weeks
+        ("2021-51", "2021-52", "2022-01"),  # 2021 has 52
+    ])
+    def test_year_boundaries_are_consecutive(self, labels):
+        assert validate_series(_series(labels)).ok
+
+    def test_invalid_label_flagged(self):
+        report = validate_series(_series(("2021-52", "2021-53")))
+        assert report.violations == ("week '2021-53': not an ISO YYYY-WW week label",)
 
     def test_rounding_slack_tolerated(self):
-        week = CaseWeek("2020-42", 0, 61.5, 10, 10, 10, 10, 10, 10)
-        assert validate_series(CaseSeries((week,))).ok
+        assert validate_series(_series(("2020-42",), total=61.5)).ok
+
+    def test_violations_listed_week_by_week(self):
+        bad = CaseSeries(("2020-42", "2020-44"), [100, 1000],
+                         [[-5, 50, 20, 20, 5, 10], [10] * 6])
+        assert validate_series(bad).violations == (
+            "week 2020-42: c_miss is negative (-5.0)",
+            "week 2020-44: does not follow 2020-42 (ISO weeks must be consecutive)",
+            "week 2020-44: typed counts sum to 60.0 but c_total is 1000.0",
+        )
 
 
 class TestCsvLoaders:
@@ -187,6 +229,29 @@ class TestCsvLoaders:
             "week,c_total,c_sym,c_pers,c_ct,c_app_minus,c_app_plus,extra\n"
         )
         with pytest.raises(ValueError, match="extra"):
+            load_presplit_csv(path)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_presplit_error_from_a_pipe_names_the_bad_cell(self):
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, (HEADER + "2020-42,100,1,1,1,1,1\n2020-43,abc,1,1,1,1,1\n").encode())
+            os.close(write_end)
+            with pytest.raises(ValueError, match=r":3: column 'c_total': not a number: 'abc'"):
+                load_presplit_csv(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+
+    def test_presplit_repeated_column_rejected(self, tmp_path):
+        path = tmp_path / "weekly.csv"
+        path.write_text(HEADER.strip() + ",c_total\n2020-42,100,1,1,1,1,1,5\n")
+        with pytest.raises(ValueError, match="repeated column"):
+            load_presplit_csv(path)
+
+    def test_undecodable_bytes_name_the_file(self, tmp_path):
+        path = tmp_path / "weekly.csv"
+        path.write_bytes(HEADER.encode() + b"2020-42,100,1,1,1,1,1\n2020-43,\xff,1,1,1,1,1\n")
+        with pytest.raises(ValueError, match=r"weekly.csv: 'utf-8' codec can't decode"):
             load_presplit_csv(path)
 
     def test_presplit_bad_number_names_line(self, tmp_path):
@@ -207,6 +272,100 @@ class TestCsvLoaders:
         )
         with pytest.raises(ValueError, match="exceed"):
             load_presplit_csv(path)
+
+    def test_presplit_blank_line_keeps_physical_line_number(self, tmp_path):
+        path = tmp_path / "weekly.csv"
+        path.write_text(HEADER + "2020-42,100,1,1,1,1,1\n\n2020-43,abc,1,1,1,1,1\n")
+        with pytest.raises(ValueError, match=r"weekly.csv:4: column 'c_total': not a number: 'abc'"):
+            load_presplit_csv(path)
+
+    def test_presplit_multiline_row_named_by_its_first_line(self, tmp_path):
+        path = tmp_path / "weekly.csv"
+        path.write_text(HEADER + '2020-42,100,1,1,1,1,1\n2020-43,"1\n00",1,1,1,1,1\n')
+        with pytest.raises(ValueError, match=r"weekly.csv:3: column 'c_total': not a number"):
+            load_presplit_csv(path)
+
+    def test_presplit_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "weekly.csv"
+        path.write_text(HEADER + "\n2020-42,100,1,1,1,1,1\n\n2020-43,90,1,1,1,1,1\n\n")
+        series = load_presplit_csv(path)
+        assert series.labels == ("2020-42", "2020-43")
+        assert series.total.tolist() == [100.0, 90.0]
+
+    def test_presplit_columns_in_any_order(self, tmp_path):
+        path = tmp_path / "weekly.csv"
+        path.write_text("c_app_plus,c_app_minus,c_ct,c_pers,c_sym,c_total,week\n"
+                        "6,5,4,3,2,100,2020-42\n")
+        series = load_presplit_csv(path)
+        assert series.labels == ("2020-42",)
+        assert series.counts.tolist() == [[80.0, 2.0, 3.0, 4.0, 5.0, 6.0]]
+
+    @pytest.mark.parametrize("row, got", [("2020-43,100,1,1,1,1", 6),
+                                          ("2020-43,100,1,1,1,1,1,1", 8)])
+    def test_presplit_ragged_row_rejected(self, tmp_path, row, got):
+        path = tmp_path / "weekly.csv"
+        path.write_text(HEADER + "2020-42,100,1,1,1,1,1\n" + row + "\n")
+        with pytest.raises(ValueError, match=rf"weekly.csv:3: expected 7 fields, got {got}$"):
+            load_presplit_csv(path)
+
+    @pytest.mark.parametrize("row, got", [("2020-42,1,1,1,1", 5), ("2020-42,1,1,1,1,0.5,9", 7)])
+    def test_raw_ragged_row_rejected(self, tmp_path, row, got):
+        path = tmp_path / "raw.csv"
+        path.write_text(RAW_HEADER + row + "\n")
+        with pytest.raises(ValueError, match=rf"raw.csv:2: expected 6 fields, got {got}$"):
+            load_raw_csv(path)
+
+    @pytest.mark.parametrize("row, got", [("2020-10-12", 1), ("2020-10-12,5,5", 3)])
+    def test_hospitalizations_ragged_row_rejected(self, tmp_path, row, got):
+        path = tmp_path / "hosp.csv"
+        path.write_text("date,admissions\n2020-10-11,4\n" + row + "\n")
+        with pytest.raises(ValueError, match=rf"hosp.csv:3: expected 2 fields, got {got}$"):
+            load_hospitalizations_csv(path)
+
+    def test_oversized_field_is_an_input_error(self, tmp_path):
+        path = tmp_path / "weekly.csv"
+        path.write_text(HEADER + "2020-42," + "1" * 200_000 + ",1,1,1,1,1\n")
+        with pytest.raises(ValueError, match=r"weekly.csv:2: field larger than field limit"):
+            load_presplit_csv(path)
+
+    @pytest.mark.parametrize("label", ["bogus", "2020-54", "2021-53", "2020-00", "20-42",
+                                       "2020-042", "2020/42", " 2020-42", "0000-01"])
+    def test_presplit_bad_week_label_names_line(self, tmp_path, label):
+        path = tmp_path / "weekly.csv"
+        path.write_text(HEADER + "2020-41,100,1,1,1,1,1\n" + label + ",100,1,1,1,1,1\n")
+        with pytest.raises(ValueError, match=rf"weekly.csv:3: invalid ISO week label '{label}'"):
+            load_presplit_csv(path)
+
+    def test_presplit_first_offending_line_wins(self, tmp_path):
+        path = tmp_path / "weekly.csv"
+        path.write_text(HEADER + "2020-42,100,1,1,1,1,1\n"
+                        "2020-43,100,1,inf,1,1,1\n"
+                        "bogus,100,1,1,1,1,1\n"
+                        "2020-45,abc,1,1,1,1\n")
+        with pytest.raises(ValueError, match=r"weekly.csv:3: column 'c_pers': not a finite"):
+            load_presplit_csv(path)
+
+    def test_presplit_residual_checked_in_row_order(self, tmp_path):
+        path = tmp_path / "weekly.csv"
+        path.write_text(HEADER + "2020-42,3,1,1,1,1,1\n2020-43,abc,1,1,1,1,1\n")
+        with pytest.raises(ValueError, match=r"weekly.csv:2: typed counts exceed c_total"):
+            load_presplit_csv(path)
+
+    @pytest.mark.parametrize("column", range(1, 5))
+    def test_raw_negative_count_rejected(self, tmp_path, column):
+        cells = ["2020-42", "500", "200", "30", "10", "0.4"]
+        cells[column] = "-3"
+        path = tmp_path / "raw.csv"
+        path.write_text(RAW_HEADER + ",".join(cells) + "\n")
+        name = RAW_HEADER.strip().split(",")[column]
+        with pytest.raises(ValueError, match=rf"raw.csv:2: column '{name}': negative count: '-3'"):
+            load_raw_csv(path)
+
+    def test_raw_bad_week_label_names_line(self, tmp_path):
+        path = tmp_path / "raw.csv"
+        path.write_text(RAW_HEADER + "2020-42,1,1,1,1,0.5\n2020-W43,1,1,1,1,0.5\n")
+        with pytest.raises(ValueError, match=r"raw.csv:3: invalid ISO week label '2020-W43'"):
+            load_raw_csv(path)
 
     def test_raw_roundtrip(self, tmp_path):
         path = tmp_path / "raw.csv"
@@ -247,10 +406,10 @@ class TestRawPipeline:
         start = week_start_date("2020-42")
         admissions = _flat_admissions(start, 25, 10.0)
         series = build_series_from_raw(records, admissions, params)
-        assert len(series) == 2
-        assert series[0].week_index == 0
-        assert series[1].week_index == 1
-        assert series[0].c_total == pytest.approx(70 / params.ihr)
+        assert series.labels == ("2020-42", "2020-43")
+        assert series.total[0] == pytest.approx(70 / params.ihr)
+        assert series.counts[0].tolist() == list(
+            derive_case_types(records[0], series.total[0], params))
         assert validate_series(series).ok
 
     def test_week_start_date(self):
@@ -261,9 +420,22 @@ class TestRawPipeline:
         with pytest.raises(ValueError, match="label"):
             week_start_date("2020/42")
 
+    def test_week_start_date_matches_iso_calendar(self):
+        for year in (1, 4, 100, 400, 1900, 2000, 2004, 2020, 2021, 2100, 9999):
+            for week in range(1, 54):
+                label = f"{year:04d}-{week:02d}"
+                try:
+                    expected = dt.date.fromisocalendar(year, week, 1)
+                except ValueError:
+                    with pytest.raises(ValueError, match="label"):
+                        week_start_date(label)
+                else:
+                    assert week_start_date(label) == expected, label
+
 
 def test_scale_series_scales_every_column(series):
     doubled = scale_series(series, 2.0)
-    assert doubled[3].c_total == pytest.approx(2 * series[3].c_total)
-    assert doubled[3].c_miss == pytest.approx(2 * series[3].c_miss)
-    assert sum(doubled.column("c_ct")) == pytest.approx(2 * 173517)
+    assert doubled.labels == series.labels
+    assert doubled.total[3] == pytest.approx(2 * series.total[3])
+    assert doubled.counts[3, COLUMN["miss"]] == pytest.approx(2 * series.counts[3, COLUMN["miss"]])
+    assert sum(doubled.counts[:, COLUMN["ct"]]) == pytest.approx(2 * 173517)

@@ -6,9 +6,16 @@ shell user sees.
 """
 from __future__ import annotations
 
+import contextlib
 import datetime as dt
+import io
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from traceavert import cli
 from traceavert.taf import CASE_TYPES
@@ -391,3 +398,153 @@ class TestEmptyInput:
         code, _, err = run_cli(capsys, "validate", "--raw", "--data", raw, "--hosp", hosp)
         assert code == 2
         assert "raw.csv: no data rows" in err
+
+
+class TestWeekLabels:
+    @pytest.mark.parametrize("command", ["validate", "estimate"])
+    def test_unparseable_labels_exit_2(self, tmp_path, capsys, command):
+        data = write_presplit(tmp_path / "weekly.csv", [
+            ("bogus", 1000, 300, 40, 60, 5, 10),
+            ("bogus", 1100, 320, 44, 66, 6, 11),
+            ("2019-03", 1210, 350, 48, 72, 7, 12),
+        ])
+        out_dir = tmp_path / "out"
+        extra = ("--out", str(out_dir)) if command == "estimate" else ()
+        code, _, err = run_cli(capsys, command, "--data", data, *extra)
+        assert code == 2
+        assert "weekly.csv:2: invalid ISO week label 'bogus'" in err
+        assert not out_dir.exists()
+
+    def test_week_gap_exits_1_naming_the_gap(self, tmp_path, capsys):
+        data = write_presplit(tmp_path / "weekly.csv", [
+            ("2020-42", 1000, 300, 40, 60, 5, 10),
+            ("2020-44", 1100, 320, 44, 66, 6, 11),
+        ])
+        code, _, err = run_cli(capsys, "estimate", "--data", data, "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert err == ("series: week 2020-44: does not follow 2020-42 "
+                       "(ISO weeks must be consecutive)\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_duplicate_week_exits_1(self, tmp_path, capsys):
+        data = write_presplit(tmp_path / "weekly.csv", [
+            ("2020-42", 1000, 300, 40, 60, 5, 10),
+            ("2020-42", 1100, 320, 44, 66, 6, 11),
+        ])
+        code, out, _ = run_cli(capsys, "validate", "--data", data)
+        assert code == 1
+        assert "series: week 2020-42: repeats 2020-42 (ISO weeks must be consecutive)" in out
+
+
+class TestMalformedRows:
+    @pytest.mark.parametrize("row, got", [("2020-11,1100,320,44", 4),
+                                          ("2020-11,1100,320,44,66,6,11,0", 8)])
+    def test_ragged_presplit_row_exits_2(self, tmp_path, capsys, row, got):
+        path = tmp_path / "weekly.csv"
+        path.write_text("week,c_total,c_sym,c_pers,c_ct,c_app_minus,c_app_plus\n"
+                        "2020-10,1000,300,40,60,5,10\n\n" + row + "\n", encoding="utf-8")
+        code, _, err = run_cli(capsys, "estimate", "--data", str(path),
+                               "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert err == f"error: {path}:4: expected 7 fields, got {got}\n"
+
+    def test_negative_raw_count_exits_2(self, tmp_path, capsys):
+        raw, hosp = write_raw_inputs(
+            tmp_path, rows=("2020-10,100,50,10,5,0.5", "2020-11,120,-60,12,6,0.5"))
+        code, _, err = run_cli(capsys, "estimate", "--raw", "--data", raw, "--hosp", hosp,
+                               "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert "raw.csv:3: column 'ct_found': negative count: '-60'" in err
+
+
+class TestOverflow:
+    def test_overflowing_counterfactual_exits_2(self, tmp_path, capsys):
+        # totals near the largest double: week 2 of the replay overflows
+        data = write_presplit(tmp_path / "weekly.csv", [
+            ("2020-42", "1e308", 0, 0, "0.8e308", 0, 0),
+            ("2020-43", "1.5e308", 0, 0, "1.2e308", 0, 0),
+        ])
+        code, out, err = run_cli(capsys, "estimate", "--data", data,
+                                 "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert out == ""
+        assert err == "error: ct counterfactual overflows: week 2020-43 reaches inf\n"
+        assert not (tmp_path / "out").exists()
+
+
+class TestSimulateTrees:
+    @pytest.mark.parametrize("trees", ["1", "0"])
+    def test_fewer_than_two_trees_exits_2(self, capsys, trees):
+        code, out, err = run_cli(capsys, "simulate", "--trees", trees, "--case-type", "ct")
+        assert code == 2
+        assert out == ""
+        assert f"trees must be at least 2 for a standard error, got {trees}" in err
+
+
+# --------------------------------------------------------------------------
+# any presplit file ends in finite reports (exit 0) or a message (exit 1 or 2)
+
+_PRESPLIT_HEADER = "week,c_total,c_sym,c_pers,c_ct,c_app_minus,c_app_plus"
+#: consecutive ISO weeks across the 53-week year 2020
+_LABELS = ("2020-51", "2020-52", "2020-53", "2021-01", "2021-02", "2021-03", "2021-04")
+_ODD_CELLS = ("nan", "inf", "-inf", "", "abc", "-5", "-0.0", "0", "1e308", "5e-324",
+              " 7", "1_0", "0x10", "2.5", "1e9")
+_ODD_LABELS = ("bogus", "2020-54", "2021-53", "2021-1", "", "2020-52", "2021-04", "2021-W02")
+
+
+@st.composite
+def _presplit_text(draw):
+    """A presplit CSV of well-formed rows, one of them perhaps corrupted."""
+    weeks = draw(st.integers(min_value=0, max_value=len(_LABELS)))
+    corruption = draw(st.sampled_from(("none", "cell", "label", "drop", "extra", "blank")))
+    corrupted = draw(st.integers(min_value=0, max_value=max(weeks - 1, 0)))
+    lines = [_PRESPLIT_HEADER]
+    for w in range(weeks):
+        typed = draw(st.lists(st.integers(min_value=0, max_value=5000), min_size=5, max_size=5))
+        total = sum(typed) + draw(st.integers(min_value=0, max_value=100_000))
+        cells = [_LABELS[w], str(total), *map(str, typed)]
+        if w != corrupted:
+            pass
+        elif corruption == "cell":
+            cells[draw(st.integers(1, 6))] = draw(st.sampled_from(_ODD_CELLS))
+        elif corruption == "label":
+            cells[0] = draw(st.sampled_from(_ODD_LABELS))
+        elif corruption == "drop":
+            del cells[draw(st.integers(0, 6))]
+        elif corruption == "extra":
+            cells.append("1")
+        elif corruption == "blank":
+            lines.append("")
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def _finite_cells(text: str) -> bool:
+    """Every number in a CSV report (all but the first column) is finite."""
+    for line in text.splitlines()[1:]:
+        for cell in line.split(",")[1:]:
+            if cell and not math.isfinite(float(cell)):
+                return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_presplit_text())
+def test_estimate_ends_in_finite_reports_or_a_message(text):
+    with tempfile.TemporaryDirectory() as work:
+        data = Path(work) / "weekly.csv"
+        data.write_text(text, encoding="utf-8")
+        out_dir = Path(work) / "out"
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["estimate", "--data", str(data), "--out", str(out_dir)])
+        if code == 0:
+            assert err.getvalue() == ""
+            for name in ("weekly.csv", "summary.csv"):
+                assert _finite_cells((out_dir / name).read_text(encoding="utf-8")), name
+        else:
+            assert code in (1, 2)
+            prefix = "series: " if code == 1 else "error: "
+            lines = err.getvalue().splitlines()
+            assert lines and all(line.startswith(prefix) for line in lines)
+            assert not out_dir.exists()

@@ -1,13 +1,13 @@
 import pytest
 
-from traceavert.cases import CaseSeries, CaseWeek, scale_series
+from traceavert.cases import CaseSeries, scale_series
 from traceavert.counterfactual import (
     averted_app,
     averted_ct,
+    reconstruct,
     rt_reduction,
     rt_series,
     severity_outcomes,
-    taf_volume,
 )
 
 # full-precision results on the bundled dataset with default parameters,
@@ -30,30 +30,37 @@ FROZEN_S_APP_WEEKLY = (
 )
 
 
-def _uniform_week(label, index, counts):
-    c_miss, c_sym, c_pers, c_ct, c_am, c_ap = counts
-    total = sum(counts)
-    return CaseWeek(label, index, total, c_miss, c_sym, c_pers, c_ct, c_am, c_ap)
+def _series(rows):
+    """A series of consecutive ISO weeks from 2020-40; totals are the row sums."""
+    labels = [f"2020-{40 + w:02d}" for w in range(len(rows))]
+    return CaseSeries(labels, [sum(row) for row in rows], rows)
 
 
 def _flat_series(weeks, counts):
-    return CaseSeries(tuple(
-        _uniform_week(f"2020-{40 + w:02d}", w, counts) for w in range(weeks)
-    ))
+    return _series([counts] * weeks)
 
 
 class TestTafVolume:
-    def test_empty_week_is_zero(self, lambdas):
-        week = CaseWeek("2020-42", 0, 0, 0, 0, 0, 0, 0, 0)
-        assert taf_volume(week, lambdas) == 0.0
+    """The week's TAF volume, ``counts · λ``, is what the extra transmission
+    of the reverted cases is divided by: with a unit gap on one type, the
+    averted cases of week 1 are ``c(1) · count / volume(0)``."""
 
-    def test_single_type(self, lambdas):
-        week = CaseWeek("2020-42", 0, 100, 100, 0, 0, 0, 0, 0)
-        assert taf_volume(week, lambdas) == pytest.approx(87.24, abs=0.01)
+    def test_empty_week_is_zero(self, lambdas, params):
+        empty = CaseSeries(("2020-42", "2020-43"), [100.0, 100.0], [[0.0] * 6, [100.0] + [0.0] * 5])
+        with pytest.raises(ValueError, match="week 2020-42: nonpositive transmission volume 0.0"):
+            averted_ct(empty, lambdas, params)
 
-    def test_fixture_week0(self, series, lambdas):
-        assert taf_volume(series[0], lambdas) == pytest.approx(
-            FROZEN_VOLUME_WEEK0, rel=1e-12
+    def test_single_type(self, lambdas, params):
+        series = _flat_series(2, (100.0, 0.0, 0.0, 0.0, 0.0, 0.0))
+        result = reconstruct(series, lambdas, {"miss": 1.0}, "unit", params)
+        # one type: the volume is 100 x 0.8724 = 87.24
+        assert result.s_weekly[1] == pytest.approx(100.0 * 100.0 / 87.24, rel=1e-4)
+
+    def test_fixture_week0(self, series, lambdas, params):
+        result = reconstruct(series, lambdas, {"ct": 1.0}, "unit", params)
+        c_ct = series.counts[0, 3]
+        assert result.s_weekly[1] == pytest.approx(
+            series.total[1] * c_ct / FROZEN_VOLUME_WEEK0, rel=1e-12
         )
 
 
@@ -75,8 +82,8 @@ class TestAvertedCt:
         result = averted_ct(series, lambdas, params)
         assert result.s_weekly[0] == 0.0
         assert all(s >= 0 for s in result.s_weekly)
-        for c_not, week in zip(result.c_not_weekly, series):
-            assert c_not >= week.c_total - 1e-9
+        for c_not, total in zip(result.c_not_weekly, series.total):
+            assert c_not >= total - 1e-9
         assert result.s_total == pytest.approx(sum(result.s_weekly))
 
     def test_severity_consistent_with_total(self, series, lambdas, params):
@@ -89,8 +96,8 @@ class TestAvertedCt:
         series = _flat_series(5, (80.0, 15.0, 3.0, 0.0, 1.0, 1.0))
         result = averted_ct(series, lambdas, params)
         assert all(s == pytest.approx(0.0, abs=1e-12) for s in result.s_weekly)
-        for c_not, week in zip(result.c_not_weekly, series):
-            assert c_not == pytest.approx(week.c_total)
+        for c_not, total in zip(result.c_not_weekly, series.total):
+            assert c_not == pytest.approx(total)
 
     def test_equal_lambdas_no_aversion(self, series, lambdas, params):
         flat = dict(lambdas, ct=lambdas["miss"])
@@ -98,18 +105,51 @@ class TestAvertedCt:
         assert all(s == pytest.approx(0.0, abs=1e-9) for s in result.s_weekly)
 
     def test_needs_two_weeks(self, series, lambdas, params):
-        short = CaseSeries((series[0],))
+        short = CaseSeries(series.labels[:1], series.total[:1], series.counts[:1])
         with pytest.raises(ValueError, match="2 weeks"):
             averted_ct(short, lambdas, params)
 
     def test_zero_total_midseries_rejected(self, lambdas, params):
-        weeks = (
-            _uniform_week("2020-42", 0, (50.0, 10.0, 2.0, 2.0, 1.0, 1.0)),
-            _uniform_week("2020-43", 1, (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)),
-            _uniform_week("2020-44", 2, (50.0, 10.0, 2.0, 2.0, 1.0, 1.0)),
-        )
-        with pytest.raises(ValueError, match="nonpositive"):
-            averted_ct(CaseSeries(weeks), lambdas, params)
+        series = _series([
+            (50.0, 10.0, 2.0, 2.0, 1.0, 1.0),
+            (0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+            (50.0, 10.0, 2.0, 2.0, 1.0, 1.0),
+        ])
+        with pytest.raises(ValueError, match="week 2020-41: nonpositive case total"):
+            averted_ct(series, lambdas, params)
+
+    def test_zero_total_in_last_week_rejected(self, lambdas, params):
+        series = _series([(50.0, 10.0, 2.0, 2.0, 1.0, 1.0), (0.0,) * 6])
+        with pytest.raises(ValueError, match="week 2020-41: nonpositive case total"):
+            averted_ct(series, lambdas, params)
+
+    def test_result_carries_counterfactual_rt(self, series, lambdas, params):
+        result = averted_ct(series, lambdas, params)
+        assert result.rt_weekly == tuple(rt_series(result.c_not_weekly))
+        assert result.rt_reduction_avg == rt_reduction(
+            rt_series(series.total), list(result.rt_weekly))
+
+
+class TestOverflow:
+    # totals near the largest double: the first replayed week overflows
+    HUGE = [(0.2e308, 0.0, 0.0, 0.8e308, 0.0, 0.0), (0.3e308, 0.0, 0.0, 1.2e308, 0.0, 0.0)]
+
+    def test_overflow_names_channel_and_week(self, lambdas, params):
+        series = _series(self.HUGE)
+        assert series.total.tolist() == [1e308, 1.5e308]
+        with pytest.raises(ValueError, match=r"^ct counterfactual overflows: week 2020-41 reaches inf$"):
+            averted_ct(series, lambdas, params)
+
+    def test_overflowing_total_rejected(self, lambdas, params):
+        # every week is finite, but the averted cases add up beyond the largest double
+        # the unit gap-to-volume ratio of week 0 doubles the counterfactual,
+        # and the later weeks, which do not revert, carry it at 0.6e308
+        rows = [(1.0, 0.0, 0.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0, 0.0, 0.0)]
+        rows += [(0.0, 0.6e308, 0.0, 0.0, 0.0, 0.0)] * 4
+        result = reconstruct(_series(rows[:4]), lambdas, {"miss": lambdas["miss"]}, "miss", params)
+        assert result.c_not_weekly == (1.0, 2.0, 1.2e308, 1.2e308)
+        with pytest.raises(ValueError, match=r"^miss counterfactual overflows: its totals are not finite$"):
+            reconstruct(_series(rows), lambdas, {"miss": lambdas["miss"]}, "miss", params)
 
 
 class TestAvertedApp:
@@ -166,12 +206,12 @@ class TestRtSeries:
         assert got[0] == pytest.approx(1.486, abs=0.001)
 
     def test_fixture_first_transition(self, series):
-        rt = rt_series(series.column("c_total"))
+        rt = rt_series(series.total)
         assert rt[0] == pytest.approx((145302 / 134772) ** (4 / 7))
         assert rt[0] == pytest.approx(1.044, abs=0.001)
 
     def test_length(self, series):
-        assert len(rt_series(series.column("c_total"))) == len(series) - 1
+        assert len(rt_series(series.total)) == len(series) - 1
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError, match="nonpositive"):

@@ -1,9 +1,17 @@
 """Property-based checks over the model's structural invariants."""
+import datetime as dt
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from traceavert.cases import CaseSeries, CaseWeek, WeeklyRawRecord, derive_case_types, scale_series
+from traceavert.cases import (
+    CaseSeries,
+    WeeklyRawRecord,
+    derive_case_types,
+    load_presplit_csv,
+    scale_series,
+)
 from traceavert.counterfactual import averted_app, averted_ct, rt_series
 from traceavert.oracle import SimConfig, empirical_case_type_taf
 from traceavert.params import apply_overrides, dump_config, params_from_config
@@ -27,12 +35,8 @@ _week_counts = st.tuples(_positive_count, _count, _count, _count, _count, _count
 
 
 def _series_from_counts(rows):
-    weeks = []
-    for index, (c_miss, c_sym, c_pers, c_ct, c_am, c_ap) in enumerate(rows):
-        total = c_miss + c_sym + c_pers + c_ct + c_am + c_ap
-        weeks.append(CaseWeek(f"w{index}", index, total, c_miss, c_sym,
-                              c_pers, c_ct, c_am, c_ap))
-    return CaseSeries(tuple(weeks))
+    labels = [f"w{index}" for index in range(len(rows))]
+    return CaseSeries(labels, [sum(row) for row in rows], rows)
 
 
 @given(k=st.floats(min_value=0.01, max_value=1000.0, allow_nan=False, allow_infinity=False))
@@ -44,8 +48,8 @@ def test_homogeneity_scales_averted_and_fixes_rt(k, series, lambdas, params):
     scaled_app = averted_app(scaled, lambdas, params)
     assert scaled_ct.s_total == pytest.approx(k * base_ct.s_total, rel=1e-9)
     assert scaled_app.s_total == pytest.approx(k * base_app.s_total, rel=1e-9)
-    assert rt_series(scaled.column("c_total")) == pytest.approx(
-        rt_series(series.column("c_total")), rel=1e-9
+    assert rt_series(scaled.total) == pytest.approx(
+        rt_series(series.total), rel=1e-9
     )
     assert scaled_ct.rt_reduction_avg == pytest.approx(
         base_ct.rt_reduction_avg, rel=1e-6, abs=1e-12
@@ -92,11 +96,9 @@ def test_simulation_deterministic_for_fixed_seed(seed, case_type, params, profil
 def test_derived_case_types_partition_total(sym, ct_found, app_sym, app_nosym, slack, params):
     raw = WeeklyRawRecord("2020-42", sym, ct_found, app_sym, app_nosym, 0.1)
     total = sym + ct_found + app_sym + app_nosym + slack
-    week = derive_case_types(raw, total, params)
-    parts = (week.c_miss + week.c_sym + week.c_pers + week.c_ct
-             + week.c_app_minus + week.c_app_plus)
-    assert parts == pytest.approx(week.c_total, rel=1e-9, abs=1e-6)
-    assert week.c_miss >= -1e-6
+    counts = derive_case_types(raw, total, params)
+    assert sum(counts) == pytest.approx(total, rel=1e-9, abs=1e-6)
+    assert counts[0] >= -1e-6
 
 
 @given(h=st.integers(min_value=0, max_value=11), l=st.integers(min_value=1, max_value=6))
@@ -183,3 +185,68 @@ def test_array_calculus_matches_scalar_formulas(fractions, delays, l, h, b, x, v
     assert capital_lambda(l, h, b, ct_channel(p), profile, variant) == pytest.approx(lam_ct, **close)
     assert delta_mix(l, h, b, p, profile, variant) == pytest.approx(
         p.u_app * lam_app + (1.0 - p.u_app) * lam_ct, **close)
+
+
+# Literal transcription of the weekly replay as the counterfactual docstring
+# states it, one week and one term at a time; the array version must
+# reproduce it bit for bit, since the reports print every digit of c_not.
+
+
+def _left_to_right(terms):
+    terms = list(terms)
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
+
+
+def _loop_replay(c, rows, lambdas, gap):
+    c_not = [c[0]]
+    for w in range(len(c) - 1):
+        volume = _left_to_right(lambdas[name] * rows[w][j] for j, name in enumerate(CASE_TYPES))
+        carried = c_not[w] * (c[w + 1] / c[w])
+        c_not.append(carried + carried * gap(rows[w]) / volume)
+    return c_not
+
+
+@given(rows=st.lists(_week_counts, min_size=2, max_size=12),
+       e_app=st.floats(min_value=0.0, max_value=1.0))
+def test_replay_matches_scalar_recurrence(rows, e_app, lambdas, params):
+    series = _series_from_counts(rows)
+    p = apply_overrides(params, {"e_app": e_app})
+    c = series.total.tolist()
+    fallback = p.e_app * lambdas["miss"] + (1.0 - p.e_app) * lambdas["ct"]
+    channels = (
+        (averted_ct(series, lambdas, p),
+         lambda row: row[3] * (lambdas["miss"] - lambdas["ct"])),
+        (averted_app(series, lambdas, p),
+         lambda row: row[4] * (fallback - lambdas["app_minus"])
+         + row[5] * (fallback - lambdas["app_plus"])),
+    )
+    for result, gap in channels:
+        c_not = _loop_replay(c, rows, lambdas, gap)
+        s_weekly = [cn - cw for cn, cw in zip(c_not, c)]
+        assert result.c_not_weekly == tuple(c_not)
+        assert result.s_weekly == tuple(s_weekly)
+        assert result.s_total == sum(s_weekly)
+        assert result.rt_weekly == tuple((b / a) ** (4 / 7) for a, b in zip(c_not, c_not[1:]))
+
+
+@settings(deadline=None)
+@given(rows=st.lists(st.tuples(st.lists(_count, min_size=5, max_size=5), _count),
+                     min_size=1, max_size=10))
+def test_presplit_loader_matches_row_by_row_parse(rows, tmp_path_factory):
+    monday = dt.date(2020, 12, 21)
+    lines = ["week,c_total,c_sym,c_pers,c_ct,c_app_minus,c_app_plus"]
+    expected = []
+    for w, (typed, slack) in enumerate(rows):
+        year, week, _ = (monday + dt.timedelta(weeks=w)).isocalendar()
+        total = _left_to_right(typed) + slack
+        lines.append(",".join([f"{year}-{week:02d}", repr(total), *map(repr, typed)]))
+        expected.append([total - _left_to_right(typed), *typed])
+    path = tmp_path_factory.mktemp("presplit") / "weekly.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    series = load_presplit_csv(path)
+    assert series.labels == tuple(line.split(",")[0] for line in lines[1:])
+    assert series.total.tolist() == [float(line.split(",")[1]) for line in lines[1:]]
+    assert series.counts.tolist() == expected
