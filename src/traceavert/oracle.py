@@ -1,18 +1,22 @@
 """Monte-Carlo transmission trees: an independent check on the analytic TAF.
 
-Each tree is one index case.  The index transmits over its infectious window
-(day-by-day Poisson draws against the infectivity profile), stopping early if
-quarantined; each secondary is warned with the channel's warn fraction and,
-once warned, stops transmitting from the warning day onward.  The tertiary
-attack fraction of the tree is realized tertiary transmission divided by the
-no-intervention potential.
+Each tree is one index case.  On each profile day the index is still out and
+about (not yet quarantined, and not yet self-isolated if it follows base
+adherence) it infects a Poisson number of secondaries with mean
+``r0 * i_w(day)``.  A binomial share of them, the channel's warn fraction, is
+warned and realizes the adhering infectivity ``i_c`` up to the warning day;
+the rest realize all of ``i_c_inf``.  The tertiary attack fraction of the
+tree is realized tertiary transmission divided by the no-intervention
+potential ``r0``.
 
 The per-case-type entry point reproduces the situation of each of the six
 case types, drawing the index quarantine day from the same detection-window
 mixture the analytic layer integrates over.  Estimates converge on the
 analytic constants as the tree count grows, which is what the test suite
-checks; the module deliberately shares no code with the analytic layer
-beyond the infectivity profile.
+checks.  The module imports nothing from the analytic layer: it reads only
+``i_w`` from the infectivity profile and derives the channel delays, warn
+fractions and the ``i_c`` curve from the model parameters itself, so a fault
+in the analytic code cannot hide on both sides of the cross-check.
 """
 from __future__ import annotations
 
@@ -22,7 +26,6 @@ import numpy as np
 
 from .infectivity import InfectivityProfile
 from .params import ModelParams
-from .taf import CASE_TYPES, app_channel, ct_channel
 
 __all__ = [
     "SimConfig",
@@ -31,10 +34,16 @@ __all__ = [
     "empirical_case_type_taf",
 ]
 
+#: the six case types, in the analytic layer's reporting order
+CASE_TYPES: tuple[str, ...] = ("miss", "sym", "pers", "ct", "app_minus", "app_plus")
+
 _CHANNELS = (None, "ct", "app")
 
 #: infectious window of the hardcoded profile, in days
 _PROFILE_DAYS = 14
+
+#: day from which i_c stays at its saturation value i_c_inf
+_SATURATION_DAY = 13
 
 
 @dataclass(frozen=True)
@@ -81,6 +90,23 @@ class SimOutcome:
     tertiary_potential: float
 
 
+def _channel(p: ModelParams, kind: str) -> tuple[int, float]:
+    """Warning delay and warn fraction (adherence times reach) of a channel.
+
+    ``kind`` is ``"ct"`` (manual tracing) or ``"app"``. A negative delay or a
+    reach or adherence outside [0, 1] raises a ``ValueError`` naming the field.
+    """
+    delay, reach, adherence = (
+        (p.t_ct, p.f_ct, p.a_ct) if kind == "ct" else (p.t_app, p.f_app, p.a_app)
+    )
+    if delay < 0:
+        raise ValueError(f"t_{kind} must be >= 0 days, got {delay}")
+    for name, value in ((f"f_{kind}", reach), (f"a_{kind}", adherence)):
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1], got {value}")
+    return delay, adherence * reach
+
+
 def _run_trees(
     rng: np.random.Generator,
     n: int,
@@ -95,28 +121,39 @@ def _run_trees(
     """Per-tree realized/potential tertiary ratios.
 
     ``quarantine_day``, ``warn_latency`` and ``warn_fraction`` are per-tree
-    arrays; ``np.inf`` as quarantine day means never quarantined. Draws run
-    over the days of the horizon on which ``i_w`` can be nonzero only: a
-    zero-mean Poisson or zero-trial binomial draw consumes no random numbers
-    and adds nothing, so the result is the same as on the full horizon.
+    arrays; ``np.inf`` as quarantine day means never quarantined.
+
+    Draws are made only on the live (tree, day) cells, where the index is
+    active and ``i_w`` is nonzero, in C order, and binomial draws only on the
+    cells with secondaries. numpy's ``Generator`` returns 0 without reading
+    the bit stream for a zero-mean Poisson draw and a zero-trial binomial
+    draw, so this consumes the same stream, and gives the same values, as
+    drawing on every cell of the trees × days grid.
     """
     width = min(horizon, profile.i_w.size)
     days = np.arange(1, width + 1)
     i_w = profile.i_w[:width]
     self_iso_day = p.t_sym + p.t_plan
+    i_a = np.where(days <= self_iso_day, i_w, i_w * (1.0 - p.a_base))
+    # i_c by warning day clipped to 0..13: 0, i_c(1..12), i_c_inf
+    i_c = np.concatenate(([0.0], np.cumsum(i_a)[:_SATURATION_DAY]))
+    i_c_inf = i_c[_SATURATION_DAY]
 
     adherent = rng.random(n) < p.a_base
-    active = (days[None, :] <= quarantine_day[:, None]) & (
-        (days[None, :] <= self_iso_day) | ~adherent[:, None]
-    )
-    secondaries = rng.poisson(r0 * i_w[None, :] * active)
-    warned = rng.binomial(secondaries, warn_fraction[:, None])
-    warning_day = quarantine_day[:, None] + warn_latency[:, None] - days[None, :]
-    realized = (
-        warned * profile.i_c_at(warning_day)
-        + (secondaries - warned) * profile.i_c_inf
-    ).sum(axis=1)
-    return realized / r0
+    last_day = np.where(adherent, np.minimum(quarantine_day, self_iso_day), quarantine_day)
+    live = (days <= last_day[:, None]) & (i_w != 0.0)
+    cell = np.flatnonzero(live)
+    secondaries = rng.poisson(np.broadcast_to(r0 * i_w, live.shape)[live])
+    hit = np.flatnonzero(secondaries)
+    cell, secondaries = cell[hit], secondaries[hit]
+    rows, cols = np.divmod(cell, width)
+    warned = rng.binomial(secondaries, warn_fraction[rows])
+    warning_day = quarantine_day[rows] + warn_latency[rows] - (cols + 1)
+    day = np.clip(warning_day, 0, _SATURATION_DAY).astype(np.intp)
+    # scatter into the full grid so each row sums its days in the same order
+    terms = np.zeros(n * width)
+    terms[cell] = warned * i_c[day] + (secondaries - warned) * i_c_inf
+    return terms.reshape(n, width).sum(axis=1) / r0
 
 
 def _detection_window_mixture(
@@ -134,9 +171,9 @@ def _detection_window_mixture(
     infectivity weights; detection then lags the window end by ``latency``
     days, so the quarantine day is ``latency + window + 1 - x``.
     """
-    weights = np.array(
-        [profile.i_w_at(x + backdate) for x in range(1, window + 1)]
-    )
+    # i_w on days 0..15, zero at both ends, so clipping gives 0 outside days 1..14
+    padded = np.concatenate(([0.0], profile.i_w, [0.0]))
+    weights = padded.take(np.arange(backdate + 1, backdate + window + 1), mode="clip")
     total = weights.sum()
     if total <= 0.0:
         raise ValueError(
@@ -155,19 +192,12 @@ def simulate_trees(
     """Simulate trees with one fixed channel and quarantine day."""
     rng = np.random.default_rng(cfg.seed)
     n = cfg.trees
-    if cfg.index_quarantine_day is None:
-        quarantine = np.full(n, np.inf)
-    else:
-        quarantine = np.full(n, float(cfg.index_quarantine_day))
-    if cfg.channel is None:
-        latency = np.zeros(n)
-        fraction = np.zeros(n)
-    else:
-        channel = ct_channel(p) if cfg.channel == "ct" else app_channel(p)
-        latency = np.full(n, float(channel.delay))
-        fraction = np.full(n, channel.warn_fraction)
+    day = cfg.index_quarantine_day
+    quarantine = np.full(n, np.inf if day is None else float(day))
+    delay, fraction = (0, 0.0) if cfg.channel is None else _channel(p, cfg.channel)
     ratios = _run_trees(
-        rng, n, cfg.r0, quarantine, latency, fraction, p, profile, cfg.horizon,
+        rng, n, cfg.r0, quarantine, np.full(n, float(delay)), np.full(n, fraction),
+        p, profile, cfg.horizon,
     )
     return _summarize(ratios, cfg.r0)
 
@@ -186,7 +216,8 @@ def empirical_case_type_taf(
     Raises
     ------
     ValueError
-        If ``case_type`` is not one of the six model types.
+        If ``case_type`` is not one of the six model types, or a channel has
+        a negative delay or a reach or adherence outside [0, 1].
     """
     if case_type not in CASE_TYPES:
         raise ValueError(
@@ -194,30 +225,20 @@ def empirical_case_type_taf(
         )
     rng = np.random.default_rng(cfg.seed)
     n = cfg.trees
-    ct = ct_channel(p)
-    app = app_channel(p)
-    ct_latency = np.full(n, float(ct.delay))
-    ct_fraction = np.full(n, ct.warn_fraction)
+    ct_delay, ct_fraction = _channel(p, "ct")
+    app_delay, app_fraction = _channel(p, "app")
+    latency = np.full(n, float(ct_delay))
+    fraction = np.full(n, ct_fraction)
     self_report_day = p.t_sym + p.t_plan
 
     if case_type == "miss":
-        ratios = _run_trees(
-            rng, n, cfg.r0, np.full(n, np.inf), ct_latency, np.zeros(n),
-            p, profile, cfg.horizon,
-        )
+        quarantine = np.full(n, np.inf)
+        fraction = np.zeros(n)
     elif case_type == "sym":
-        ratios = _run_trees(
-            rng, n, cfg.r0, np.full(n, float(self_report_day)),
-            ct_latency, ct_fraction, p, profile, cfg.horizon,
-        )
+        quarantine = np.full(n, float(self_report_day))
     elif case_type in ("ct", "pers"):
-        latency = p.t_ct if case_type == "ct" else p.t_pers
         quarantine = _detection_window_mixture(
-            rng, n, latency, self_report_day, 0, profile,
-        )
-        ratios = _run_trees(
-            rng, n, cfg.r0, quarantine, ct_latency, ct_fraction,
-            p, profile, cfg.horizon,
+            rng, n, p.t_ct if case_type == "ct" else p.t_pers, self_report_day, 0, profile,
         )
     else:  # app_plus / app_minus
         if case_type == "app_plus":
@@ -229,12 +250,11 @@ def empirical_case_type_taf(
                 rng, n, p.t_app, p.t_plan, p.t_sym, profile,
             )
         via_app = rng.random(n) < p.u_app
-        latency = np.where(via_app, float(app.delay), float(ct.delay))
-        fraction = np.where(via_app, app.warn_fraction, ct.warn_fraction)
-        ratios = _run_trees(
-            rng, n, cfg.r0, quarantine, latency, fraction,
-            p, profile, cfg.horizon,
-        )
+        latency = np.where(via_app, float(app_delay), float(ct_delay))
+        fraction = np.where(via_app, app_fraction, ct_fraction)
+    ratios = _run_trees(
+        rng, n, cfg.r0, quarantine, latency, fraction, p, profile, cfg.horizon,
+    )
     return _summarize(ratios, cfg.r0)
 
 

@@ -1,7 +1,11 @@
+import ast
+import dataclasses
 import math
+from pathlib import Path
 
 import pytest
 
+from traceavert import oracle
 from traceavert.infectivity import InfectivityProfile
 from traceavert.oracle import SimConfig, empirical_case_type_taf, simulate_trees
 from traceavert.params import apply_overrides
@@ -151,3 +155,60 @@ class TestCaseTypeTaf:
         for case_type, (taf, se) in pinned.items():
             outcome = empirical_case_type_taf(case_type, cfg, params, profile)
             assert (outcome.empirical_taf, outcome.standard_error) == (taf, se), case_type
+
+    def test_app_heavy_output_pinned(self, params, profile):
+        # everyone uses the app, whose warning is slower than at the defaults,
+        # and tracing is slower still: pins the via_app latency and fraction mix
+        pinned = {
+            "miss": (0.876092, 0.009723672298305825),
+            "sym": (0.7543591666666668, 0.008830246945277604),
+            "pers": (0.43071944444444443, 0.0076311086564202595),
+            "ct": (0.7939517777777777, 0.009235386167955115),
+            "app_minus": (0.42368644444444437, 0.006425880787899506),
+            "app_plus": (0.6541236111111112, 0.008174143071182865),
+        }
+        p = apply_overrides(params, {"u_app": "1", "t_app": "3", "t_ct": "5"})
+        cfg = SimConfig(trees=3_000, seed=21)
+        for case_type, expected in pinned.items():
+            outcome = empirical_case_type_taf(case_type, cfg, p, profile)
+            assert (outcome.empirical_taf, outcome.standard_error) == expected, case_type
+
+
+_BAD_CHANNEL_FIELDS = [
+    ("f_ct", 1.5), ("a_ct", -0.1), ("t_ct", -1),
+    ("f_app", 2.0), ("a_app", -0.2), ("t_app", -3),
+]
+
+
+class TestChannelRejections:
+    @pytest.mark.parametrize("field, value", _BAD_CHANNEL_FIELDS)
+    @pytest.mark.parametrize("case_type", CASE_TYPES)
+    def test_case_type_rejects_bad_channel_field(self, case_type, field, value, params, profile):
+        p = dataclasses.replace(params, **{field: value})
+        with pytest.raises(ValueError, match=field):
+            empirical_case_type_taf(case_type, SimConfig(trees=10), p, profile)
+
+    @pytest.mark.parametrize("field, value", _BAD_CHANNEL_FIELDS)
+    def test_simulate_trees_rejects_bad_field_of_its_channel(self, field, value, params, profile):
+        p = dataclasses.replace(params, **{field: value})
+        cfg = SimConfig(trees=10, channel=field.split("_")[1])
+        with pytest.raises(ValueError, match=field):
+            simulate_trees(cfg, p, profile)
+
+
+class TestIndependence:
+    def test_imports_nothing_from_the_analytic_layer(self):
+        tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.update((node.module or "").split("."))
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported.update(alias.name.split("."))
+        assert "taf" not in imported
+        assert "infectivity" in imported  # the walk does see the module's imports
+
+    def test_case_types_match_analytic_layer(self):
+        assert oracle.CASE_TYPES == CASE_TYPES

@@ -1,6 +1,7 @@
 """Property-based checks over the model's structural invariants."""
 import datetime as dt
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,7 @@ from traceavert.cases import (
     scale_series,
 )
 from traceavert.counterfactual import averted_app, averted_ct, rt_series
-from traceavert.oracle import SimConfig, empirical_case_type_taf
+from traceavert.oracle import SimConfig, SimOutcome, empirical_case_type_taf, simulate_trees
 from traceavert.params import apply_overrides, dump_config, params_from_config
 from traceavert.infectivity import InfectivityProfile
 from traceavert.taf import (
@@ -250,3 +251,102 @@ def test_presplit_loader_matches_row_by_row_parse(rows, tmp_path_factory):
     assert series.labels == tuple(line.split(",")[0] for line in lines[1:])
     assert series.total.tolist() == [float(line.split(",")[1]) for line in lines[1:]]
     assert series.counts.tolist() == expected
+
+
+# Dense transcription of the Monte-Carlo oracle: Poisson and binomial draws on
+# every cell of the trees x days grid, i_c from the profile's boundary rules and
+# the channels from the analytic layer. The oracle draws on live cells only and
+# must consume the same stream and return the same outcomes.
+
+
+def _dense_trees(rng, n, r0, quarantine_day, warn_latency, warn_fraction, p, profile):
+    days = np.arange(1, profile.i_w.size + 1)
+    adherent = rng.random(n) < p.a_base
+    active = (days[None, :] <= quarantine_day[:, None]) & (
+        (days[None, :] <= p.t_sym + p.t_plan) | ~adherent[:, None]
+    )
+    secondaries = rng.poisson(r0 * profile.i_w[None, :] * active)
+    warned = rng.binomial(secondaries, warn_fraction[:, None])
+    warning_day = quarantine_day[:, None] + warn_latency[:, None] - days[None, :]
+    realized = (
+        warned * profile.i_c_at(warning_day)
+        + (secondaries - warned) * profile.i_c_inf
+    ).sum(axis=1)
+    return realized / r0
+
+
+def _dense_window(rng, n, latency, window, backdate, profile):
+    weights = np.array([profile.i_w_at(x + backdate) for x in range(1, window + 1)])
+    x = rng.choice(np.arange(1, window + 1), size=n, p=weights / weights.sum())
+    return (latency + window + 1 - x).astype(float)
+
+
+def _dense_outcome(target, n, seed, p, profile):
+    rng = np.random.default_rng(seed)
+    ct, app = ct_channel(p), app_channel(p)
+    latency = np.full(n, float(ct.delay))
+    fraction = np.full(n, ct.warn_fraction)
+    self_report_day = p.t_sym + p.t_plan
+    if isinstance(target, tuple):  # simulate_trees(channel, quarantine day)
+        channel, day = target
+        quarantine = np.full(n, np.inf if day is None else float(day))
+        if channel is None:
+            latency, fraction = np.zeros(n), np.zeros(n)
+        elif channel == "app":
+            latency, fraction = np.full(n, float(app.delay)), np.full(n, app.warn_fraction)
+    elif target == "miss":
+        quarantine, fraction = np.full(n, np.inf), np.zeros(n)
+    elif target == "sym":
+        quarantine = np.full(n, float(self_report_day))
+    elif target in ("ct", "pers"):
+        delay = p.t_ct if target == "ct" else p.t_pers
+        quarantine = _dense_window(rng, n, delay, self_report_day, 0, profile)
+    else:
+        if target == "app_plus":
+            quarantine = _dense_window(rng, n, p.t_sym - 1, p.t_app + p.t_plan + 1, 0, profile)
+        else:
+            quarantine = _dense_window(rng, n, p.t_app, p.t_plan, p.t_sym, profile)
+        via_app = rng.random(n) < p.u_app
+        latency = np.where(via_app, float(app.delay), float(ct.delay))
+        fraction = np.where(via_app, app.warn_fraction, ct.warn_fraction)
+    ratios = _dense_trees(rng, n, 3.0, quarantine, latency, fraction, p, profile)
+    mean = float(ratios.mean())
+    return SimOutcome(
+        empirical_taf=mean,
+        standard_error=float(ratios.std(ddof=1) / np.sqrt(n)),
+        tertiary_realized=mean * 3.0,
+        tertiary_potential=3.0,
+    )
+
+
+_unit = st.one_of(st.sampled_from((0.0, 1.0)), st.floats(min_value=0.0, max_value=1.0))
+
+#: every case type, then simulate_trees at each (channel, index quarantine day)
+_ORACLE_TARGETS = CASE_TYPES + tuple(
+    (channel, day) for channel in (None, "ct", "app") for day in (None, 0, 3, 20)
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    trees=st.integers(min_value=2, max_value=3000),
+    fractions=st.tuples(_unit, _unit, _unit, _unit, _unit),
+    t_ct=st.integers(min_value=1, max_value=7),
+    t_app=st.integers(min_value=1, max_value=6),
+)
+def test_oracle_matches_dense_grid_draws(seed, trees, fractions, t_ct, t_app, params):
+    u_app, f_ct, f_app, f_sym, e_app = fractions
+    p = apply_overrides(params, {
+        "u_app": u_app, "f_ct": f_ct, "f_app": f_app, "f_sym": f_sym, "e_app": e_app,
+        "t_ct": t_ct, "t_app": t_app,
+    })
+    profile = InfectivityProfile.from_params(p)
+    for target in _ORACLE_TARGETS:
+        if isinstance(target, tuple):
+            channel, day = target
+            cfg = SimConfig(trees=trees, seed=seed, channel=channel, index_quarantine_day=day)
+            outcome = simulate_trees(cfg, p, profile)
+        else:
+            outcome = empirical_case_type_taf(target, SimConfig(trees=trees, seed=seed), p, profile)
+        assert outcome == _dense_outcome(target, trees, seed, p, profile), target
