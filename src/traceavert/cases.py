@@ -159,8 +159,11 @@ def estimate_total_cases(
     Raises
     ------
     ValueError
-        If any day of the window is missing from ``admissions``.
+        If ``ihr`` is not positive, or a day of the window is missing from
+        ``admissions``.
     """
+    if p.ihr <= 0.0:
+        raise ValueError(f"ihr must be > 0 to estimate cases from admissions, got {p.ihr!r}")
     total = 0.0
     for offset in _HOSP_WINDOW_OFFSETS:
         day = week_start + dt.timedelta(days=offset)

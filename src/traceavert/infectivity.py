@@ -17,22 +17,14 @@ derived curves drive everything downstream:
 """
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import numpy.typing as npt
 
 from .params import ModelParams
 
-__all__ = [
-    "WEIBULL_PROFILE",
-    "InfectivityProfile",
-    "weibull_profile",
-    "adhering_profile",
-    "cumulative_profile",
-]
+__all__ = ["WEIBULL_PROFILE", "InfectivityProfile"]
 
 #: reference daily infectivity fractions, days 1..14. The curve is zero on the
 #: first two days, peaks on days 3-4 and has a small tail; days 14+ are zero.
@@ -48,26 +40,6 @@ _DAYS = np.arange(1, len(WEIBULL_PROFILE) + 1)
 
 #: index of the saturation day of i_c (day 13; day 14 adds nothing)
 _SATURATION_DAY = 13
-
-
-def weibull_profile() -> np.ndarray:
-    """Return the daily infectivity fractions for days 1..14."""
-    return np.array(WEIBULL_PROFILE)
-
-
-def adhering_profile(i_w: npt.ArrayLike, p: ModelParams) -> np.ndarray:
-    """Scale days after ``t_sym + t_plan`` by ``1 - a_base``.
-
-    Up to and including the symptom+planning delay everyone is still out and
-    about; afterwards the base-adherent fraction has isolated.
-    """
-    i_w = np.asarray(i_w, dtype=float)
-    return np.where(_DAYS[: i_w.size] <= p.t_sym + p.t_plan, i_w, i_w * (1.0 - p.a_base))
-
-
-def cumulative_profile(i_a: npt.ArrayLike) -> np.ndarray:
-    """Running sum of the adhering profile."""
-    return np.cumsum(np.asarray(i_a, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -89,9 +61,11 @@ class InfectivityProfile:
 
     @classmethod
     def from_params(cls, p: ModelParams) -> "InfectivityProfile":
-        i_w = weibull_profile()
-        i_a = adhering_profile(i_w, p)
-        i_c = cumulative_profile(i_a)
+        i_w = np.array(WEIBULL_PROFILE)
+        # up to the symptom+planning delay everyone is still out and about;
+        # afterwards the base-adherent fraction has isolated
+        i_a = np.where(_DAYS <= p.t_sym + p.t_plan, i_w, i_w * (1.0 - p.a_base))
+        i_c = np.cumsum(i_a)
         for arr in (i_w, i_a, i_c):
             arr.flags.writeable = False
         return cls(i_w=i_w, i_a=i_a, i_c=i_c, i_c_inf=float(i_c[_SATURATION_DAY - 1]))
@@ -117,15 +91,3 @@ class InfectivityProfile:
         if np.ndim(day) == 0:
             return float(out)
         return out
-
-    def to_csv(self, target: str | Path | io.TextIOBase) -> None:
-        """Write the three curves as ``day,i_w,i_a,i_c`` rows."""
-        lines = ["day,i_w,i_a,i_c"]
-        for day in range(1, self.i_w.size + 1):
-            values = (self.i_w[day - 1], self.i_a[day - 1], self.i_c[day - 1])
-            lines.append(f"{day}," + ",".join(repr(float(v)) for v in values))
-        text = "\n".join(lines) + "\n"
-        if isinstance(target, (str, Path)):
-            Path(target).write_text(text, encoding="utf-8")
-        else:
-            target.write(text)

@@ -113,11 +113,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def describe(self) -> str:
-        if self.ok:
-            return "ok"
-        return "\n".join(self.violations)
-
 
 _FIELD_NAMES = frozenset(f.name for f in fields(ModelParams))
 
@@ -161,8 +156,7 @@ def apply_overrides(base: ModelParams, overrides: Mapping[str, object]) -> Model
     ValueError
         For unknown parameter names or values of the wrong type.
     """
-    known = {f.name for f in fields(ModelParams)}
-    unknown = sorted(set(overrides) - known)
+    unknown = sorted(set(overrides) - _FIELD_NAMES)
     if unknown:
         raise ValueError(f"unknown parameter(s): {', '.join(unknown)}")
 

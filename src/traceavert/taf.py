@@ -27,9 +27,9 @@ is day ``d``) of the 14-day profile:
 ``i_w`` is zero after day 14 and ``icx`` is constant from day 13, so every
 row is constant from day 27 on; indices clip there.
 
-From these, :func:`case_type_lambdas` derives one average TAF per surveillance
-case type, and :func:`calibrate_variant` picks the argument pairing of
-``lambda_alpha`` (see VARIANTS) that best reproduces the bundled reference rows.
+:meth:`LambdaTable.build` derives from these one average TAF per surveillance
+case type, after picking the argument pairing of ``lambda_alpha`` (see
+VARIANTS) that best reproduces the bundled reference rows.
 """
 from __future__ import annotations
 
@@ -43,9 +43,8 @@ from .params import ModelParams
 
 __all__ = [
     "WarningChannel", "LambdaTable", "CASE_TYPES", "VARIANTS", "ct_channel", "app_channel",
-    "lambda_pair", "lambda_alpha", "capital_lambda", "delta_mix", "case_type_lambdas",
-    "calibrate_variant", "REFERENCE_LAMBDA_PAIR_ROW", "REFERENCE_LAMBDA_CT_ROW",
-    "REFERENCE_LAMBDA_APP_ROW", "REFERENCE_CASE_TYPE_TAF",
+    "lambda_pair", "lambda_alpha", "capital_lambda", "delta_mix", "REFERENCE_LAMBDA_PAIR_ROW",
+    "REFERENCE_LAMBDA_CT_ROW", "REFERENCE_LAMBDA_APP_ROW", "REFERENCE_CASE_TYPE_TAF",
 ]
 
 #: the six exclusive surveillance case types, in reporting order
@@ -236,10 +235,23 @@ def delta_mix(
     return days.mix(p, days.rows(p, variant), l, h, b)
 
 
-def case_type_lambdas(
-    p: ModelParams, profile: InfectivityProfile, variant: str = "table"
-) -> dict[str, float]:
-    """Average TAF per surveillance case type.
+def _row_deviation(rows: _Rows) -> float:
+    """Max absolute deviation from the reference channel rows over days 3..13."""
+    computed = np.array(rows)[:, _CALIBRATION_DAYS]
+    reference = np.array((REFERENCE_LAMBDA_CT_ROW, REFERENCE_LAMBDA_APP_ROW))
+    return float(np.abs(computed - reference[:, _CALIBRATION_DAYS - 1]).max())
+
+
+@dataclass(frozen=True)
+class LambdaTable:
+    """All TAF values for one parameter set: three day rows + six constants.
+
+    ``lambda_pair_row`` holds ``lambda_pair(1, x)`` for days ``x = 1..14``;
+    the channel rows hold ``lambda_alpha(x, channel)``. ``variant`` is the
+    argument pairing used; ``scores`` holds each pairing's calibration score,
+    the largest deviation of its channel rows from the reference rows on days
+    3..13 (the lowest score wins). ``per_type`` maps each case type to its
+    average TAF:
 
     - ``miss``: never detected; both generations follow base adherence only,
       giving ``i_c_inf ** 2``.
@@ -255,42 +267,6 @@ def case_type_lambdas(
       ``t_plan``), warned with app lead ``t_app``. Both app types mix warning
       channels by app usage ``u_app``.
     """
-    days = _Days(profile)
-    return days.per_type(p, days.rows(p, variant))
-
-
-def _row_deviation(rows: _Rows) -> float:
-    """Max absolute deviation from the reference channel rows over days 3..13."""
-    computed = np.array(rows)[:, _CALIBRATION_DAYS]
-    reference = np.array((REFERENCE_LAMBDA_CT_ROW, REFERENCE_LAMBDA_APP_ROW))
-    return float(np.abs(computed - reference[:, _CALIBRATION_DAYS - 1]).max())
-
-
-def _calibrated(days: _Days, p: ModelParams) -> tuple[dict[str, _Rows], dict[str, float], str]:
-    """Both variants' channel rows, their scores and the best-scoring variant."""
-    rows = {variant: days.rows(p, variant) for variant in VARIANTS}
-    scores = {variant: _row_deviation(rows[variant]) for variant in VARIANTS}
-    return rows, scores, min(scores, key=lambda name: (scores[name], name))
-
-
-def calibrate_variant(p: ModelParams, profile: InfectivityProfile) -> tuple[str, dict[str, float]]:
-    """Pick the ``lambda_alpha`` variant that best reproduces the reference rows.
-
-    Returns the winning variant name plus the max-deviation score per variant.
-    """
-    _, scores, winner = _calibrated(_Days(profile), p)
-    return winner, scores
-
-
-@dataclass(frozen=True)
-class LambdaTable:
-    """All TAF values for one parameter set: three day rows + six constants.
-
-    ``lambda_pair_row`` holds ``lambda_pair(1, x)`` for days ``x = 1..14``;
-    the channel rows hold ``lambda_alpha(x, channel)``. ``per_type`` maps each
-    case type to its average TAF. ``variant`` is the argument pairing used;
-    ``scores`` holds each pairing's calibration score (see calibrate_variant).
-    """
 
     variant: str
     lambda_pair_row: tuple[float, ...]
@@ -305,9 +281,11 @@ class LambdaTable:
     ) -> "LambdaTable":
         """Compute the full table; calibrates the variant when not given."""
         days = _Days(profile)
-        rows, scores, winner = _calibrated(days, p)
-        variant = winner if variant is None else variant
-        if variant not in VARIANTS:
+        rows = {name: days.rows(p, name) for name in VARIANTS}
+        scores = {name: _row_deviation(rows[name]) for name in VARIANTS}
+        if variant is None:
+            variant = min(scores, key=lambda name: (scores[name], name))
+        elif variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
         n = profile.i_w.size
         ct_row, app_row = rows[variant]

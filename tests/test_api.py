@@ -1,0 +1,39 @@
+"""The package's top-level API: what ``traceavert`` exports and what the README uses."""
+import ast
+import re
+from pathlib import Path
+
+import traceavert
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+PUBLIC = {
+    "CASE_TYPES", "CaseSeries", "CounterfactualResult", "InfectivityProfile", "LambdaTable",
+    "ModelParams", "averted_app", "averted_ct", "default_params", "load_fixture", "__version__",
+}
+
+
+def _library_use_code() -> str:
+    section = README.read_text(encoding="utf-8").split("## Library use", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+
+
+def test_all_is_the_documented_api():
+    assert len(traceavert.__all__) == len(PUBLIC) == 11
+    assert set(traceavert.__all__) == PUBLIC
+    for name in traceavert.__all__:
+        assert getattr(traceavert, name) is not None, name
+
+
+def test_readme_example_imports_only_exported_names():
+    imported = {alias.name for node in ast.walk(ast.parse(_library_use_code()))
+                if isinstance(node, ast.ImportFrom) and node.module == "traceavert"
+                for alias in node.names}
+    assert imported and imported <= set(traceavert.__all__)
+
+
+def test_readme_example_runs(capsys):
+    exec(compile(_library_use_code(), str(README), "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("2020-42 134772.0 {'miss': ")
+    assert lines[2].startswith("table {'table': ")

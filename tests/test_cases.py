@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 import os
 
@@ -60,6 +61,13 @@ class TestEstimateTotalCases:
         del admissions[missing]
         with pytest.raises(ValueError, match=missing.isoformat()):
             estimate_total_cases(admissions, week_start, params)
+
+    def test_zero_ihr_is_a_named_error(self, params):
+        week_start = dt.date(2020, 10, 12)
+        admissions = _flat_admissions(week_start, 20, 5.0)
+        p = dataclasses.replace(params, ihr=0.0)
+        with pytest.raises(ValueError, match="ihr"):
+            estimate_total_cases(admissions, week_start, p)
 
     def test_linear_in_admissions(self, params):
         week_start = dt.date(2020, 10, 12)

@@ -7,6 +7,7 @@ shell user sees.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import datetime as dt
 import io
 import math
@@ -14,10 +15,11 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from traceavert import cli
+from traceavert.params import ModelParams, apply_overrides, default_params, validate
 from traceavert.taf import CASE_TYPES
 
 # --------------------------------------------------------------------------
@@ -348,6 +350,35 @@ class TestRawMode:
         assert "series: ok (2 weeks, 2020-10 .. 2020-11)" in out
 
 
+class TestZeroIhr:
+    """Raw totals divide admissions by ``ihr``, so ``ihr=0`` is an input error there;
+    on presplit data it only zeroes the averted hospitalizations."""
+
+    @pytest.mark.parametrize("command, extra", [
+        ("estimate", ()),
+        ("sweep", ("--sweep", "u_app=0,0.16")),
+        ("validate", ()),
+    ])
+    def test_raw_exits_2_naming_ihr(self, tmp_path, monkeypatch, capsys, command, extra):
+        monkeypatch.chdir(tmp_path)  # estimate writes to ./out by default
+        raw, hosp = write_raw_inputs(tmp_path)
+        code, _, err = run_cli(capsys, command, "--raw", "--data", raw, "--hosp", hosp,
+                               "--param", "ihr=0", *extra)
+        assert code == 2
+        assert "ihr" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_presplit_zeroes_hospitalizations(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(capsys, "estimate", "--param", "ihr=0", "--out", str(out_dir))
+        assert code == 0
+        assert err == ""
+        summary = (out_dir / "summary.csv").read_text().splitlines()
+        assert summary[1] == "averted_cases,803079,68884"
+        assert summary[2] == "averted_hospitalizations,0,0"
+
+
 # --------------------------------------------------------------------------
 # unusable input files end in a named error (exit 2), never a report
 
@@ -538,6 +569,51 @@ def test_estimate_ends_in_finite_reports_or_a_message(text):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(["estimate", "--data", str(data), "--out", str(out_dir)])
+        if code == 0:
+            assert err.getvalue() == ""
+            for name in ("weekly.csv", "summary.csv"):
+                assert _finite_cells((out_dir / name).read_text(encoding="utf-8")), name
+        else:
+            assert code in (1, 2)
+            prefix = "series: " if code == 1 else "error: "
+            lines = err.getvalue().splitlines()
+            assert lines and all(line.startswith(prefix) for line in lines)
+            assert not out_dir.exists()
+
+
+# --------------------------------------------------------------------------
+# any parameter set that passes validate ends the same way, on either input
+
+_DELAYS = ("t_sym", "t_plan", "t_ct", "t_app", "t_pers")
+#: every field but the delays and the composites, which follow their constituents
+_FRACTIONS = tuple(f.name for f in dataclasses.fields(ModelParams)
+                   if f.name not in _DELAYS + ("a_base", "a_ct", "a_app"))
+_FRACTION = st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=1.0))
+
+
+@st.composite
+def _valid_overrides(draw):
+    """``--param`` overrides whose effective parameters pass ``validate``."""
+    overrides = {name: repr(draw(_FRACTION)) for name in _FRACTIONS}
+    overrides.update((name, str(draw(st.integers(0, 40)))) for name in _DELAYS)
+    assume(validate(apply_overrides(default_params(), overrides)).ok)
+    return overrides
+
+
+@settings(max_examples=60, deadline=None)
+@given(overrides=_valid_overrides(), raw=st.booleans())
+def test_valid_params_end_in_finite_reports_or_a_message(overrides, raw):
+    with tempfile.TemporaryDirectory() as work:
+        argv = ["estimate", "--out", str(Path(work) / "out")]
+        if raw:
+            data, hosp = write_raw_inputs(Path(work))
+            argv += ["--raw", "--data", data, "--hosp", hosp]
+        for name, value in overrides.items():
+            argv += ["--param", f"{name}={value}"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        out_dir = Path(work) / "out"
         if code == 0:
             assert err.getvalue() == ""
             for name in ("weekly.csv", "summary.csv"):

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -66,21 +64,3 @@ def test_zero_base_adherence_leaves_profile_untouched(params):
 def test_profile_arrays_are_read_only(profile):
     with pytest.raises(ValueError):
         profile.i_w[0] = 1.0
-
-
-def test_to_csv_roundtrip(profile, tmp_path):
-    path = tmp_path / "profile.csv"
-    profile.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "day,i_w,i_a,i_c"
-    assert len(lines) == 15
-    day, i_w, i_a, i_c = lines[3].split(",")
-    assert day == "3"
-    assert float(i_w) == pytest.approx(0.22)
-    assert float(i_c) == pytest.approx(profile.i_c[2])
-
-
-def test_to_csv_accepts_stream(profile):
-    buffer = io.StringIO()
-    profile.to_csv(buffer)
-    assert buffer.getvalue().startswith("day,i_w,i_a,i_c\n")

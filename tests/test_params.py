@@ -99,11 +99,6 @@ class TestValidation:
         p = apply_overrides(params, {"a_base": str(0.35 + 0.004)})
         assert validate(p).ok
 
-    def test_describe_lists_violations(self, params):
-        p = apply_overrides(params, {"u_app": "-0.2"})
-        text = validate(p).describe()
-        assert "u_app" in text
-
 
 class TestConfigFiles:
     def test_roundtrip_exact(self, tmp_path, params):

@@ -4,12 +4,11 @@ from traceavert.infectivity import InfectivityProfile
 from traceavert.params import apply_overrides
 from traceavert.taf import (
     CASE_TYPES,
+    VARIANTS,
     LambdaTable,
     WarningChannel,
     app_channel,
-    calibrate_variant,
     capital_lambda,
-    case_type_lambdas,
     ct_channel,
     delta_mix,
     lambda_alpha,
@@ -174,11 +173,10 @@ class TestCaseTypeConstants:
 
 
 class TestCalibration:
-    def test_table_variant_wins_with_defaults(self, params, profile):
-        winner, scores = calibrate_variant(params, profile)
-        assert winner == "table"
-        assert scores["table"] < scores["text"]
-        assert scores["table"] <= 0.03
+    def test_table_variant_wins_with_defaults(self, table):
+        assert table.variant == "table"
+        assert table.scores["table"] < table.scores["text"]
+        assert table.scores["table"] <= 0.03
 
     def test_build_records_variant(self, table):
         assert table.variant == "table"
@@ -195,9 +193,8 @@ class TestCalibration:
             assert all(0.0 <= v <= ceiling for v in row)
 
     def test_table_keeps_both_variant_scores(self, params, profile, table):
-        _, scores = calibrate_variant(params, profile)
-        assert table.scores == scores
-        assert LambdaTable.build(params, profile, variant="text").scores == scores
+        assert tuple(table.scores) == VARIANTS
+        assert LambdaTable.build(params, profile, variant="text").scores == table.scores
 
     def test_unknown_explicit_variant_rejected(self, params, profile):
         with pytest.raises(ValueError, match="variant"):
@@ -212,7 +209,3 @@ class TestCalibration:
         t = LambdaTable.build(params, profile, variant="text")
         assert t.variant == "text"
         assert t.per_type["sym"] != pytest.approx(FROZEN_CONSTANTS["sym"])
-
-
-def test_case_type_lambdas_function_matches_table(params, profile, lambdas):
-    assert case_type_lambdas(params, profile) == lambdas
