@@ -4,8 +4,9 @@ Weekly inputs come in two shapes:
 
 * **raw** records straight from surveillance reporting (self-reported
   positives, manual-tracing totals, app-warned positives with/without
-  symptoms), which :func:`derive_case_types` splits into the six exclusive
-  model types, estimating weekly infection totals from hospitalizations;
+  symptoms), which :func:`build_series_from_raw` splits into the six
+  exclusive model types, estimating weekly infection totals from
+  hospitalizations;
 * **pre-split** rows that already carry the six per-type counts, which is the
   shape of the bundled reference dataset (Dutch epidemic, weeks 2020-42
   through 2021-19).
@@ -28,7 +29,7 @@ import operator
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterator, Mapping, NoReturn, Sequence, Sized
+from typing import Iterator, NoReturn, Sequence, Sized
 
 import numpy as np
 
@@ -36,22 +37,18 @@ from .params import ModelParams, ValidationReport
 from .taf import CASE_TYPES
 
 __all__ = [
-    "WeeklyRawRecord",
     "CaseSeries",
-    "estimate_total_cases",
-    "derive_case_types",
     "build_series_from_raw",
     "load_fixture",
     "load_presplit_csv",
     "load_raw_csv",
     "load_hospitalizations_csv",
     "validate_series",
-    "week_start_date",
 ]
 
 #: offsets (inclusive) of the hospitalization window used to estimate weekly
 #: infections: admissions lag infection by roughly 5..11 days past week start
-_HOSP_WINDOW_OFFSETS = range(5, 12)
+_HOSP_WINDOW_OFFSETS = np.arange(5, 12)
 
 #: allowed slack, in counts, of the per-week partition identity
 _PARTITION_SLACK = 2.0
@@ -69,22 +66,6 @@ _COUNT_NAMES = ("c_total",) + tuple(f"c_{name}" for name in CASE_TYPES)
 
 #: packaged default dataset (pre-split format)
 _FIXTURE_RESOURCE = "weekly_cases.csv"
-
-
-@dataclass(frozen=True)
-class WeeklyRawRecord:
-    """One week of raw surveillance counts.
-
-    ``k_app`` (fraction of indexes consenting to share their app key) is
-    diagnostic metadata only; it never enters any computation.
-    """
-
-    week_label: str
-    sym_positives: float
-    ct_found: float
-    app_with_symptoms: float
-    app_without_symptoms: float
-    k_app: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,94 +119,57 @@ def _iso_week_one(year: np.ndarray) -> np.ndarray:
     return jan4 - (jan4 + 6) % 7
 
 
-def week_start_date(week_label: str) -> dt.date:
-    """Monday of an ISO ``YYYY-WW`` week label."""
-    monday = int(_week_mondays([week_label])[0])
-    if monday < 0:
-        raise ValueError(f"invalid ISO week label {week_label!r}")
-    return dt.date.fromordinal(monday)
-
-
-def estimate_total_cases(
-    admissions: Mapping[dt.date, float],
-    week_start: dt.date,
+def build_series_from_raw(
+    raw: tuple[Sequence[str], np.ndarray],
+    admissions: tuple[np.ndarray, np.ndarray],
     p: ModelParams,
-) -> float:
-    """Estimate total infections of a week from later hospital admissions.
-
-    Sums admissions over the 7 days offset +5..+11 from ``week_start`` and
-    divides by the infection hospitalization rate.
-
-    Raises
-    ------
-    ValueError
-        If ``ihr`` is not positive, or a day of the window is missing from
-        ``admissions``.
-    """
-    if p.ihr <= 0.0:
-        raise ValueError(f"ihr must be > 0 to estimate cases from admissions, got {p.ihr!r}")
-    total = 0.0
-    for offset in _HOSP_WINDOW_OFFSETS:
-        day = week_start + dt.timedelta(days=offset)
-        if day not in admissions:
-            raise ValueError(
-                f"hospitalization series does not cover {day.isoformat()} "
-                f"(needed for week starting {week_start.isoformat()})"
-            )
-        total += admissions[day]
-    return total / p.ihr
-
-
-def derive_case_types(
-    raw: WeeklyRawRecord,
-    c_total: float,
-    p: ModelParams,
-) -> tuple[float, ...]:
+) -> CaseSeries:
     """Split raw weekly counts into the six exclusive case types.
 
+    ``raw`` and ``admissions`` are as :func:`load_raw_csv` and
+    :func:`load_hospitalizations_csv` return them.  A week's total is its
+    admissions on days +5..+11 from its Monday, divided by ``ihr``.
     Manual-tracing positives split ``e_ct`` personal / ``1 - e_ct`` traced;
     symptomless app positives are down-corrected to the ``presym_fraction``
     share that is genuinely pre-symptomatic, the rest joining the symptomatic
-    app count; the missed count is the residual against ``c_total``.  The six
-    counts are returned in :data:`~traceavert.taf.CASE_TYPES` order.
-
-    Raises
-    ------
-    ValueError
-        If ``c_total`` is smaller than the raw positives, or the residual
-        missed count comes out negative.
+    app count; the missed count is the residual against the total.  A
+    ``ValueError`` names a non-positive ``ihr``, or the first invalid label,
+    missing window day, or week whose total is not finite or is below its
+    reported positives.
     """
-    reported = (raw.sym_positives + raw.ct_found
-                + raw.app_with_symptoms + raw.app_without_symptoms)
-    if c_total < reported:
-        raise ValueError(
-            f"week {raw.week_label}: estimated total {c_total:.1f} is below "
-            f"the {reported:.1f} directly reported positives"
-        )
-    c_pers = p.e_ct * raw.ct_found
-    c_ct = (1.0 - p.e_ct) * raw.ct_found
-    c_app_minus = p.presym_fraction * raw.app_without_symptoms
-    c_app_plus = raw.app_with_symptoms + (1.0 - p.presym_fraction) * raw.app_without_symptoms
-    c_sym = raw.sym_positives
-    c_miss = c_total - (c_sym + c_pers + c_ct + c_app_minus + c_app_plus)
-    if c_miss < -1e-9 * max(1.0, c_total):
-        raise ValueError(
-            f"week {raw.week_label}: derived missed-case count is negative "
-            f"({c_miss:.1f}); inputs are inconsistent with the total estimate"
-        )
-    return (max(c_miss, 0.0), c_sym, c_pers, c_ct, c_app_minus, c_app_plus)
-
-
-def build_series_from_raw(
-    records: Sequence[WeeklyRawRecord],
-    admissions: Mapping[dt.date, float],
-    p: ModelParams,
-) -> CaseSeries:
-    """Derive a full :class:`CaseSeries` from raw records and admissions."""
-    labels = tuple(record.week_label for record in records)
-    total = [estimate_total_cases(admissions, week_start_date(label), p) for label in labels]
-    counts = [derive_case_types(record, c_total, p) for record, c_total in zip(records, total)]
-    return CaseSeries(labels, total, counts)
+    labels, counts = tuple(raw[0]), np.asarray(raw[1], dtype=float)
+    days, values = np.asarray(admissions[0]), np.asarray(admissions[1], dtype=float)
+    mondays = _week_mondays(labels)
+    if (mondays < 0).any():
+        raise ValueError(f"invalid ISO week label {labels[np.argmax(mondays < 0)]!r}")
+    if p.ihr <= 0.0:
+        raise ValueError(f"ihr must be > 0 to estimate cases from admissions, got {p.ihr!r}")
+    window = mondays[:, None] + _HOSP_WINDOW_OFFSETS
+    uncovered = ~np.isin(window, days)
+    if uncovered.any():
+        week, offset = divmod(int(np.argmax(uncovered)), window.shape[1])
+        start, day = (dt.date.fromordinal(int(d)) for d in (mondays[week], window[week, offset]))
+        raise ValueError(f"hospitalization series does not cover {day.isoformat()} "
+                         f"(needed for week starting {start.isoformat()})")
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite total is named below
+        # left to right, and from +0.0 so that an all-zero window never gives -0.0
+        total = (0.0 + np.cumsum(values[np.searchsorted(days, window)], axis=1)[:, -1]) / p.ihr
+        reported = np.cumsum(counts[:, :4], axis=1)[:, -1]
+        bad = ~np.isfinite(total) | (total < reported)
+        sym, ct_found, app_sym, app_nosym = counts[:, :4].T
+        typed = np.column_stack((sym, p.e_ct * ct_found, (1.0 - p.e_ct) * ct_found,
+                                 p.presym_fraction * app_nosym,
+                                 app_sym + (1.0 - p.presym_fraction) * app_nosym))
+        c_miss = total - np.cumsum(typed, axis=1)[:, -1]
+    if bad.any():
+        week = int(np.argmax(bad))
+        problem = (f"is below the {reported[week]:.1f} directly reported positives"
+                   if np.isfinite(total[week]) else
+                   f"is not finite (admissions divided by ihr = {p.ihr!r})")
+        raise ValueError(f"week {labels[week]}: estimated total {total[week]:.1f} {problem}")
+    # the clamp absorbs the rounding by which pers + ct or the two app counts
+    # can exceed their raw sums
+    return CaseSeries(labels, total, np.column_stack((np.maximum(c_miss, 0.0), typed)))
 
 
 # ----------------------------------------------------------------------------
@@ -292,18 +236,22 @@ def _require_rows(path: Path, rows: Sized) -> None:
         raise ValueError(f"{path}: no data rows")
 
 
-def load_raw_csv(path: str | Path) -> list[WeeklyRawRecord]:
-    """Read raw weekly surveillance records; counts must be nonnegative."""
+def load_raw_csv(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
+    """Read raw weekly counts as week labels and a float (weeks x 5) array in
+    file column order.  The four counts must be nonnegative; ``k_app``, the
+    app-key consent rate, is metadata only and enters no computation."""
     path = Path(path)
-    records = []
+    labels: list[str] = []
+    rows: list[list[float]] = []
     for lineno, row in _rows(path, _read(path), _RAW_COLUMNS):
         values = _parse_row(path, lineno, row, _RAW_COLUMNS)
         for name, text, value in zip(_RAW_COLUMNS[1:5], row[1:5], values):  # not k_app
             if value < 0:
                 raise ValueError(f"{path}:{lineno}: column {name!r}: negative count: {text!r}")
-        records.append(WeeklyRawRecord(row[0], *values))
-    _require_rows(path, records)
-    return records
+        labels.append(row[0])
+        rows.append(values)
+    _require_rows(path, rows)
+    return tuple(labels), np.array(rows, dtype=float)
 
 
 def load_presplit_csv(path: str | Path) -> CaseSeries:
@@ -344,10 +292,12 @@ def _presplit_error(path: Path, text: str) -> NoReturn:
     raise AssertionError(f"{path}: rejected, but every row parses")
 
 
-def load_hospitalizations_csv(path: str | Path) -> dict[dt.date, float]:
-    """Read a daily admissions series; dates must be strictly increasing."""
+def load_hospitalizations_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
+    """Read daily admissions as strictly increasing day ordinals (gaps allowed)
+    and a float array of nonnegative counts."""
     path = Path(path)
-    admissions: dict[dt.date, float] = {}
+    days: list[int] = []
+    admissions: list[float] = []
     previous: dt.date | None = None
     for lineno, (date_text, count_text) in _rows(path, _read(path), _HOSP_COLUMNS):
         try:
@@ -360,9 +310,10 @@ def load_hospitalizations_csv(path: str | Path) -> dict[dt.date, float]:
         if previous is not None and day <= previous:
             raise ValueError(f"{path}:{lineno}: dates must be strictly increasing")
         previous = day
-        admissions[day] = count
-    _require_rows(path, admissions)
-    return admissions
+        days.append(day.toordinal())
+        admissions.append(count)
+    _require_rows(path, days)
+    return np.array(days, dtype=np.int64), np.array(admissions, dtype=float)
 
 
 def load_fixture() -> CaseSeries:

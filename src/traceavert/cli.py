@@ -137,7 +137,7 @@ def _effective_params(args: argparse.Namespace) -> ModelParams:
     return params_from_config(args.config, overrides)
 
 
-def _load_raw(args: argparse.Namespace) -> tuple[list, dict]:
+def _load_raw(args: argparse.Namespace) -> tuple[tuple, tuple]:
     if args.data is None or args.hosp is None:
         raise ValueError("--raw needs both --data and --hosp")
     return cases.load_raw_csv(args.data), cases.load_hospitalizations_csv(args.hosp)
@@ -289,7 +289,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
         params.append(p)
     # The input files are read once; only a raw series depends on the parameters.
     if args.raw:
-        records, admissions = _load_raw(args)
+        raw, admissions = _load_raw(args)
     else:
         series = _load_series(args, base)
         if _report_violations(cases.validate_series(series), "series", sys.stderr):
@@ -299,7 +299,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
              "rt_reduction_ct,rt_reduction_app"]
     for text, p in zip(values, params):
         if args.raw:
-            series = cases.build_series_from_raw(records, admissions, p)
+            series = cases.build_series_from_raw(raw, admissions, p)
             if _report_violations(cases.validate_series(series), "series", sys.stderr):
                 return 1
         profile = InfectivityProfile.from_params(p)
@@ -320,6 +320,8 @@ def _run_sweep(args: argparse.Namespace) -> int:
 def _run_validate(args: argparse.Namespace) -> int:
     p = _effective_params(args)
     bad = _report_violations(validate(p), "params", sys.stdout)
+    if bad and args.raw:  # a raw series is built from the parameters
+        return 1
     series = _load_series(args, p)
     bad = _report_violations(cases.validate_series(series), "series", sys.stdout) or bad
     if bad:

@@ -7,17 +7,14 @@ import pytest
 
 from traceavert.cases import (
     CaseSeries,
-    WeeklyRawRecord,
+    _week_mondays,
     build_series_from_raw,
-    derive_case_types,
-    estimate_total_cases,
     load_fixture,
     load_hospitalizations_csv,
     load_presplit_csv,
     load_raw_csv,
     scale_series,
     validate_series,
-    week_start_date,
 )
 from traceavert.taf import CASE_TYPES
 
@@ -26,94 +23,85 @@ HEADER = "week,c_total,c_sym,c_pers,c_ct,c_app_minus,c_app_plus\n"
 RAW_HEADER = "week,sym_positives,ct_found,app_with_symptoms,app_without_symptoms,k_app\n"
 
 
-def _flat_admissions(start: dt.date, days: int, value: float) -> dict[dt.date, float]:
-    return {start + dt.timedelta(days=i): value for i in range(days)}
+MONDAY = dt.date(2020, 10, 12)  # of ISO week 2020-42
+
+
+def _flat_admissions(start: dt.date, days: int, value: float) -> tuple[np.ndarray, np.ndarray]:
+    return start.toordinal() + np.arange(days), np.full(days, value)
+
+
+def _one_week(counts=(0.0, 0.0, 0.0, 0.0, 0.1), label="2020-42"):
+    return (label,), np.array([counts], dtype=float)
 
 
 class TestEstimateTotalCases:
     def test_flat_series(self, params):
-        week_start = dt.date(2020, 10, 12)
-        admissions = _flat_admissions(week_start, 20, 10.0)
-        got = estimate_total_cases(admissions, week_start, params)
-        assert got == pytest.approx(70 / 0.0132)
+        series = build_series_from_raw(_one_week(), _flat_admissions(MONDAY, 20, 10.0), params)
+        assert series.total[0] == pytest.approx(70 / 0.0132)
 
     def test_window_is_five_through_eleven(self, params):
-        week_start = dt.date(2020, 10, 12)
-        admissions = dict.fromkeys(
-            (week_start + dt.timedelta(days=i) for i in range(20)), 0.0
-        )
-        admissions[week_start + dt.timedelta(days=5)] = 33.0
-        admissions[week_start + dt.timedelta(days=11)] = 11.0
-        admissions[week_start + dt.timedelta(days=4)] = 1000.0
-        admissions[week_start + dt.timedelta(days=12)] = 1000.0
-        got = estimate_total_cases(admissions, week_start, params)
-        assert got == pytest.approx(44 / 0.0132)
+        days, values = _flat_admissions(MONDAY, 20, 0.0)
+        values[[5, 11, 4, 12]] = [33.0, 11.0, 1000.0, 1000.0]
+        series = build_series_from_raw(_one_week(), (days, values), params)
+        assert series.total[0] == pytest.approx(44 / 0.0132)
 
     def test_all_zero(self, params):
-        week_start = dt.date(2020, 10, 12)
-        admissions = _flat_admissions(week_start, 20, 0.0)
-        assert estimate_total_cases(admissions, week_start, params) == 0.0
+        # the loader accepts "-0" admissions; the total is still +0.0, not "-0" in a report
+        series = build_series_from_raw(_one_week(), _flat_admissions(MONDAY, 20, -0.0), params)
+        assert series.total[0] == 0.0 and not np.signbit(series.total[0])
 
     def test_missing_day_names_date(self, params):
-        week_start = dt.date(2020, 10, 12)
-        admissions = _flat_admissions(week_start, 20, 5.0)
-        missing = week_start + dt.timedelta(days=8)
-        del admissions[missing]
+        days, values = _flat_admissions(MONDAY, 20, 5.0)
+        missing = MONDAY + dt.timedelta(days=8)
+        keep = days != missing.toordinal()
         with pytest.raises(ValueError, match=missing.isoformat()):
-            estimate_total_cases(admissions, week_start, params)
+            build_series_from_raw(_one_week(), (days[keep], values[keep]), params)
 
     def test_zero_ihr_is_a_named_error(self, params):
-        week_start = dt.date(2020, 10, 12)
-        admissions = _flat_admissions(week_start, 20, 5.0)
         p = dataclasses.replace(params, ihr=0.0)
         with pytest.raises(ValueError, match="ihr"):
-            estimate_total_cases(admissions, week_start, p)
+            build_series_from_raw(_one_week(), _flat_admissions(MONDAY, 20, 5.0), p)
+
+    def test_non_finite_total_names_week_and_ihr(self, params):
+        p = dataclasses.replace(params, ihr=5e-324)
+        with np.errstate(all="raise"), pytest.raises(
+                ValueError, match=r"week 2020-42: estimated total inf is not finite .*5e-324"):
+            build_series_from_raw(_one_week(), _flat_admissions(MONDAY, 20, 5.0), p)
 
     def test_linear_in_admissions(self, params):
-        week_start = dt.date(2020, 10, 12)
-        one = estimate_total_cases(_flat_admissions(week_start, 14, 3.0), week_start, params)
-        two = estimate_total_cases(_flat_admissions(week_start, 14, 6.0), week_start, params)
-        assert two == pytest.approx(2 * one)
+        one = build_series_from_raw(_one_week(), _flat_admissions(MONDAY, 14, 3.0), params)
+        two = build_series_from_raw(_one_week(), _flat_admissions(MONDAY, 14, 6.0), params)
+        assert two.total[0] == pytest.approx(2 * one.total[0])
 
 
 class TestDeriveCaseTypes:
-    def _raw(self, **kwargs):
-        base = dict(
-            week_label="2020-42",
-            sym_positives=0.0,
-            ct_found=0.0,
-            app_with_symptoms=0.0,
-            app_without_symptoms=0.0,
-            k_app=0.1,
-        )
-        base.update(kwargs)
-        return WeeklyRawRecord(**base)
+    def _split(self, params, total, sym=0.0, ct_found=0.0, app_sym=0.0, app_nosym=0.0):
+        """One week's counts, its total set exactly through ``ihr = 1``."""
+        days, values = _flat_admissions(MONDAY, 14, 0.0)
+        values[5] = total
+        series = build_series_from_raw(_one_week((sym, ct_found, app_sym, app_nosym, 0.1)),
+                                       (days, values), dataclasses.replace(params, ihr=1.0))
+        assert series.total[0] == total
+        return series.counts[0].tolist()
 
     def test_tracing_split(self, params):
-        _, _, c_pers, c_ct, _, _ = derive_case_types(self._raw(ct_found=2500), 10_000, params)
+        _, _, c_pers, c_ct, _, _ = self._split(params, 10_000, ct_found=2500)
         assert c_pers == pytest.approx(1500)
         assert c_ct == pytest.approx(1000)
 
     def test_app_split(self, params):
-        *_, c_app_minus, c_app_plus = derive_case_types(
-            self._raw(app_with_symptoms=300, app_without_symptoms=100), 10_000, params
-        )
+        *_, c_app_minus, c_app_plus = self._split(params, 10_000, app_sym=300, app_nosym=100)
         assert c_app_minus == pytest.approx(20)
         assert c_app_plus == pytest.approx(380)
 
     def test_partition_reconstructs_total(self, params):
-        counts = derive_case_types(
-            self._raw(sym_positives=500, ct_found=200, app_with_symptoms=30,
-                      app_without_symptoms=10),
-            5_000,
-            params,
-        )
+        counts = self._split(params, 5_000, sym=500, ct_found=200, app_sym=30, app_nosym=10)
         assert len(counts) == len(CASE_TYPES)
         assert sum(counts) == pytest.approx(5_000)
 
     def test_total_below_reported_rejected(self, params):
         with pytest.raises(ValueError, match="below"):
-            derive_case_types(self._raw(sym_positives=100), 50, params)
+            self._split(params, 50, sym=100)
 
 
 class TestFixture:
@@ -381,10 +369,23 @@ class TestCsvLoaders:
             "week,sym_positives,ct_found,app_with_symptoms,app_without_symptoms,k_app\n"
             "2020-42,500,200,30,10,8.4\n"
         )
-        records = load_raw_csv(path)
-        assert len(records) == 1
-        assert records[0].ct_found == 200
-        assert records[0].k_app == 8.4
+        labels, counts = load_raw_csv(path)
+        assert labels == ("2020-42",)
+        assert counts.dtype == float
+        assert counts.tolist() == [[500.0, 200.0, 30.0, 10.0, 8.4]]
+
+    def test_raw_columns_in_any_order(self, tmp_path):
+        path = tmp_path / "raw.csv"
+        path.write_text("k_app,app_without_symptoms,app_with_symptoms,ct_found,sym_positives,week\n"
+                        "0.5,4,3,2,1,2020-42\n")
+        assert load_raw_csv(path)[1].tolist() == [[1.0, 2.0, 3.0, 4.0, 0.5]]
+
+    def test_hospitalizations_roundtrip_keeps_gaps(self, tmp_path):
+        path = tmp_path / "hosp.csv"
+        path.write_text("admissions,date\n5,2020-10-12\n7.5,2020-10-14\n")
+        days, admissions = load_hospitalizations_csv(path)
+        assert days.tolist() == [dt.date(2020, 10, 12).toordinal(), dt.date(2020, 10, 14).toordinal()]
+        assert admissions.tolist() == [5.0, 7.5]
 
     def test_hospitalizations_strictly_increasing(self, tmp_path):
         path = tmp_path / "hosp.csv"
@@ -407,38 +408,35 @@ class TestCsvLoaders:
 
 class TestRawPipeline:
     def test_build_series_from_raw(self, params):
-        records = [
-            WeeklyRawRecord("2020-42", 500.0, 200.0, 30.0, 10.0, 8.4),
-            WeeklyRawRecord("2020-43", 600.0, 250.0, 40.0, 20.0, 8.0),
-        ]
-        start = week_start_date("2020-42")
-        admissions = _flat_admissions(start, 25, 10.0)
-        series = build_series_from_raw(records, admissions, params)
+        raw = (("2020-42", "2020-43"), np.array([[500.0, 200.0, 30.0, 10.0, 8.4],
+                                                   [600.0, 250.0, 40.0, 20.0, 8.0]]))
+        series = build_series_from_raw(raw, _flat_admissions(MONDAY, 25, 10.0), params)
         assert series.labels == ("2020-42", "2020-43")
-        assert series.total[0] == pytest.approx(70 / params.ihr)
-        assert series.counts[0].tolist() == list(
-            derive_case_types(records[0], series.total[0], params))
+        total = 70 / params.ihr
+        assert series.total.tolist() == [total, total]
+        assert series.counts[0].tolist() == pytest.approx(
+            [total - 740, 500, 120, 80, 2, 38])
         assert validate_series(series).ok
 
-    def test_week_start_date(self):
-        assert week_start_date("2020-42") == dt.date(2020, 10, 12)
-        assert week_start_date("2021-19") == dt.date(2021, 5, 10)
+    def test_week_mondays(self):
+        assert _week_mondays(["2020-42", "2021-19"]).tolist() == [
+            dt.date(2020, 10, 12).toordinal(), dt.date(2021, 5, 10).toordinal()]
 
-    def test_bad_week_label(self):
-        with pytest.raises(ValueError, match="label"):
-            week_start_date("2020/42")
+    def test_bad_week_label(self, params):
+        with pytest.raises(ValueError, match="label '2020/42'"):
+            build_series_from_raw(_one_week(label="2020/42"),
+                                  _flat_admissions(MONDAY, 20, 5.0), params)
 
-    def test_week_start_date_matches_iso_calendar(self):
+    def test_week_mondays_match_iso_calendar(self):
+        labels, expected = [], []
         for year in (1, 4, 100, 400, 1900, 2000, 2004, 2020, 2021, 2100, 9999):
             for week in range(1, 54):
-                label = f"{year:04d}-{week:02d}"
+                labels.append(f"{year:04d}-{week:02d}")
                 try:
-                    expected = dt.date.fromisocalendar(year, week, 1)
+                    expected.append(dt.date.fromisocalendar(year, week, 1).toordinal())
                 except ValueError:
-                    with pytest.raises(ValueError, match="label"):
-                        week_start_date(label)
-                else:
-                    assert week_start_date(label) == expected, label
+                    expected.append(-1)
+        assert _week_mondays(labels).tolist() == expected
 
 
 def test_scale_series_scales_every_column(series):

@@ -316,6 +316,15 @@ class TestValidate:
         assert code == 1
         assert "params:" in out and "u_app" in out
 
+    def test_raw_stops_after_param_violations(self, tmp_path, capsys):
+        # a raw series is built from the parameters, so a bad ihr is not used
+        raw, hosp = write_raw_inputs(tmp_path)
+        code, out, err = run_cli(capsys, "validate", "--raw", "--data", raw, "--hosp", hosp,
+                                 "--param", "ihr=-0.5")
+        assert code == 1
+        assert out.startswith("params: ") and "ihr" in out
+        assert err == ""
+
 
 # --------------------------------------------------------------------------
 # raw-mode pipeline
@@ -367,6 +376,25 @@ class TestZeroIhr:
         assert code == 2
         assert "ihr" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command, extra", [
+        ("estimate", ()),
+        ("sweep", ("--sweep", "u_app=0,0.16")),
+        ("validate", ()),
+    ])
+    def test_raw_non_finite_total_exits_2_naming_ihr(self, tmp_path, monkeypatch, capsys,
+                                                     command, extra):
+        monkeypatch.chdir(tmp_path)
+        raw, hosp = write_raw_inputs(tmp_path)
+        code, out, err = run_cli(capsys, command, "--raw", "--data", raw, "--hosp", hosp,
+                                 "--param", "ihr=5e-324", *extra)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "error: week 2020-10: estimated total inf is not finite "
+            "(admissions divided by ihr = 5e-324)"]
         assert not (tmp_path / "out").exists()
 
     def test_presplit_zeroes_hospitalizations(self, tmp_path, capsys):

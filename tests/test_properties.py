@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from traceavert.cases import (
     CaseSeries,
-    WeeklyRawRecord,
-    derive_case_types,
+    build_series_from_raw,
     load_presplit_csv,
     scale_series,
+    validate_series,
 )
 from traceavert.counterfactual import averted_app, averted_ct, rt_series
 from traceavert.oracle import SimConfig, SimOutcome, empirical_case_type_taf, simulate_trees
@@ -90,16 +90,44 @@ def test_simulation_deterministic_for_fixed_seed(seed, case_type, params, profil
     assert first == second
 
 
+_fraction = st.sampled_from((0.0, 1.0)) | st.floats(min_value=0.0, max_value=1.0)
+
+
+def _scalar_split(row, total, e_ct, presym_fraction):
+    """The six-way split of one week, one scalar term at a time."""
+    sym, ct_found, app_sym, app_nosym = row[:4]
+    c_pers = e_ct * ct_found
+    c_ct = (1.0 - e_ct) * ct_found
+    c_app_minus = presym_fraction * app_nosym
+    c_app_plus = app_sym + (1.0 - presym_fraction) * app_nosym
+    c_miss = total - (sym + c_pers + c_ct + c_app_minus + c_app_plus)
+    return [max(c_miss, 0.0), sym, c_pers, c_ct, c_app_minus, c_app_plus]
+
+
 @given(
-    sym=_count, ct_found=_count, app_sym=_count, app_nosym=_count,
-    slack=st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False),
+    weeks=st.lists(st.tuples(_count, _count, _count, _count, _count), min_size=1, max_size=8),
+    e_ct=_fraction, presym_fraction=_fraction,
 )
-def test_derived_case_types_partition_total(sym, ct_found, app_sym, app_nosym, slack, params):
-    raw = WeeklyRawRecord("2020-42", sym, ct_found, app_sym, app_nosym, 0.1)
-    total = sym + ct_found + app_sym + app_nosym + slack
-    counts = derive_case_types(raw, total, params)
-    assert sum(counts) == pytest.approx(total, rel=1e-9, abs=1e-6)
-    assert counts[0] >= -1e-6
+def test_derived_case_types_partition_total(weeks, e_ct, presym_fraction, params):
+    # consecutive weeks have back-to-back admission windows; with ihr = 1 each
+    # week's total is exactly the admissions on the first day of its window
+    first = dt.date(2020, 10, 12)  # Monday of 2020-42
+    mondays = [first + dt.timedelta(weeks=w) for w in range(len(weeks))]
+    labels = ["%04d-%02d" % monday.isocalendar()[:2] for monday in mondays]
+    counts = np.array([row[:4] + (0.1,) for row in weeks])
+    totals = [sym + ct + app_sym + app_nosym + slack
+              for sym, ct, app_sym, app_nosym, slack in weeks]
+    values = np.zeros(7 * len(weeks))
+    values[::7] = totals
+    days = first.toordinal() + 5 + np.arange(values.size)
+    p = apply_overrides(params, {"ihr": 1.0, "e_ct": e_ct, "presym_fraction": presym_fraction})
+    series = build_series_from_raw((labels, counts), (days, values), p)
+    assert series.total.tolist() == totals
+    assert series.counts.tolist() == [_scalar_split(row, total, e_ct, presym_fraction)
+                                      for row, total in zip(weeks, totals)]
+    # relative, with an absolute floor for subnormal totals
+    np.testing.assert_allclose(series.counts.sum(axis=1), series.total, rtol=1e-9, atol=1e-300)
+    assert validate_series(series).ok
 
 
 @given(h=st.integers(min_value=0, max_value=11), l=st.integers(min_value=1, max_value=6))
