@@ -349,8 +349,3 @@ def validate_series(series: CaseSeries) -> ValidationReport:
             if bad:
                 violations.append(f"week {label}: {name} is negative ({value:.1f})")
     return ValidationReport(tuple(violations))
-
-
-def scale_series(series: CaseSeries, factor: float) -> CaseSeries:
-    """Multiply every count of every week by ``factor`` (testing/sweep aid)."""
-    return CaseSeries(series.labels, series.total * factor, series.counts * factor)

@@ -16,7 +16,8 @@ Subcommands
     Re-run the estimate across a list of values for one parameter, one CSV
     row per value.
 ``validate``
-    Check the effective parameters and the input series; print violations.
+    Check the effective parameters and the input series and print violations;
+    then run both reconstructions, so it rejects what ``estimate`` rejects.
 
 Exit status: 0 when everything validated, 1 when a validation report carries
 violations, 2 on unusable inputs (missing files, parse errors, bad flags).
@@ -82,13 +83,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="weekly series CSV (default: bundled dataset)")
         p.add_argument("--hosp", metavar="PATH", default=None,
                        help="daily hospital admissions CSV (raw mode)")
-        shape = p.add_mutually_exclusive_group()
-        shape.add_argument("--raw", action="store_true",
-                           help="data is raw surveillance counts; derive "
-                                "case types (needs --data and --hosp)")
-        shape.add_argument("--presplit", action="store_true",
-                           help="data already carries per-type counts "
-                                "(default)")
+        p.add_argument("--raw", action="store_true",
+                       help="data is raw surveillance counts; derive "
+                            "case types (needs --data and --hosp)")
 
     p_estimate = sub.add_parser("estimate", help="weekly reconstruction and summary")
     add_param_flags(p_estimate)
@@ -151,6 +148,14 @@ def _load_series(args: argparse.Namespace, p: ModelParams) -> cases.CaseSeries:
     return cases.load_presplit_csv(args.data)
 
 
+def _reconstruct(series: cases.CaseSeries, p: ModelParams) -> tuple[
+        LambdaTable, counterfactual.CounterfactualResult, counterfactual.CounterfactualResult]:
+    """The calibrated table and both channel-removal reconstructions of ``series``."""
+    table = LambdaTable.build(p, InfectivityProfile.from_params(p))
+    return (table, counterfactual.averted_ct(series, table.per_type, p),
+            counterfactual.averted_app(series, table.per_type, p))
+
+
 def _report_violations(report, label: str, stream) -> bool:
     if report.ok:
         return False
@@ -171,23 +176,20 @@ def _run_estimate(args: argparse.Namespace) -> int:
     if _report_violations(cases.validate_series(series), "series", sys.stderr):
         return 1
 
-    profile = InfectivityProfile.from_params(p)
-    table = LambdaTable.build(p, profile)
-    ct = counterfactual.averted_ct(series, table.per_type, p)
-    app = counterfactual.averted_app(series, table.per_type, p)
-    rt = counterfactual.rt_series(series.total)
+    table, ct, app = _reconstruct(series, p)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     # one row per week; the last week has no forward-looking growth rate
-    columns = (series.labels, series.total.tolist(), ct.c_not_weekly, ct.s_weekly,
-               app.c_not_weekly, app.s_weekly)
+    columns = [array.tolist() for array in (series.total, ct.c_not_weekly, ct.s_weekly,
+                                            app.c_not_weekly, app.s_weekly)]
+    rts = [array.tolist() for array in (counterfactual.rt_series(series.total),
+                                        ct.rt_weekly, app.rt_weekly)]
     with (out_dir / "weekly.csv").open("w", encoding="utf-8") as handle:
         handle.write("week,c,c_not_ct,s_ct,c_not_app,s_app,rt,rt_not_ct,rt_not_app\n")
-        handle.writelines(_WEEKLY_ROW % row
-                          for row in zip(*columns, rt, ct.rt_weekly, app.rt_weekly))
-        handle.write(_LAST_WEEKLY_ROW % tuple(column[-1] for column in columns))
+        handle.writelines(_WEEKLY_ROW % row for row in zip(series.labels, *columns, *rts))
+        handle.write(_LAST_WEEKLY_ROW % (series.labels[-1], *(column[-1] for column in columns)))
 
     summary_rows = _summary_rows(ct, app)
     summary = ["metric,ct,app"]
@@ -209,8 +211,8 @@ def _run_estimate(args: argparse.Namespace) -> int:
 
 def _summary_rows(ct, app) -> list[tuple[str, str, str, str]]:
     """One row per ``_SUMMARY_METRICS`` entry: key, label, ct text, app text."""
-    values = [(r.s_total, r.severity.hospitalizations, r.severity.icu_admissions,
-               r.severity.deaths, r.rt_reduction_avg) for r in (ct, app)]
+    values = [(r.s_total, r.hospitalizations, r.icu_admissions, r.deaths, r.rt_reduction_avg)
+              for r in (ct, app)]
     return [(key, label, fmt.format(ct_value), fmt.format(app_value))
             for (key, label, fmt), ct_value, app_value in zip(_SUMMARY_METRICS, *values)]
 
@@ -302,10 +304,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
             series = cases.build_series_from_raw(raw, admissions, p)
             if _report_violations(cases.validate_series(series), "series", sys.stderr):
                 return 1
-        profile = InfectivityProfile.from_params(p)
-        table = LambdaTable.build(p, profile)
-        ct = counterfactual.averted_ct(series, table.per_type, p)
-        app = counterfactual.averted_app(series, table.per_type, p)
+        _, ct, app = _reconstruct(series, p)
         _, _, ct_text, app_text = zip(*_summary_rows(ct, app))
         lines.append(",".join((name, text, ct_text[0], app_text[0], *ct_text[1:4],
                                *app_text[1:4], ct_text[4], app_text[4])))
@@ -326,6 +325,7 @@ def _run_validate(args: argparse.Namespace) -> int:
     bad = _report_violations(cases.validate_series(series), "series", sys.stdout) or bad
     if bad:
         return 1
+    _reconstruct(series, p)  # the inputs must also pass estimate's reconstruction
     print("params: ok")
     print(f"series: ok ({len(series)} weeks, "
           f"{series.labels[0]} .. {series.labels[-1]})")

@@ -20,8 +20,8 @@ cases, scaled by the observed per-case transmission volume of that week:
 Both weights are linear in the week's per-type counts: ``volume(w) = counts(w)
 · λ`` is the TAF-weighted case total and ``gap(w) = counts(w) · Δ``, where the
 channel's Δ holds each reverted type's fallback TAF minus its actual TAF.
-Averted cases are ``c_not - c`` per week; severity outcomes apply fixed
-infection-to-outcome rates to the total.
+Averted cases are ``c_not - c`` per week; severity outcomes are their total
+times fixed infection-to-outcome rates; the Rt effect is the mean weekly gap.
 """
 from __future__ import annotations
 
@@ -35,42 +35,27 @@ from .cases import CaseSeries
 from .params import ModelParams
 from .taf import CASE_TYPES
 
-__all__ = [
-    "CounterfactualResult",
-    "SeverityOutcomes",
-    "reconstruct",
-    "averted_ct",
-    "averted_app",
-    "severity_outcomes",
-    "rt_series",
-    "rt_reduction",
-]
+__all__ = ["CounterfactualResult", "reconstruct", "averted_ct", "averted_app", "rt_series"]
 
 #: weekly growth is rescaled to a 4-day generation interval to give Rt
 _RT_EXPONENT = 4.0 / 7.0
 
 
-@dataclass(frozen=True)
-class SeverityOutcomes:
-    """Averted severe outcomes implied by a count of averted infections."""
+@dataclass(frozen=True, eq=False)
+class CounterfactualResult:
+    """Full output of one channel-removal reconstruction: weekly float arrays
+    (``rt_weekly``, the counterfactual Rt series, is one entry shorter) and the
+    averted total ``s_total`` times each infection-to-outcome rate."""
 
+    intervention: str
+    c_not_weekly: np.ndarray
+    s_weekly: np.ndarray
+    s_total: float
     hospitalizations: float
     icu_admissions: float
     deaths: float
-
-
-@dataclass(frozen=True)
-class CounterfactualResult:
-    """Full output of one channel-removal reconstruction (``rt_weekly`` is the
-    counterfactual Rt series, one entry shorter than the weekly series)."""
-
-    intervention: str
-    c_not_weekly: tuple[float, ...]
-    s_weekly: tuple[float, ...]
-    s_total: float
-    severity: SeverityOutcomes
     rt_reduction_avg: float
-    rt_weekly: tuple[float, ...]
+    rt_weekly: np.ndarray
 
 
 def _weighted(counts: np.ndarray, weights: Mapping[str, float]) -> np.ndarray:
@@ -114,33 +99,35 @@ def reconstruct(
         raise ValueError(f"week {series.labels[w]}: nonpositive transmission "
                          f"volume {volume[w]:.1f}")
     gap = _weighted(counts, delta)
-    growth = (c[1:] / c[:-1]).tolist()
 
     c_not = [float(c[0])]
-    for g, gap_w, volume_w in zip(growth, gap.tolist(), volume.tolist()):
+    for g, gap_w, volume_w in zip((c[1:] / c[:-1]).tolist(), gap.tolist(), volume.tolist()):
         carried = c_not[-1] * g
         c_not.append(carried + carried * gap_w / volume_w)
 
-    replay = np.array(c_not)
-    finite = np.isfinite(replay)
+    c_not = np.array(c_not)
+    finite = np.isfinite(c_not)
     if not finite.all():
         w = int(finite.argmin())
         raise ValueError(f"{intervention} counterfactual overflows: week "
-                         f"{series.labels[w]} reaches {replay[w]}")
-    s_weekly = (replay - c).tolist()
-    s_total = sum(s_weekly)
-    rt_not = rt_series(replay)
-    rt_reduction_avg = rt_reduction([g ** _RT_EXPONENT for g in growth], rt_not)
+                         f"{series.labels[w]} reaches {c_not[w]}")
+    s_weekly = c_not - c
+    # built-in sums over Python floats: numpy's pairwise sums round differently
+    s_total = sum(s_weekly.tolist())
+    rt_not = rt_series(c_not)
+    rt_reduction_avg = sum((rt_not - rt_series(c)).tolist()) / rt_not.size
     if not (math.isfinite(s_total) and math.isfinite(rt_reduction_avg)):
         raise ValueError(f"{intervention} counterfactual overflows: its totals are not finite")
     return CounterfactualResult(
         intervention=intervention,
-        c_not_weekly=tuple(c_not),
-        s_weekly=tuple(s_weekly),
+        c_not_weekly=c_not,
+        s_weekly=s_weekly,
         s_total=s_total,
-        severity=severity_outcomes(s_total, p),
+        hospitalizations=s_total * p.ihr,
+        icu_admissions=s_total * p.iir,
+        deaths=s_total * p.ifr,
         rt_reduction_avg=rt_reduction_avg,
-        rt_weekly=tuple(rt_not),
+        rt_weekly=rt_not,
     )
 
 
@@ -166,21 +153,13 @@ def averted_app(series: CaseSeries, lambdas: dict[str, float], p: ModelParams) -
     return reconstruct(series, lambdas, delta, "app", p)
 
 
-def severity_outcomes(averted_cases: float, p: ModelParams) -> SeverityOutcomes:
-    """Apply infection-to-outcome rates to a count of averted infections."""
-    return SeverityOutcomes(
-        hospitalizations=averted_cases * p.ihr,
-        icu_admissions=averted_cases * p.iir,
-        deaths=averted_cases * p.ifr,
-    )
-
-
-def rt_series(totals) -> list[float]:
+def rt_series(totals) -> np.ndarray:
     """Weekly reproduction numbers from consecutive case totals.
 
     The weekly growth factor is rescaled to the generation interval:
-    ``rt(w) = (c(w+1) / c(w)) ** (4/7)``.  The series is one entry shorter
-    than the input.
+    ``rt(w) = (c(w+1) / c(w)) ** (4/7)``, one entry fewer than the input.
+    An object array applies Python's float ``**`` to each ratio; ``np.power``
+    can differ from it in the last digit.
 
     Raises
     ------
@@ -193,16 +172,4 @@ def rt_series(totals) -> list[float]:
         w = nonpositive[0]
         raise ValueError(f"week index {w}: reproduction number undefined for nonpositive "
                          f"case totals ({float(c[w])!r} -> {float(c[w + 1])!r})")
-    return [ratio ** _RT_EXPONENT for ratio in (c[1:] / c[:-1]).tolist()]
-
-
-def rt_reduction(actual: list[float], counterfactual: list[float]) -> float:
-    """Average weekly Rt gap attributable to the intervention (unweighted)."""
-    if len(actual) != len(counterfactual):
-        raise ValueError(
-            f"mismatched Rt series lengths: {len(actual)} vs {len(counterfactual)}"
-        )
-    if not actual:
-        raise ValueError("cannot average an empty Rt series")
-    gaps = [cf - ac for ac, cf in zip(actual, counterfactual)]
-    return sum(gaps) / len(gaps)
+    return ((c[1:] / c[:-1]).astype(object) ** _RT_EXPONENT).astype(float)

@@ -48,20 +48,12 @@ _SATURATION_DAY = 13
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation knobs.
-
-    ``channel`` and ``index_quarantine_day`` configure :func:`simulate_trees`
-    directly; :func:`empirical_case_type_taf` derives both from the case type
-    instead.  ``index_quarantine_day`` ``None`` means the index is never
-    quarantined.
-    """
+    """Simulation knobs shared by both entry points."""
 
     trees: int = 100_000
     r0: float = 3.0
     seed: int = 0
     horizon: int = 28
-    channel: str | None = None
-    index_quarantine_day: int | None = None
 
     def __post_init__(self) -> None:
         if self.trees < 2:
@@ -73,11 +65,6 @@ class SimConfig:
                 f"horizon must cover the {_PROFILE_DAYS}-day infectious "
                 f"window, got {self.horizon}"
             )
-        if self.channel not in _CHANNELS:
-            raise ValueError(
-                f"unknown warning channel {self.channel!r}; "
-                f"expected one of {_CHANNELS!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -86,8 +73,6 @@ class SimOutcome:
 
     empirical_taf: float
     standard_error: float
-    tertiary_realized: float
-    tertiary_potential: float
 
 
 def _channel(p: ModelParams, kind: str) -> tuple[int, float]:
@@ -188,18 +173,30 @@ def simulate_trees(
     cfg: SimConfig,
     p: ModelParams,
     profile: InfectivityProfile,
+    channel: str | None = None,
+    quarantine_day: int | None = None,
 ) -> SimOutcome:
-    """Simulate trees with one fixed channel and quarantine day."""
+    """Simulate trees warned through ``channel`` (``"ct"``, ``"app"`` or
+    ``None`` for no warning) whose index is quarantined on ``quarantine_day``
+    (``None``: never).
+
+    Raises
+    ------
+    ValueError
+        If ``channel`` is unknown, or it has a negative delay or a reach or
+        adherence outside [0, 1].
+    """
+    if channel not in _CHANNELS:
+        raise ValueError(f"unknown warning channel {channel!r}; expected one of {_CHANNELS!r}")
     rng = np.random.default_rng(cfg.seed)
     n = cfg.trees
-    day = cfg.index_quarantine_day
-    quarantine = np.full(n, np.inf if day is None else float(day))
-    delay, fraction = (0, 0.0) if cfg.channel is None else _channel(p, cfg.channel)
+    quarantine = np.full(n, np.inf if quarantine_day is None else float(quarantine_day))
+    delay, fraction = (0, 0.0) if channel is None else _channel(p, channel)
     ratios = _run_trees(
         rng, n, cfg.r0, quarantine, np.full(n, float(delay)), np.full(n, fraction),
         p, profile, cfg.horizon,
     )
-    return _summarize(ratios, cfg.r0)
+    return _summarize(ratios)
 
 
 def empirical_case_type_taf(
@@ -208,10 +205,8 @@ def empirical_case_type_taf(
     p: ModelParams,
     profile: InfectivityProfile,
 ) -> SimOutcome:
-    """Empirical TAF of one case type, mirroring the analytic constants.
-
-    ``cfg.channel`` and ``cfg.index_quarantine_day`` are ignored here: the
-    case type itself fixes how the index is detected and warned.
+    """Empirical TAF of one case type, mirroring the analytic constants: the
+    case type fixes how the index is detected and warned.
 
     Raises
     ------
@@ -255,16 +250,9 @@ def empirical_case_type_taf(
     ratios = _run_trees(
         rng, n, cfg.r0, quarantine, latency, fraction, p, profile, cfg.horizon,
     )
-    return _summarize(ratios, cfg.r0)
+    return _summarize(ratios)
 
 
-def _summarize(ratios: np.ndarray, r0: float) -> SimOutcome:
-    n = ratios.size
-    se = float(ratios.std(ddof=1) / np.sqrt(n))
-    mean = float(ratios.mean())
-    return SimOutcome(
-        empirical_taf=mean,
-        standard_error=se,
-        tertiary_realized=mean * r0,
-        tertiary_potential=r0,
-    )
+def _summarize(ratios: np.ndarray) -> SimOutcome:
+    return SimOutcome(empirical_taf=float(ratios.mean()),
+                      standard_error=float(ratios.std(ddof=1) / np.sqrt(ratios.size)))

@@ -19,12 +19,7 @@ from pathlib import Path
 import pytest
 
 from traceavert import cases, cli, oracle
-from traceavert.counterfactual import (
-    averted_app,
-    averted_ct,
-    rt_series,
-    severity_outcomes,
-)
+from traceavert.counterfactual import averted_app, averted_ct, rt_series
 from traceavert.params import apply_overrides
 from traceavert.taf import capital_lambda, ct_channel, delta_mix
 
@@ -158,19 +153,16 @@ def test_criterion_5_severity_outcomes(params, series, lambdas):
     """Exact severity products, and reference totals render as published."""
     for result in (averted_ct(series, lambdas, params),
                    averted_app(series, lambdas, params)):
-        severity = result.severity
-        assert severity.hospitalizations == result.s_total * params.ihr
-        assert severity.icu_admissions == result.s_total * params.iir
-        assert severity.deaths == result.s_total * params.ifr
+        assert result.hospitalizations == result.s_total * params.ihr
+        assert result.icu_admissions == result.s_total * params.iir
+        assert result.deaths == result.s_total * params.ifr
 
-    ct_reference = severity_outcomes(PUBLISHED_S_CT_TOTAL, params)
-    assert round(ct_reference.hospitalizations) == 10_212
-    assert round(ct_reference.icu_admissions) == 1_934
-    assert round(ct_reference.deaths) == 4_642
-    app_reference = severity_outcomes(PUBLISHED_S_APP_TOTAL, params)
-    assert round(app_reference.hospitalizations) == 595
-    assert round(app_reference.icu_admissions) == 113
-    assert round(app_reference.deaths) == 271
+    assert round(PUBLISHED_S_CT_TOTAL * params.ihr) == 10_212
+    assert round(PUBLISHED_S_CT_TOTAL * params.iir) == 1_934
+    assert round(PUBLISHED_S_CT_TOTAL * params.ifr) == 4_642
+    assert round(PUBLISHED_S_APP_TOTAL * params.ihr) == 595
+    assert round(PUBLISHED_S_APP_TOTAL * params.iir) == 113
+    assert round(PUBLISHED_S_APP_TOTAL * params.ifr) == 271
 
 
 def test_criterion_6_rt_reduction_bands(params, series, lambdas):
@@ -204,7 +196,7 @@ def test_criterion_7_oracle_agreement(params, profile, lambdas):
 def test_criterion_8_property_suite(params, profile, series, lambdas):
     """Deterministic spot checks of the five model invariants."""
     # homogeneity: scaling counts by k scales S by k and leaves Rt unchanged
-    scaled = cases.scale_series(series, 3.0)
+    scaled = cases.CaseSeries(series.labels, series.total * 3.0, series.counts * 3.0)
     base = averted_ct(series, lambdas, params)
     tripled = averted_ct(scaled, lambdas, params)
     assert tripled.s_total == pytest.approx(3.0 * base.s_total, rel=1e-9)

@@ -13,7 +13,6 @@ from traceavert.cases import (
     load_hospitalizations_csv,
     load_presplit_csv,
     load_raw_csv,
-    scale_series,
     validate_series,
 )
 from traceavert.taf import CASE_TYPES
@@ -437,11 +436,3 @@ class TestRawPipeline:
                 except ValueError:
                     expected.append(-1)
         assert _week_mondays(labels).tolist() == expected
-
-
-def test_scale_series_scales_every_column(series):
-    doubled = scale_series(series, 2.0)
-    assert doubled.labels == series.labels
-    assert doubled.total[3] == pytest.approx(2 * series.total[3])
-    assert doubled.counts[3, COLUMN["miss"]] == pytest.approx(2 * series.counts[3, COLUMN["miss"]])
-    assert sum(doubled.counts[:, COLUMN["ct"]]) == pytest.approx(2 * 173517)

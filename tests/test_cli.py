@@ -170,12 +170,6 @@ class TestEstimateErrors:
         assert "ct warning delay" in err and "got 0" in err
         assert "Traceback" not in err
 
-    def test_raw_and_presplit_are_mutually_exclusive(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            cli.main(["estimate", "--raw", "--presplit"])
-        assert excinfo.value.code == 2
-        capsys.readouterr()  # drop the argparse usage message
-
 
 # --------------------------------------------------------------------------
 # lambda-table
@@ -324,6 +318,30 @@ class TestValidate:
         assert code == 1
         assert out.startswith("params: ") and "ihr" in out
         assert err == ""
+
+    @pytest.mark.parametrize("case, message", [
+        ("raw_overflow", "error: ct counterfactual overflows: week 2020-11 reaches inf"),
+        ("zero_total_week", "error: week 2020-11: nonpositive case total 0.0 breaks the "
+                            "growth recurrence"),
+        ("zero_ct_delay", "error: ct warning delay must be >= 1 day, got 0"),
+    ], ids=["raw_overflow", "zero_total_week", "zero_ct_delay"])
+    def test_rejects_what_estimate_rejects(self, tmp_path, capsys, case, message):
+        if case == "raw_overflow":
+            raw, hosp = write_raw_inputs(tmp_path)
+            argv = ("--raw", "--data", raw, "--hosp", hosp, "--param", "ihr=3e-307")
+        elif case == "zero_total_week":
+            argv = ("--data", write_presplit(tmp_path / "weekly.csv", [
+                ("2020-10", 1000, 300, 40, 60, 5, 10),
+                ("2020-11", 0, 0, 0, 0, 0, 0),
+                ("2020-12", 1000, 300, 40, 60, 5, 10),
+            ]))
+        else:
+            argv = ("--param", "t_ct=0")
+        code, out, err = run_cli(capsys, "validate", *argv)
+        assert (code, out, err) == (2, "", message + "\n")
+        out_dir = tmp_path / "out"
+        assert run_cli(capsys, "estimate", *argv, "--out", str(out_dir)) == (2, "", err)
+        assert not out_dir.exists()
 
 
 # --------------------------------------------------------------------------

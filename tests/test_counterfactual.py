@@ -1,14 +1,7 @@
 import pytest
 
-from traceavert.cases import CaseSeries, scale_series
-from traceavert.counterfactual import (
-    averted_app,
-    averted_ct,
-    reconstruct,
-    rt_reduction,
-    rt_series,
-    severity_outcomes,
-)
+from traceavert.cases import CaseSeries
+from traceavert.counterfactual import averted_app, averted_ct, reconstruct, rt_series
 
 # full-precision results on the bundled dataset with default parameters,
 # frozen from an independent reimplementation
@@ -88,9 +81,9 @@ class TestAvertedCt:
 
     def test_severity_consistent_with_total(self, series, lambdas, params):
         result = averted_ct(series, lambdas, params)
-        assert result.severity.hospitalizations == result.s_total * params.ihr
-        assert result.severity.icu_admissions == result.s_total * params.iir
-        assert result.severity.deaths == result.s_total * params.ifr
+        assert result.hospitalizations == result.s_total * params.ihr
+        assert result.icu_admissions == result.s_total * params.iir
+        assert result.deaths == result.s_total * params.ifr
 
     def test_no_traced_cases_no_aversion(self, lambdas, params):
         series = _flat_series(5, (80.0, 15.0, 3.0, 0.0, 1.0, 1.0))
@@ -125,9 +118,9 @@ class TestAvertedCt:
 
     def test_result_carries_counterfactual_rt(self, series, lambdas, params):
         result = averted_ct(series, lambdas, params)
-        assert result.rt_weekly == tuple(rt_series(result.c_not_weekly))
-        assert result.rt_reduction_avg == rt_reduction(
-            rt_series(series.total), list(result.rt_weekly))
+        assert result.rt_weekly.tolist() == rt_series(result.c_not_weekly).tolist()
+        gaps = (result.rt_weekly - rt_series(series.total)).tolist()
+        assert result.rt_reduction_avg == sum(gaps) / len(gaps)
 
 
 class TestOverflow:
@@ -147,7 +140,7 @@ class TestOverflow:
         rows = [(1.0, 0.0, 0.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0, 0.0, 0.0)]
         rows += [(0.0, 0.6e308, 0.0, 0.0, 0.0, 0.0)] * 4
         result = reconstruct(_series(rows[:4]), lambdas, {"miss": lambdas["miss"]}, "miss", params)
-        assert result.c_not_weekly == (1.0, 2.0, 1.2e308, 1.2e308)
+        assert result.c_not_weekly.tolist() == [1.0, 2.0, 1.2e308, 1.2e308]
         with pytest.raises(ValueError, match=r"^miss counterfactual overflows: its totals are not finite$"):
             reconstruct(_series(rows), lambdas, {"miss": lambdas["miss"]}, "miss", params)
 
@@ -174,26 +167,27 @@ class TestAvertedApp:
 
 class TestSeverity:
     def test_published_renders_ct(self, params):
-        sev = severity_outcomes(773599, params)
-        assert round(sev.hospitalizations) == 10212
-        assert round(sev.icu_admissions) == 1934
-        assert round(sev.deaths) == 4642
+        assert round(773599 * params.ihr) == 10212
+        assert round(773599 * params.iir) == 1934
+        assert round(773599 * params.ifr) == 4642
 
     def test_published_renders_app(self, params):
-        sev = severity_outcomes(45088, params)
-        assert round(sev.hospitalizations) == 595
-        assert round(sev.icu_admissions) == 113
-        assert round(sev.deaths) == 271
+        assert round(45088 * params.ihr) == 595
+        assert round(45088 * params.iir) == 113
+        assert round(45088 * params.ifr) == 271
 
-    def test_zero(self, params):
-        sev = severity_outcomes(0, params)
-        assert (sev.hospitalizations, sev.icu_admissions, sev.deaths) == (0, 0, 0)
+    def test_zero(self, lambdas, params):
+        # a flat series with no reverting type replays exactly: nothing is averted
+        result = reconstruct(_flat_series(3, (80.0, 15.0, 3.0, 2.0, 0.0, 0.0)), lambdas, {},
+                             "none", params)
+        assert result.s_total == 0.0
+        assert (result.hospitalizations, result.icu_admissions, result.deaths) == (0, 0, 0)
 
-    def test_exact_products(self, params):
-        sev = severity_outcomes(12345.6, params)
-        assert sev.hospitalizations == 12345.6 * params.ihr
-        assert sev.icu_admissions == 12345.6 * params.iir
-        assert sev.deaths == 12345.6 * params.ifr
+    def test_exact_products(self, series, lambdas, params):
+        result = averted_app(series, lambdas, params)
+        assert result.hospitalizations == result.s_total * params.ihr
+        assert result.icu_admissions == result.s_total * params.iir
+        assert result.deaths == result.s_total * params.ifr
 
 
 class TestRtSeries:
@@ -219,9 +213,11 @@ class TestRtSeries:
 
 
 class TestRtReduction:
-    def test_identical_series_zero(self):
-        rt = [1.0, 1.1, 0.9]
-        assert rt_reduction(rt, list(rt)) == 0.0
+    def test_identical_series_zero(self, lambdas, params):
+        series = _series([(100.0,) + (0.0,) * 5, (110.0,) + (0.0,) * 5, (99.0,) + (0.0,) * 5])
+        result = reconstruct(series, lambdas, {"ct": 1.0}, "ct", params)
+        assert result.rt_weekly.tolist() == rt_series(series.total).tolist()
+        assert result.rt_reduction_avg == 0.0
 
     def test_fixture_ct(self, series, lambdas, params):
         result = averted_ct(series, lambdas, params)
@@ -237,22 +233,20 @@ class TestRtReduction:
             FROZEN_RT_REDUCTION_APP, rel=1e-9
         )
 
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError, match="length"):
-            rt_reduction([1.0, 1.0], [1.0])
-
 
 class TestHomogeneity:
     def test_scaling_counts_scales_averted(self, series, lambdas, params):
         result = averted_ct(series, lambdas, params)
-        scaled = averted_ct(scale_series(series, 3.0), lambdas, params)
+        scaled = averted_ct(CaseSeries(series.labels, series.total * 3.0, series.counts * 3.0),
+                            lambdas, params)
         assert scaled.s_total == pytest.approx(3 * result.s_total)
         for a, b in zip(scaled.s_weekly, result.s_weekly):
             assert a == pytest.approx(3 * b)
 
     def test_scaling_leaves_rt_reduction_unchanged(self, series, lambdas, params):
         result = averted_app(series, lambdas, params)
-        scaled = averted_app(scale_series(series, 0.25), lambdas, params)
+        scaled = averted_app(CaseSeries(series.labels, series.total * 0.25, series.counts * 0.25),
+                             lambdas, params)
         assert scaled.rt_reduction_avg == pytest.approx(result.rt_reduction_avg)
 
 

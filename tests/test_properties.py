@@ -10,7 +10,6 @@ from traceavert.cases import (
     CaseSeries,
     build_series_from_raw,
     load_presplit_csv,
-    scale_series,
     validate_series,
 )
 from traceavert.counterfactual import averted_app, averted_ct, rt_series
@@ -44,7 +43,7 @@ def _series_from_counts(rows):
 def test_homogeneity_scales_averted_and_fixes_rt(k, series, lambdas, params):
     base_ct = averted_ct(series, lambdas, params)
     base_app = averted_app(series, lambdas, params)
-    scaled = scale_series(series, k)
+    scaled = CaseSeries(series.labels, series.total * k, series.counts * k)
     scaled_ct = averted_ct(scaled, lambdas, params)
     scaled_app = averted_app(scaled, lambdas, params)
     assert scaled_ct.s_total == pytest.approx(k * base_ct.s_total, rel=1e-9)
@@ -255,10 +254,10 @@ def test_replay_matches_scalar_recurrence(rows, e_app, lambdas, params):
     for result, gap in channels:
         c_not = _loop_replay(c, rows, lambdas, gap)
         s_weekly = [cn - cw for cn, cw in zip(c_not, c)]
-        assert result.c_not_weekly == tuple(c_not)
-        assert result.s_weekly == tuple(s_weekly)
+        assert result.c_not_weekly.tolist() == c_not
+        assert result.s_weekly.tolist() == s_weekly
         assert result.s_total == sum(s_weekly)
-        assert result.rt_weekly == tuple((b / a) ** (4 / 7) for a, b in zip(c_not, c_not[1:]))
+        assert result.rt_weekly.tolist() == [(b / a) ** (4 / 7) for a, b in zip(c_not, c_not[1:])]
 
 
 @settings(deadline=None)
@@ -338,12 +337,9 @@ def _dense_outcome(target, n, seed, p, profile):
         latency = np.where(via_app, float(app.delay), float(ct.delay))
         fraction = np.where(via_app, app.warn_fraction, ct.warn_fraction)
     ratios = _dense_trees(rng, n, 3.0, quarantine, latency, fraction, p, profile)
-    mean = float(ratios.mean())
     return SimOutcome(
-        empirical_taf=mean,
+        empirical_taf=float(ratios.mean()),
         standard_error=float(ratios.std(ddof=1) / np.sqrt(n)),
-        tertiary_realized=mean * 3.0,
-        tertiary_potential=3.0,
     )
 
 
@@ -373,8 +369,7 @@ def test_oracle_matches_dense_grid_draws(seed, trees, fractions, t_ct, t_app, pa
     for target in _ORACLE_TARGETS:
         if isinstance(target, tuple):
             channel, day = target
-            cfg = SimConfig(trees=trees, seed=seed, channel=channel, index_quarantine_day=day)
-            outcome = simulate_trees(cfg, p, profile)
+            outcome = simulate_trees(SimConfig(trees=trees, seed=seed), p, profile, channel, day)
         else:
             outcome = empirical_case_type_taf(target, SimConfig(trees=trees, seed=seed), p, profile)
         assert outcome == _dense_outcome(target, trees, seed, p, profile), target
