@@ -143,6 +143,8 @@ def _load_raw(args: argparse.Namespace) -> tuple[tuple, tuple]:
 def _load_series(args: argparse.Namespace, p: ModelParams) -> cases.CaseSeries:
     if args.raw:
         return cases.build_series_from_raw(*_load_raw(args), p)
+    if args.hosp is not None:
+        raise ValueError("--hosp is only read with --raw")
     if args.data is None:
         return cases.load_fixture()
     return cases.load_presplit_csv(args.data)

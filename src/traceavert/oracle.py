@@ -53,7 +53,7 @@ class SimConfig:
     trees: int = 100_000
     r0: float = 3.0
     seed: int = 0
-    horizon: int = 28
+    horizon: int = 28  # checked only: trees run over the profile's 14 days
 
     def __post_init__(self) -> None:
         if self.trees < 2:
@@ -101,7 +101,6 @@ def _run_trees(
     warn_fraction: np.ndarray,
     p: ModelParams,
     profile: InfectivityProfile,
-    horizon: int,
 ) -> np.ndarray:
     """Per-tree realized/potential tertiary ratios.
 
@@ -115,9 +114,9 @@ def _run_trees(
     draw, so this consumes the same stream, and gives the same values, as
     drawing on every cell of the trees × days grid.
     """
-    width = min(horizon, profile.i_w.size)
+    i_w = profile.i_w
+    width = i_w.size
     days = np.arange(1, width + 1)
-    i_w = profile.i_w[:width]
     self_iso_day = p.t_sym + p.t_plan
     i_a = np.where(days <= self_iso_day, i_w, i_w * (1.0 - p.a_base))
     # i_c by warning day clipped to 0..13: 0, i_c(1..12), i_c_inf
@@ -193,8 +192,7 @@ def simulate_trees(
     quarantine = np.full(n, np.inf if quarantine_day is None else float(quarantine_day))
     delay, fraction = (0, 0.0) if channel is None else _channel(p, channel)
     ratios = _run_trees(
-        rng, n, cfg.r0, quarantine, np.full(n, float(delay)), np.full(n, fraction),
-        p, profile, cfg.horizon,
+        rng, n, cfg.r0, quarantine, np.full(n, float(delay)), np.full(n, fraction), p, profile,
     )
     return _summarize(ratios)
 
@@ -247,9 +245,7 @@ def empirical_case_type_taf(
         via_app = rng.random(n) < p.u_app
         latency = np.where(via_app, float(app_delay), float(ct_delay))
         fraction = np.where(via_app, app_fraction, ct_fraction)
-    ratios = _run_trees(
-        rng, n, cfg.r0, quarantine, latency, fraction, p, profile, cfg.horizon,
-    )
+    ratios = _run_trees(rng, n, cfg.r0, quarantine, latency, fraction, p, profile)
     return _summarize(ratios)
 
 

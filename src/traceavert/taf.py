@@ -28,8 +28,9 @@ is day ``d``) of the 14-day profile:
 row is constant from day 27 on; indices clip there.
 
 :meth:`LambdaTable.build` derives from these one average TAF per surveillance
-case type, after picking the argument pairing of ``lambda_alpha`` (see
-VARIANTS) that best reproduces the bundled reference rows.
+case type with one argument pairing of ``lambda_alpha`` (see VARIANTS), fixed
+at import as the one that best reproduces the reference rows at the default
+parameters, which those rows were tabulated for.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ from typing import Mapping
 import numpy as np
 
 from .infectivity import InfectivityProfile
-from .params import ModelParams
+from .params import ModelParams, default_params
 
 __all__ = [
     "WarningChannel", "LambdaTable", "CASE_TYPES", "VARIANTS", "ct_channel", "app_channel",
@@ -54,8 +55,8 @@ CASE_TYPES: tuple[str, ...] = ("miss", "sym", "pers", "ct", "app_minus", "app_pl
 VARIANTS: tuple[str, ...] = ("table", "text")
 
 # Reference rows for the default parameter set (days 1..14), used for report
-# deltas and to calibrate the lambda_alpha variant. Independently tabulated;
-# entries are printed at 4 decimals.
+# deltas and, at the default parameters only, to calibrate the lambda_alpha
+# variant. Independently tabulated; entries are printed at 4 decimals.
 REFERENCE_LAMBDA_PAIR_ROW: tuple[float, ...] = (
     0.0000, 0.0000, 0.0000, 0.0000, 0.0484, 0.1452, 0.2728,
     0.4092, 0.5340, 0.6452, 0.7125, 0.7700, 0.8135, 0.8491,
@@ -72,9 +73,6 @@ REFERENCE_CASE_TYPE_TAF: Mapping[str, float] = {
     "miss": 0.87, "sym": 0.70, "pers": 0.36,
     "ct": 0.60, "app_plus": 0.60, "app_minus": 0.27,
 }
-
-#: days over which the variant calibration scores row agreement
-_CALIBRATION_DAYS = np.arange(3, 14)
 
 _Rows = tuple[np.ndarray, np.ndarray]  # the manual-tracing and app rows of lambda_alpha
 
@@ -190,6 +188,21 @@ class _Days:
         }
 
 
+def _calibrate() -> tuple[str, dict[str, float]]:
+    """Score each pairing at the default parameters by the largest deviation of
+    its channel rows from the reference rows on days 3..13; the lowest wins."""
+    p, days = default_params(), np.arange(3, 14)
+    grid = _Days(InfectivityProfile.from_params(p))
+    reference = np.array((REFERENCE_LAMBDA_CT_ROW, REFERENCE_LAMBDA_APP_ROW))[:, days - 1]
+    scores = {name: float(np.abs(np.array(grid.rows(p, name))[:, days] - reference).max())
+              for name in VARIANTS}
+    return min(scores, key=lambda name: (scores[name], name)), scores
+
+
+#: the calibrated pairing and each pairing's score; every table gets a copy
+_VARIANT, _SCORES = _calibrate()
+
+
 def lambda_pair(l: int, h: int, profile: InfectivityProfile) -> float:
     """Tertiary fraction realized when contacts run loose ``l + h`` days.
 
@@ -202,12 +215,12 @@ def lambda_pair(l: int, h: int, profile: InfectivityProfile) -> float:
 
 
 def lambda_alpha(
-    x: int, channel: WarningChannel, profile: InfectivityProfile, variant: str = "table"
+    x: int, channel: WarningChannel, profile: InfectivityProfile, variant: str = _VARIANT
 ) -> float:
     """Average TAF of an index isolating on day ``x`` who warns via ``channel``.
 
-    ``variant`` picks the warned term (see :data:`VARIANTS`): ``"table"`` uses
-    ``lambda_pair(delay, x)``, ``"text"`` uses ``lambda_pair(delay, delay + x)``.
+    ``variant`` picks the warned term (default: the calibrated one): ``"table"``
+    uses ``lambda_pair(delay, x)``, ``"text"`` uses ``lambda_pair(delay, delay + x)``.
     """
     _check_day(x)
     return float(_Days(profile).row(channel, variant).take(x, mode="clip"))
@@ -215,7 +228,7 @@ def lambda_alpha(
 
 def capital_lambda(
     l: int, h: int, b: int, channel: WarningChannel, profile: InfectivityProfile,
-    variant: str = "table",
+    variant: str = _VARIANT,
 ) -> float:
     """Infectivity-weighted average of :func:`lambda_alpha` over a window.
 
@@ -228,18 +241,11 @@ def capital_lambda(
 
 def delta_mix(
     l: int, h: int, b: int, p: ModelParams, profile: InfectivityProfile,
-    variant: str = "table",
+    variant: str = _VARIANT,
 ) -> float:
     """App-usage-weighted mixture of the app and manual-tracing averages."""
     days = _Days(profile)
     return days.mix(p, days.rows(p, variant), l, h, b)
-
-
-def _row_deviation(rows: _Rows) -> float:
-    """Max absolute deviation from the reference channel rows over days 3..13."""
-    computed = np.array(rows)[:, _CALIBRATION_DAYS]
-    reference = np.array((REFERENCE_LAMBDA_CT_ROW, REFERENCE_LAMBDA_APP_ROW))
-    return float(np.abs(computed - reference[:, _CALIBRATION_DAYS - 1]).max())
 
 
 @dataclass(frozen=True)
@@ -248,10 +254,9 @@ class LambdaTable:
 
     ``lambda_pair_row`` holds ``lambda_pair(1, x)`` for days ``x = 1..14``;
     the channel rows hold ``lambda_alpha(x, channel)``. ``variant`` is the
-    argument pairing used; ``scores`` holds each pairing's calibration score,
-    the largest deviation of its channel rows from the reference rows on days
-    3..13 (the lowest score wins). ``per_type`` maps each case type to its
-    average TAF:
+    argument pairing fixed at import and ``scores`` a copy of both pairings'
+    calibration scores (see ``_calibrate``), the same for every table.
+    ``per_type`` maps each case type to its average TAF:
 
     - ``miss``: never detected; both generations follow base adherence only,
       giving ``i_c_inf ** 2``.
@@ -276,24 +281,16 @@ class LambdaTable:
     scores: Mapping[str, float]
 
     @classmethod
-    def build(
-        cls, p: ModelParams, profile: InfectivityProfile, variant: str | None = None
-    ) -> "LambdaTable":
-        """Compute the full table; calibrates the variant when not given."""
+    def build(cls, p: ModelParams, profile: InfectivityProfile) -> "LambdaTable":
+        """Compute the full table with the calibrated pairing."""
         days = _Days(profile)
-        rows = {name: days.rows(p, name) for name in VARIANTS}
-        scores = {name: _row_deviation(rows[name]) for name in VARIANTS}
-        if variant is None:
-            variant = min(scores, key=lambda name: (scores[name], name))
-        elif variant not in VARIANTS:
-            raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+        rows = days.rows(p, _VARIANT)
         n = profile.i_w.size
-        ct_row, app_row = rows[variant]
         return cls(
-            variant=variant,
+            variant=_VARIANT,
             lambda_pair_row=tuple(days.pair[2 : n + 2].tolist()),
-            lambda_ct_row=tuple(ct_row[1 : n + 1].tolist()),
-            lambda_app_row=tuple(app_row[1 : n + 1].tolist()),
-            per_type=days.per_type(p, rows[variant]),
-            scores=scores,
+            lambda_ct_row=tuple(rows[0][1 : n + 1].tolist()),
+            lambda_app_row=tuple(rows[1][1 : n + 1].tolist()),
+            per_type=days.per_type(p, rows),
+            scores=dict(_SCORES),
         )

@@ -4,6 +4,7 @@ import re
 from pathlib import Path
 
 import traceavert
+from traceavert import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -11,6 +12,11 @@ PUBLIC = {
     "CASE_TYPES", "CaseSeries", "CounterfactualResult", "InfectivityProfile", "LambdaTable",
     "ModelParams", "averted_app", "averted_ct", "default_params", "load_fixture", "__version__",
 }
+
+
+def _quick_start_output() -> list[str]:
+    section = README.read_text(encoding="utf-8").split("## Quick start", 1)[1]
+    return re.search(r"```text\n(.*?)```", section, re.DOTALL).group(1).splitlines()
 
 
 def _library_use_code() -> str:
@@ -37,3 +43,10 @@ def test_readme_example_runs(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("2020-42 134772.0 {'miss': ")
     assert lines[2].startswith("table {'table': ")
+
+
+def test_readme_quick_start_matches_estimate(tmp_path, capsys):
+    assert cli.main(["estimate", "--out", str(tmp_path / "out")]) == 0
+    expected = _quick_start_output()
+    assert len(expected) == 9
+    assert capsys.readouterr().out.splitlines()[: len(expected)] == expected

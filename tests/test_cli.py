@@ -155,6 +155,16 @@ class TestEstimateErrors:
         assert code == 2
         assert "c_pers" in err
 
+    @pytest.mark.parametrize("command", ["estimate", "sweep", "validate"])
+    def test_hosp_without_raw_exits_2(self, tmp_path, capsys, command):
+        extra = {"estimate": ["--out", str(tmp_path / "out")], "sweep": ["--sweep", "u_app=0.1"]}
+        code, out, err = run_cli(capsys, command, *extra.get(command, []),
+                                 "--hosp", str(tmp_path / "missing.csv"))
+        assert code == 2
+        assert out == ""
+        assert err == "error: --hosp is only read with --raw\n"
+        assert not (tmp_path / "out").exists()
+
     def test_raw_without_hosp_exits_2(self, tmp_path, capsys):
         data = tmp_path / "raw.csv"
         data.write_text("week\n", encoding="utf-8")
@@ -292,6 +302,14 @@ class TestSweep:
         code, _, err = run_cli(capsys, "sweep", "--sweep", "u_app=0.1,1.5")
         assert code == 1
         assert "u_app=1.5" in err
+
+    def test_full_app_reach_keeps_the_calibrated_formula(self, capsys):
+        """Manual tracing barely depends on app reach; a switch of the lambda_alpha
+        pairing at f_app=1 used to drop its averted cases by 42%."""
+        code, out, _ = run_cli(capsys, "sweep", "--sweep", "f_app=0.9,1.0")
+        assert code == 0
+        s_ct = [float(line.split(",")[2]) for line in out.splitlines()[1:]]
+        assert s_ct[1] == pytest.approx(s_ct[0], rel=1e-3)
 
 
 # --------------------------------------------------------------------------

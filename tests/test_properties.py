@@ -1,4 +1,5 @@
 """Property-based checks over the model's structural invariants."""
+import dataclasses
 import datetime as dt
 
 import numpy as np
@@ -14,11 +15,18 @@ from traceavert.cases import (
 )
 from traceavert.counterfactual import averted_app, averted_ct, rt_series
 from traceavert.oracle import SimConfig, SimOutcome, empirical_case_type_taf, simulate_trees
-from traceavert.params import apply_overrides, dump_config, params_from_config
+from traceavert.params import (
+    ModelParams,
+    apply_overrides,
+    dump_config,
+    params_from_config,
+    validate,
+)
 from traceavert.infectivity import InfectivityProfile
 from traceavert.taf import (
     CASE_TYPES,
     VARIANTS,
+    LambdaTable,
     app_channel,
     capital_lambda,
     ct_channel,
@@ -213,6 +221,31 @@ def test_array_calculus_matches_scalar_formulas(fractions, delays, l, h, b, x, v
     assert capital_lambda(l, h, b, ct_channel(p), profile, variant) == pytest.approx(lam_ct, **close)
     assert delta_mix(l, h, b, p, profile, variant) == pytest.approx(
         p.u_app * lam_app + (1.0 - p.u_app) * lam_ct, **close)
+
+
+_DELAYS = ("t_sym", "t_plan", "t_ct", "t_app", "t_pers")
+#: every field but the delays and the composites, which follow their constituents
+_FRACTIONS = tuple(f.name for f in dataclasses.fields(ModelParams)
+                   if f.name not in _DELAYS + ("a_base", "a_ct", "a_app"))
+_ANY_FRACTION = st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=1.0))
+
+
+@settings(deadline=None)
+@given(
+    fractions=st.tuples(*(_ANY_FRACTION for _ in _FRACTIONS)),
+    delays=st.tuples(*(st.integers(min_value=1, max_value=12) for _ in _DELAYS)),
+)
+def test_every_table_uses_the_default_calibration(fractions, delays, params, table):
+    """The pairing and its scores are those of the default parameters, so a
+    sweep never switches formula partway through."""
+    p = apply_overrides(params, {**dict(zip(_FRACTIONS, fractions)), **dict(zip(_DELAYS, delays))})
+    assume(validate(p).ok and p.t_sym + p.t_plan >= 3)  # days 1-2 carry no infectivity
+    profile = InfectivityProfile.from_params(p)
+    t = LambdaTable.build(p, profile)
+    assert t.variant == table.variant == "table"
+    assert t.scores == table.scores
+    assert t.per_type["sym"] == lambda_alpha(p.t_sym + p.t_plan, ct_channel(p), profile, "table")
+    assert t.per_type["app_minus"] == delta_mix(p.t_app, p.t_plan, p.t_sym, p, profile, "table")
 
 
 # Literal transcription of the weekly replay as the counterfactual docstring

@@ -192,20 +192,31 @@ class TestCalibration:
             assert all(b >= a for a, b in zip(row, row[1:]))
             assert all(0.0 <= v <= ceiling for v in row)
 
-    def test_table_keeps_both_variant_scores(self, params, profile, table):
+    def test_table_keeps_both_variant_scores(self, params, table):
         assert tuple(table.scores) == VARIANTS
-        assert LambdaTable.build(params, profile, variant="text").scores == table.scores
+        p = apply_overrides(params, {"t_plan": 4, "u_app": 0.5})
+        assert LambdaTable.build(p, InfectivityProfile.from_params(p)).scores == table.scores
 
-    def test_unknown_explicit_variant_rejected(self, params, profile):
-        with pytest.raises(ValueError, match="variant"):
-            LambdaTable.build(params, profile, variant="middle")
+    def test_each_table_owns_its_scores(self, params, profile):
+        LambdaTable.build(params, profile).scores["text"] = 0.0
+        assert LambdaTable.build(params, profile).scores["text"] > 0.1
+
+    @pytest.mark.parametrize("overrides", [
+        {"f_app": 1.0}, {"t_sym": 1}, {"t_sym": 2}, {"t_sym": 3},
+        {"t_ct": 1, "t_app": 1}, {"t_ct": 2, "t_app": 1},
+    ])
+    def test_calibration_is_fixed_at_the_defaults(self, params, table, overrides):
+        """Parameter sets whose own rows sit closer to the text pairing keep
+        the pairing calibrated at the default parameters."""
+        p = apply_overrides(params, overrides)
+        profile = InfectivityProfile.from_params(p)
+        t = LambdaTable.build(p, profile)
+        assert t.variant == "table"
+        assert t.scores == table.scores
+        span = p.t_sym + p.t_plan
+        assert t.per_type["sym"] == lambda_alpha(span, ct_channel(p), profile, "table")
 
     def test_zero_delay_channel_rejected(self, params, profile):
         ch = WarningChannel(kind="app", delay=0, reach=0.5, adherence=0.5)
         with pytest.raises(ValueError, match="app warning delay"):
             lambda_alpha(5, ch, profile)
-
-    def test_explicit_variant_respected(self, params, profile):
-        t = LambdaTable.build(params, profile, variant="text")
-        assert t.variant == "text"
-        assert t.per_type["sym"] != pytest.approx(FROZEN_CONSTANTS["sym"])
