@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import functools
 import io
 import math
 import operator
@@ -94,6 +95,14 @@ class CaseSeries:
 
     def __len__(self) -> int:
         return len(self.labels)
+
+    @functools.cached_property
+    def _observed_rt(self) -> np.ndarray:
+        """``counterfactual.rt_series(total)``, computed on first use and kept:
+        both reconstructions and the weekly report read it."""
+        from .counterfactual import rt_series  # counterfactual imports this module
+
+        return rt_series(self.total)
 
 
 def _week_mondays(labels: Sequence[str]) -> np.ndarray:

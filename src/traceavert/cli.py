@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Iterator
 
 from . import cases, counterfactual, oracle
 from .infectivity import InfectivityProfile
@@ -50,8 +51,20 @@ _SUMMARY_METRICS = (
     ("averted_deaths", "averted deaths", "{:.0f}"),
     ("rt_reduction_avg", "average Rt reduction", "{:.4f}"),
 )
-_WEEKLY_ROW = "%s,%.0f,%.0f,%.0f,%.0f,%.0f,%.4f,%.4f,%.4f\n"
-_LAST_WEEKLY_ROW = "%s,%.0f,%.0f,%.0f,%.0f,%.0f,,,\n"
+#: from 2**53 up every float is an integer, and ``%d`` prints the digits
+#: ``%.0f`` prints in less time
+_EXACT_INT = 2.0**53
+
+
+def _weekly_formats(rt_cells: str) -> tuple[str, ...]:
+    """``weekly.csv`` row formats, indexed by a bitmask whose bit i is set when
+    count column i of the row is at least ``_EXACT_INT`` in magnitude."""
+    return tuple("%s" + "".join(",%d" if key >> i & 1 else ",%.0f" for i in range(5))
+                 + rt_cells for key in range(32))
+
+
+_WEEKLY_ROWS = _weekly_formats(",%.4f,%.4f,%.4f\n")
+_LAST_WEEKLY_ROWS = _weekly_formats(",,,\n")  # the last week has no forward-looking Rt
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -183,15 +196,11 @@ def _run_estimate(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    # one row per week; the last week has no forward-looking growth rate
-    columns = [array.tolist() for array in (series.total, ct.c_not_weekly, ct.s_weekly,
-                                            app.c_not_weekly, app.s_weekly)]
-    rts = [array.tolist() for array in (counterfactual.rt_series(series.total),
-                                        ct.rt_weekly, app.rt_weekly)]
+    counts = (series.total, ct.c_not_weekly, ct.s_weekly, app.c_not_weekly, app.s_weekly)
+    rts = (series._observed_rt, ct.rt_weekly, app.rt_weekly)
     with (out_dir / "weekly.csv").open("w", encoding="utf-8") as handle:
         handle.write("week,c,c_not_ct,s_ct,c_not_app,s_app,rt,rt_not_ct,rt_not_app\n")
-        handle.writelines(_WEEKLY_ROW % row for row in zip(series.labels, *columns, *rts))
-        handle.write(_LAST_WEEKLY_ROW % (series.labels[-1], *(column[-1] for column in columns)))
+        handle.writelines(_weekly_rows(series.labels, counts, rts))
 
     summary_rows = _summary_rows(ct, app)
     summary = ["metric,ct,app"]
@@ -209,6 +218,16 @@ def _run_estimate(args: argparse.Namespace) -> int:
     print(f"wrote {out_dir / 'weekly.csv'}")
     print(f"wrote {out_dir / 'summary.csv'}")
     return 0
+
+
+def _weekly_rows(labels, counts, rts) -> Iterator[str]:
+    """One ``weekly.csv`` row per week: the label, the five ``counts`` arrays and
+    the three ``rts`` arrays, which are one week shorter."""
+    keys = sum((abs(column) >= _EXACT_INT) * (1 << i) for i, column in enumerate(counts)).tolist()
+    columns = [column.tolist() for column in counts]
+    rows = zip(labels, *columns, *(rt.tolist() for rt in rts))
+    yield from (_WEEKLY_ROWS[key] % row for key, row in zip(keys, rows))
+    yield _LAST_WEEKLY_ROWS[keys[-1]] % (labels[-1], *(column[-1] for column in columns))
 
 
 def _summary_rows(ct, app) -> list[tuple[str, str, str, str]]:
@@ -267,7 +286,11 @@ def _run_simulate(args: argparse.Namespace) -> int:
 
     print("case_type,trees,empirical_taf,standard_error,analytic_taf,delta")
     for kind in kinds:
-        outcome = oracle.empirical_case_type_taf(kind, cfg, p, profile)
+        try:
+            outcome = oracle.empirical_case_type_taf(kind, cfg, p, profile)
+        except MemoryError as exc:
+            raise ValueError(f"--trees {cfg.trees}: not enough memory to simulate "
+                             f"{cfg.trees} trees") from exc
         analytic = table.per_type[kind]
         print(f"{kind},{cfg.trees},{outcome.empirical_taf:.4f},"
               f"{outcome.standard_error:.6f},{analytic:.4f},"

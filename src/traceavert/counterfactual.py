@@ -115,7 +115,7 @@ def reconstruct(
     # built-in sums over Python floats: numpy's pairwise sums round differently
     s_total = sum(s_weekly.tolist())
     rt_not = rt_series(c_not)
-    rt_reduction_avg = sum((rt_not - rt_series(c)).tolist()) / rt_not.size
+    rt_reduction_avg = sum((rt_not - series._observed_rt).tolist()) / rt_not.size
     if not (math.isfinite(s_total) and math.isfinite(rt_reduction_avg)):
         raise ValueError(f"{intervention} counterfactual overflows: its totals are not finite")
     return CounterfactualResult(

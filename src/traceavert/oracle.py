@@ -45,6 +45,9 @@ _PROFILE_DAYS = 14
 #: day from which i_c stays at its saturation value i_c_inf
 _SATURATION_DAY = 13
 
+#: trees per block in ``_run_trees``: bounds its (trees x days) temporaries
+_BLOCK = 8192
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -113,6 +116,11 @@ def _run_trees(
     the bit stream for a zero-mean Poisson draw and a zero-trial binomial
     draw, so this consumes the same stream, and gives the same values, as
     drawing on every cell of the trees × days grid.
+
+    The grid is walked in blocks of ``_BLOCK`` trees, twice: first every
+    block's Poisson draws, keeping only the cells with secondaries, then every
+    block's binomial draws. An array draw reads the stream one element at a
+    time, so the blocks see the same draws as one call over all trees.
     """
     i_w = profile.i_w
     width = i_w.size
@@ -125,19 +133,27 @@ def _run_trees(
 
     adherent = rng.random(n) < p.a_base
     last_day = np.where(adherent, np.minimum(quarantine_day, self_iso_day), quarantine_day)
-    live = (days <= last_day[:, None]) & (i_w != 0.0)
-    cell = np.flatnonzero(live)
-    secondaries = rng.poisson(np.broadcast_to(r0 * i_w, live.shape)[live])
-    hit = np.flatnonzero(secondaries)
-    cell, secondaries = cell[hit], secondaries[hit]
-    rows, cols = np.divmod(cell, width)
-    warned = rng.binomial(secondaries, warn_fraction[rows])
-    warning_day = quarantine_day[rows] + warn_latency[rows] - (cols + 1)
-    day = np.clip(warning_day, 0, _SATURATION_DAY).astype(np.intp)
-    # scatter into the full grid so each row sums its days in the same order
-    terms = np.zeros(n * width)
-    terms[cell] = warned * i_c[day] + (secondaries - warned) * i_c_inf
-    return terms.reshape(n, width).sum(axis=1) / r0
+    starts = range(0, n, _BLOCK)
+    hits = []  # per block: block-local cells with secondaries, and their counts
+    for start in starts:
+        live = (days <= last_day[start:start + _BLOCK, None]) & (i_w != 0.0)
+        secondaries = rng.poisson(np.broadcast_to(r0 * i_w, live.shape)[live])
+        hit = np.flatnonzero(secondaries)
+        hits.append((np.flatnonzero(live)[hit], secondaries[hit]))
+
+    ratios = np.empty(n)
+    for start, (cell, secondaries) in zip(starts, hits):
+        block = ratios[start:start + _BLOCK]  # a view, written in place
+        rows, cols = np.divmod(cell, width)
+        rows += start
+        warned = rng.binomial(secondaries, warn_fraction[rows])
+        warning_day = quarantine_day[rows] + warn_latency[rows] - (cols + 1)
+        day = np.clip(warning_day, 0, _SATURATION_DAY).astype(np.intp)
+        # scatter into the block's full grid so each row sums its days in the same order
+        terms = np.zeros(block.size * width)
+        terms[cell] = warned * i_c[day] + (secondaries - warned) * i_c_inf
+        block[:] = terms.reshape(block.size, width).sum(axis=1) / r0
+    return ratios
 
 
 def _detection_window_mixture(

@@ -14,11 +14,12 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from traceavert import cli
+from traceavert import cli, counterfactual, load_fixture
 from traceavert.params import ModelParams, apply_overrides, default_params, validate
 from traceavert.taf import CASE_TYPES
 
@@ -120,6 +121,36 @@ class TestEstimate:
         assert "weeks: 2020-10 .. 2020-12 (3)" in out
         lines = (out_dir / "weekly.csv").read_text().splitlines()
         assert len(lines) == 1 + 3
+
+
+    def test_observed_rt_is_computed_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        rt_series = counterfactual.rt_series
+
+        def counted(totals):
+            calls.append(totals)
+            return rt_series(totals)
+
+        monkeypatch.setattr(counterfactual, "rt_series", counted)
+        assert run_cli(capsys, "estimate", "--out", str(tmp_path))[0] == 0
+        observed = load_fixture().total
+        assert [np.array_equal(totals, observed) for totals in calls].count(True) == 1
+        assert len(calls) == 3  # the observed series and each counterfactual
+
+
+#: the integer-valued floats from 2**53 up print with %d, the rest with %.0f
+_COUNT_CELLS = (2.0**53, -(2.0**53), 2.0**53 - 1, -(2.0**53 - 1), 0.5, 1.5, -0.4, -0.0, 1e79)
+
+
+class TestWeeklyRows:
+    @pytest.mark.parametrize("shift", range(len(_COUNT_CELLS)))
+    def test_counts_print_as_percent_0f(self, shift):
+        cells = (_COUNT_CELLS * 2)[shift:shift + 5]  # each value in each column
+        counts = [np.full(2, x) for x in cells]
+        first, last = cli._weekly_rows(("2020-01", "2020-02"), counts, [np.zeros(1)] * 3)
+        text = ",".join("%.0f" % x for x in cells)
+        assert first == f"2020-01,{text},0.0000,0.0000,0.0000\n"
+        assert last == f"2020-02,{text},,,\n"
 
 
 class TestEstimateErrors:
@@ -574,6 +605,17 @@ class TestSimulateTrees:
         assert code == 2
         assert out == ""
         assert f"trees must be at least 2 for a standard error, got {trees}" in err
+
+    def test_out_of_memory_exits_2_naming_trees(self, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError("Unable to allocate 7.45 GiB")
+
+        monkeypatch.setattr(cli.oracle, "empirical_case_type_taf", exhausted)
+        code, out, err = run_cli(capsys, "simulate", "--trees", "1000000000", "--case-type", "ct")
+        assert code == 2
+        assert out == "case_type,trees,empirical_taf,standard_error,analytic_taf,delta\n"
+        assert err == ("error: --trees 1000000000: not enough memory to simulate "
+                       "1000000000 trees\n")
 
 
 # --------------------------------------------------------------------------

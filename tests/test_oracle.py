@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -167,6 +168,36 @@ class TestCaseTypeTaf:
         for case_type, expected in pinned.items():
             outcome = empirical_case_type_taf(case_type, cfg, p, profile)
             assert (outcome.empirical_taf, outcome.standard_error) == expected, case_type
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("overrides", [{}, {"u_app": "0.5", "t_app": "3", "t_ct": "5"}])
+    def test_block_size_does_not_change_outcomes(self, monkeypatch, overrides, params):
+        p = apply_overrides(params, overrides)
+        profile = InfectivityProfile.from_params(p)
+        cfg = SimConfig(trees=50, seed=13)
+
+        def outcomes():
+            by_type = [empirical_case_type_taf(kind, cfg, p, profile) for kind in CASE_TYPES]
+            by_channel = [simulate_trees(cfg, p, profile, channel, day)
+                          for channel in (None, "ct", "app") for day in (None, 0, 3, 20)]
+            return by_type + by_channel
+
+        monkeypatch.setattr(oracle, "_BLOCK", cfg.trees)
+        single_block = outcomes()
+        for block in (1, 3, 7, cfg.trees + 1):
+            monkeypatch.setattr(oracle, "_BLOCK", block)
+            assert outcomes() == single_block, block
+
+    def test_peak_memory_does_not_grow_with_the_days_grid(self, params, profile):
+        # 100,000 trees x 14 days: one float grid alone is 10.7 MiB
+        tracemalloc.start()
+        try:
+            empirical_case_type_taf("miss", SimConfig(trees=100_000, seed=7), params, profile)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 _BAD_CHANNEL_FIELDS = [
