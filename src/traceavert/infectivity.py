@@ -70,12 +70,6 @@ class InfectivityProfile:
             arr.flags.writeable = False
         return cls(i_w=i_w, i_a=i_a, i_c=i_c, i_c_inf=float(i_c[_SATURATION_DAY - 1]))
 
-    def i_w_at(self, day: int) -> float:
-        """Daily infectivity at ``day``; zero outside days 1..14."""
-        if 1 <= day <= self.i_w.size:
-            return float(self.i_w[day - 1])
-        return 0.0
-
     def i_c_at(self, day: npt.ArrayLike) -> float | np.ndarray:
         """Cumulative adhering infectivity with the model's boundary rules.
 

@@ -1,4 +1,4 @@
-"""Scalar model parameters with validation, overrides and config file I/O.
+"""Scalar model parameters with validation, overrides and config files.
 
 All epidemiological and behavioural inputs of the model live in a single
 immutable :class:`ModelParams`. Three of the fields (``a_base``, ``a_ct``,
@@ -24,7 +24,6 @@ __all__ = [
     "validate",
     "load_config",
     "params_from_config",
-    "dump_config",
 ]
 
 _DELAY_FIELDS = ("t_sym", "t_plan", "t_ct", "t_app", "t_pers")
@@ -195,7 +194,7 @@ def validate(p: ModelParams) -> ValidationReport:
 
 
 # ----------------------------------------------------------------------------
-# config file I/O: flat "key = value" lines, '#' comments, unknown keys rejected
+# config files: flat "key = value" lines, '#' comments, unknown keys rejected
 
 
 def _parse_config_lines(lines: Iterable[str], source: str) -> dict[str, str]:
@@ -235,9 +234,3 @@ def params_from_config(
     if cli_overrides:
         p = apply_overrides(p, cli_overrides)
     return p
-
-
-def dump_config(p: ModelParams, path: str | Path) -> None:
-    """Write every field as ``key = value`` at full precision (exact round-trip)."""
-    lines = [f"{f.name} = {getattr(p, f.name)!r}" for f in fields(ModelParams)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

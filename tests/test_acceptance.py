@@ -21,7 +21,7 @@ import pytest
 from traceavert import cases, cli, oracle
 from traceavert.counterfactual import averted_app, averted_ct, rt_series
 from traceavert.params import apply_overrides
-from traceavert.taf import capital_lambda, ct_channel, delta_mix
+from traceavert.taf import _VARIANT, _Days
 
 # --------------------------------------------------------------------------
 # published reference values
@@ -211,9 +211,11 @@ def test_criterion_8_property_suite(params, profile, series, lambdas):
 
     # zero app uptake collapses the mixture onto the manual-tracing average
     no_app = apply_overrides(params, {"u_app": 0.0})
+    days = _Days(profile)
+    rows = days.rows(no_app, _VARIANT)
     for l, h, b in ((1, 7, 0), (2, 2, 5), (4, 5, 0)):
-        assert delta_mix(l, h, b, no_app, profile) == pytest.approx(
-            capital_lambda(l, h, b, ct_channel(no_app), profile), rel=1e-12)
+        assert days.mix(no_app, rows, l, h, b) == pytest.approx(
+            days.mean(rows[0], l, h, b), rel=1e-12)
 
     # fixed seed means identical outputs
     cfg = oracle.SimConfig(trees=2_000, seed=42)

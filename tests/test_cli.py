@@ -335,7 +335,7 @@ class TestSweep:
         assert "u_app=1.5" in err
 
     def test_full_app_reach_keeps_the_calibrated_formula(self, capsys):
-        """Manual tracing barely depends on app reach; a switch of the lambda_alpha
+        """Manual tracing barely depends on app reach; a switch of the channel-row
         pairing at f_app=1 used to drop its averted cases by 42%."""
         code, out, _ = run_cli(capsys, "sweep", "--sweep", "f_app=0.9,1.0")
         assert code == 0
@@ -701,7 +701,10 @@ _FRACTION = st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_v
 def _valid_overrides(draw):
     """``--param`` overrides whose effective parameters pass ``validate``."""
     overrides = {name: repr(draw(_FRACTION)) for name in _FRACTIONS}
-    overrides.update((name, str(draw(st.integers(0, 40)))) for name in _DELAYS)
+    # a few huge delays, not a continuous range: should the TAF clipping regress,
+    # delays near 10**9 would allocate gigabytes instead of failing at once
+    delay = st.integers(0, 40) | st.sampled_from([10**12, 10**21, 2**63, 10**30])
+    overrides.update((name, str(draw(delay))) for name in _DELAYS)
     assume(validate(apply_overrides(default_params(), overrides)).ok)
     return overrides
 

@@ -48,12 +48,6 @@ def test_i_c_at_accepts_arrays(profile):
     )
 
 
-def test_i_w_at_outside_window_is_zero(profile):
-    assert profile.i_w_at(0) == 0.0
-    assert profile.i_w_at(15) == 0.0
-    assert profile.i_w_at(3) == pytest.approx(0.22)
-
-
 def test_zero_base_adherence_leaves_profile_untouched(params):
     p = apply_overrides(params, {"a_base": "0", "a_sym": "0"})
     profile = InfectivityProfile.from_params(p)

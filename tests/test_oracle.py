@@ -10,7 +10,7 @@ from traceavert import oracle
 from traceavert.infectivity import InfectivityProfile
 from traceavert.oracle import SimConfig, empirical_case_type_taf, simulate_trees
 from traceavert.params import apply_overrides
-from traceavert.taf import CASE_TYPES, lambda_alpha, ct_channel
+from traceavert.taf import CASE_TYPES
 
 
 def _zscore(outcome, target):
@@ -64,8 +64,8 @@ class TestSimulateTrees:
         # a fully unimpeded tree realizes 0.99 of it at both generations
         assert abs(_zscore(outcome, 0.99**2)) < 2
 
-    def test_ct_channel_quarantine_day7_matches_analytic(self, params, profile):
-        analytic = lambda_alpha(7, ct_channel(params), profile)
+    def test_ct_channel_quarantine_day7_matches_analytic(self, params, profile, table):
+        analytic = table.lambda_ct_row[6]
         outcome = simulate_trees(SimConfig(trees=20_000, seed=0), params, profile, "ct", 7)
         assert abs(_zscore(outcome, analytic)) < 2
 

@@ -18,22 +18,11 @@ from traceavert.oracle import SimConfig, SimOutcome, empirical_case_type_taf, si
 from traceavert.params import (
     ModelParams,
     apply_overrides,
-    dump_config,
     params_from_config,
     validate,
 )
 from traceavert.infectivity import InfectivityProfile
-from traceavert.taf import (
-    CASE_TYPES,
-    VARIANTS,
-    LambdaTable,
-    app_channel,
-    capital_lambda,
-    ct_channel,
-    delta_mix,
-    lambda_alpha,
-    lambda_pair,
-)
+from traceavert.taf import CASE_TYPES, VARIANTS, LambdaTable, _channel, _Days
 
 _count = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
 _positive_count = st.floats(min_value=1.0, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -80,9 +69,9 @@ def test_equal_missed_and_traced_fractions_avert_nothing(rows, lambdas, params):
 def test_no_app_uptake_collapses_mixture_to_manual_tracing(l, h, b, params, profile):
     assume(b + h >= 3)
     p = apply_overrides(params, {"u_app": "0"})
-    assert delta_mix(l, h, b, p, profile) == pytest.approx(
-        capital_lambda(l, h, b, ct_channel(p), profile), rel=1e-12
-    )
+    days = _Days(profile)
+    rows = days.rows(p, "table")
+    assert days.mix(p, rows, l, h, b) == pytest.approx(days.mean(rows[0], l, h, b), rel=1e-12)
 
 
 @settings(max_examples=15, deadline=None)
@@ -139,7 +128,8 @@ def test_derived_case_types_partition_total(weeks, e_ct, presym_fraction, params
 
 @given(h=st.integers(min_value=0, max_value=11), l=st.integers(min_value=1, max_value=6))
 def test_longer_exposure_windows_leak_weakly_more(h, l, profile):
-    assert lambda_pair(l, h + 1, profile) >= lambda_pair(l, h, profile) - 1e-12
+    pair = _Days(profile).pair
+    assert pair[l + h + 1] >= pair[l + h] - 1e-12
 
 
 @given(
@@ -149,7 +139,8 @@ def test_longer_exposure_windows_leak_weakly_more(h, l, profile):
 def test_config_file_roundtrip_is_exact(u_app, t_ct, params, tmp_path_factory):
     p = apply_overrides(params, {"u_app": u_app, "t_ct": t_ct})
     path = tmp_path_factory.mktemp("conf") / "model.conf"
-    dump_config(p, path)
+    path.write_text("".join(f"{f.name} = {getattr(p, f.name)!r}\n"
+                            for f in dataclasses.fields(p)), encoding="utf-8")
     assert params_from_config(path) == p
 
 
@@ -173,17 +164,16 @@ def _loop_pair(l, h, profile):
     return sum(_i_w(profile, x) * _i_c(profile, l + h - x) for x in range(1, l + h))
 
 
-def _loop_alpha(x, channel, profile, variant):
-    horizon = x if variant == "table" else channel.delay + x
-    wf = channel.warn_fraction
-    return (wf * _loop_pair(channel.delay, horizon, profile)
+def _loop_alpha(x, delay, wf, profile, variant):
+    horizon = x if variant == "table" else delay + x
+    return (wf * _loop_pair(delay, horizon, profile)
             + (1.0 - wf) * _i_c(profile, x) * profile.i_c_inf)
 
 
 def _loop_capital(l, h, b, channel, profile, variant):
     weights = [_i_w(profile, x + b) for x in range(1, h + 1)]
     total = sum(
-        w * _loop_alpha(l + h + 1 - x, channel, profile, variant)
+        w * _loop_alpha(l + h + 1 - x, *channel, profile, variant)
         for x, w in zip(range(1, h + 1), weights)
     )
     return total / sum(weights)
@@ -210,16 +200,18 @@ def test_array_calculus_matches_scalar_formulas(fractions, delays, l, h, b, x, v
         "t_ct": t_ct, "t_app": t_app, "t_sym": t_sym, "t_plan": t_plan,
     })
     profile = InfectivityProfile.from_params(p)
+    days, channels = _Days(profile), (_channel(p, "ct"), _channel(p, "app"))
+    rows = days.rows(p, variant)
     close = dict(rel=1e-12, abs=1e-12)
-    assert lambda_pair(l, h, profile) == pytest.approx(_loop_pair(l, h, profile), **close)
-    for channel in (ct_channel(p), app_channel(p)):
-        assert lambda_alpha(x, channel, profile, variant) == pytest.approx(
-            _loop_alpha(x, channel, profile, variant), **close)
+    assert days.pair[l + h] == pytest.approx(_loop_pair(l, h, profile), **close)
+    for row, channel in zip(rows, channels):
+        # rows are constant from day 27, where they end
+        assert row[min(x, 27)] == pytest.approx(_loop_alpha(x, *channel, profile, variant), **close)
     assume(any(_i_w(profile, d + b) > 0.0 for d in range(1, h + 1)))
-    lam_ct = _loop_capital(l, h, b, ct_channel(p), profile, variant)
-    lam_app = _loop_capital(l, h, b, app_channel(p), profile, variant)
-    assert capital_lambda(l, h, b, ct_channel(p), profile, variant) == pytest.approx(lam_ct, **close)
-    assert delta_mix(l, h, b, p, profile, variant) == pytest.approx(
+    lam_ct = _loop_capital(l, h, b, channels[0], profile, variant)
+    lam_app = _loop_capital(l, h, b, channels[1], profile, variant)
+    assert days.mean(rows[0], l, h, b) == pytest.approx(lam_ct, **close)
+    assert days.mix(p, rows, l, h, b) == pytest.approx(
         p.u_app * lam_app + (1.0 - p.u_app) * lam_ct, **close)
 
 
@@ -244,8 +236,10 @@ def test_every_table_uses_the_default_calibration(fractions, delays, params, tab
     t = LambdaTable.build(p, profile)
     assert t.variant == table.variant == "table"
     assert t.scores == table.scores
-    assert t.per_type["sym"] == lambda_alpha(p.t_sym + p.t_plan, ct_channel(p), profile, "table")
-    assert t.per_type["app_minus"] == delta_mix(p.t_app, p.t_plan, p.t_sym, p, profile, "table")
+    days = _Days(profile)
+    rows = days.rows(p, "table")
+    assert t.per_type["sym"] == rows[0][p.t_sym + p.t_plan]
+    assert t.per_type["app_minus"] == days.mix(p, rows, p.t_app, p.t_plan, p.t_sym)
 
 
 # Literal transcription of the weekly replay as the counterfactual docstring
@@ -336,16 +330,16 @@ def _dense_trees(rng, n, r0, quarantine_day, warn_latency, warn_fraction, p, pro
 
 
 def _dense_window(rng, n, latency, window, backdate, profile):
-    weights = np.array([profile.i_w_at(x + backdate) for x in range(1, window + 1)])
+    weights = np.array([_i_w(profile, x + backdate) for x in range(1, window + 1)])
     x = rng.choice(np.arange(1, window + 1), size=n, p=weights / weights.sum())
     return (latency + window + 1 - x).astype(float)
 
 
 def _dense_outcome(target, n, seed, p, profile):
     rng = np.random.default_rng(seed)
-    ct, app = ct_channel(p), app_channel(p)
-    latency = np.full(n, float(ct.delay))
-    fraction = np.full(n, ct.warn_fraction)
+    (ct_delay, ct_fraction), (app_delay, app_fraction) = _channel(p, "ct"), _channel(p, "app")
+    latency = np.full(n, float(ct_delay))
+    fraction = np.full(n, ct_fraction)
     self_report_day = p.t_sym + p.t_plan
     if isinstance(target, tuple):  # simulate_trees(channel, quarantine day)
         channel, day = target
@@ -353,7 +347,7 @@ def _dense_outcome(target, n, seed, p, profile):
         if channel is None:
             latency, fraction = np.zeros(n), np.zeros(n)
         elif channel == "app":
-            latency, fraction = np.full(n, float(app.delay)), np.full(n, app.warn_fraction)
+            latency, fraction = np.full(n, float(app_delay)), np.full(n, app_fraction)
     elif target == "miss":
         quarantine, fraction = np.full(n, np.inf), np.zeros(n)
     elif target == "sym":
@@ -367,8 +361,8 @@ def _dense_outcome(target, n, seed, p, profile):
         else:
             quarantine = _dense_window(rng, n, p.t_app, p.t_plan, p.t_sym, profile)
         via_app = rng.random(n) < p.u_app
-        latency = np.where(via_app, float(app.delay), float(ct.delay))
-        fraction = np.where(via_app, app.warn_fraction, ct.warn_fraction)
+        latency = np.where(via_app, float(app_delay), float(ct_delay))
+        fraction = np.where(via_app, app_fraction, ct_fraction)
     ratios = _dense_trees(rng, n, 3.0, quarantine, latency, fraction, p, profile)
     return SimOutcome(
         empirical_taf=float(ratios.mean()),

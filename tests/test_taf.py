@@ -1,19 +1,21 @@
+import dataclasses
+
 import pytest
 
 from traceavert.infectivity import InfectivityProfile
 from traceavert.params import apply_overrides
-from traceavert.taf import (
-    CASE_TYPES,
-    VARIANTS,
-    LambdaTable,
-    WarningChannel,
-    app_channel,
-    capital_lambda,
-    ct_channel,
-    delta_mix,
-    lambda_alpha,
-    lambda_pair,
-)
+from traceavert.taf import CASE_TYPES, VARIANTS, LambdaTable, _channel, _Days
+
+
+@pytest.fixture(scope="module")
+def days(profile):
+    return _Days(profile)
+
+
+@pytest.fixture(scope="module")
+def rows(days, params):
+    return days.rows(params, "table")
+
 
 # unrounded per-type constants with default parameters, frozen from an
 # independent reimplementation of the whole calculus
@@ -29,116 +31,114 @@ FROZEN_CONSTANTS = {
 
 class TestChannels:
     def test_ct_channel_fields(self, params):
-        ch = ct_channel(params)
-        assert ch.kind == "ct"
-        assert ch.delay == params.t_ct
-        assert ch.warn_fraction == pytest.approx(params.a_ct * params.f_ct)
-        assert ch.warn_fraction == pytest.approx(0.3375)
+        delay, wf = _channel(params, "ct")
+        assert delay == params.t_ct
+        assert wf == pytest.approx(params.a_ct * params.f_ct)
+        assert wf == pytest.approx(0.3375)
 
     def test_app_channel_fields(self, params):
-        ch = app_channel(params)
-        assert ch.kind == "app"
-        assert ch.delay == params.t_app
-        assert ch.warn_fraction == pytest.approx(params.a_app * params.f_app)
+        assert _channel(params, "app") == (params.t_app, params.a_app * params.f_app)
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="kind"):
-            WarningChannel(kind="fax", delay=1, reach=0.5, adherence=0.5)
+    @pytest.mark.parametrize("field", ["f_ct", "a_ct", "f_app", "a_app"])
+    def test_fraction_outside_unit_interval_named(self, params, profile, field):
+        p = dataclasses.replace(params, **{field: 1.5})
+        with pytest.raises(ValueError, match=rf"^{field} must lie in \[0, 1\], got 1.5$"):
+            LambdaTable.build(p, profile)
 
 
 class TestLambdaPair:
-    def test_published_row_entry_day5(self, profile):
-        # the published zero-latency row indexes entries as day x = (1, x)
-        assert lambda_pair(1, 5, profile) == pytest.approx(0.0484)
+    """``_Days.pair``: the convolution at span ``l + h``."""
 
-    def test_zero_below_day_five(self, profile):
-        assert lambda_pair(1, 2, profile) == 0.0
-        assert lambda_pair(1, 4, profile) == 0.0
+    def test_published_row_entry_day5(self, table):
+        # the published zero-latency row indexes entries as day x = span 1 + x
+        assert table.lambda_pair_row[4] == pytest.approx(0.0484)
 
-    def test_short_spans_are_zero(self, profile):
-        for l, h in ((1, 0), (1, 1), (2, 1), (3, 0)):
-            assert lambda_pair(l, h, profile) == 0.0
+    def test_zero_below_day_five(self, table):
+        assert table.lambda_pair_row[1] == 0.0
+        assert table.lambda_pair_row[3] == 0.0
 
-    def test_known_value_l3_h7(self, profile):
-        assert lambda_pair(3, 7, profile) == pytest.approx(0.5340)
+    def test_short_spans_are_zero(self, days):
+        for span in (1, 2, 3):
+            assert days.pair[span] == 0.0
 
-    def test_rejects_nonpositive_latency(self, profile):
-        with pytest.raises(ValueError, match="l"):
-            lambda_pair(0, 5, profile)
+    def test_known_value_l3_h7(self, days):
+        assert days.pair[3 + 7] == pytest.approx(0.5340)
 
 
 class TestLambdaAlpha:
-    def test_ct_day7_near_published(self, params, profile):
-        got = lambda_alpha(7, ct_channel(params), profile)
+    """``_Days.row``: the channel row over isolation days."""
+
+    def test_ct_day7_near_published(self, table):
+        got = table.lambda_ct_row[6]
         assert got == pytest.approx(0.6992, abs=0.03)
         assert got == pytest.approx(0.69380825, abs=1e-9)
 
-    def test_app_day3_near_published(self, params, profile):
-        got = lambda_alpha(3, app_channel(params), profile)
-        assert got == pytest.approx(0.1269, abs=0.03)
+    def test_app_day3_near_published(self, table):
+        assert table.lambda_app_row[2] == pytest.approx(0.1269, abs=0.03)
 
-    def test_zero_reach_degenerates_to_unimpeded(self, params, profile):
-        ch = WarningChannel(kind="ct", delay=3, reach=0.0, adherence=0.7)
-        got = lambda_alpha(9, ch, profile)
+    def test_zero_reach_degenerates_to_unimpeded(self, days, profile):
+        got = days.row(3, 0.0, "table")[9]  # reach 0: nobody is warned
         assert got == pytest.approx(profile.i_c_at(9) * profile.i_c_inf)
 
-    def test_rejects_day_below_one(self, params, profile):
+    def test_rejects_day_below_one(self, days, rows):
+        # rows cover day 0; the window mean checks the isolation day it reads
         with pytest.raises(ValueError, match="x"):
-            lambda_alpha(0, ct_channel(params), profile)
+            days.mean(rows[0], -1, 5, 0)
 
-    def test_unknown_variant_rejected(self, params, profile):
-        with pytest.raises(ValueError, match="variant"):
-            lambda_alpha(5, ct_channel(params), profile, variant="middle")
+    def test_text_variant_differs(self, days, params):
+        delay, wf = _channel(params, "ct")
+        assert days.row(delay, wf, "text")[5] != pytest.approx(days.row(delay, wf, "table")[5])
 
-    def test_text_variant_differs(self, params, profile):
-        ch = ct_channel(params)
-        assert lambda_alpha(5, ch, profile, variant="text") != pytest.approx(
-            lambda_alpha(5, ch, profile, variant="table")
-        )
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_huge_delays_read_the_saturated_spans(self, days, variant):
+        saturated = days.row(27, 0.5, variant).tolist()
+        for delay in (28, 40, 10**12, 2**63, 10**30):
+            assert days.row(delay, 0.5, variant).tolist() == saturated
 
 
 class TestCapitalLambda:
-    def test_ct_window_near_published(self, params, profile):
-        got = capital_lambda(3, 7, 0, ct_channel(params), profile)
-        assert got == pytest.approx(0.60, abs=0.03)
+    """``_Days.mean``: a channel row averaged over an infection window."""
 
-    def test_personal_warning_near_published(self, params, profile):
-        got = capital_lambda(1, 7, 0, ct_channel(params), profile)
-        assert got == pytest.approx(0.36, abs=0.03)
+    def test_ct_window_near_published(self, days, rows):
+        assert days.mean(rows[0], 3, 7, 0) == pytest.approx(0.60, abs=0.03)
 
-    def test_single_day_window_collapses(self, params, profile):
-        ch = ct_channel(params)
-        assert capital_lambda(4, 1, 2, ch, profile) == pytest.approx(
-            lambda_alpha(5, ch, profile)
-        )
+    def test_personal_warning_near_published(self, days, rows):
+        assert days.mean(rows[0], 1, 7, 0) == pytest.approx(0.36, abs=0.03)
 
-    def test_zero_weight_window_rejected(self, params, profile):
+    def test_single_day_window_collapses(self, days, rows):
+        assert days.mean(rows[0], 4, 1, 2) == pytest.approx(rows[0][5])
+
+    def test_zero_weight_window_rejected(self, days, rows):
         with pytest.raises(ValueError, match="weight"):
-            capital_lambda(1, 2, 20, ct_channel(params), profile)
+            days.mean(rows[0], 1, 2, 20)
 
-    def test_rejects_empty_window(self, params, profile):
+    def test_rejects_empty_window(self, days, rows):
         with pytest.raises(ValueError, match="h"):
-            capital_lambda(1, 0, 0, ct_channel(params), profile)
+            days.mean(rows[0], 1, 0, 0)
+
+    def test_huge_windows_are_clipped(self, days, rows):
+        assert days.mean(rows[0], 10**21, 10**21, 0) == days.mean(rows[0], 100, 100, 0)
+        assert days.mean(rows[0], 3, 10**12, 0) == days.mean(rows[0], 3, 10**9, 0)
+        with pytest.raises(ValueError, match=r"h=2, offset b=1000000000000000000000$"):
+            days.mean(rows[0], 1, 2, 10**21)
 
 
 class TestDeltaMix:
-    def test_app_plus_arguments_near_published(self, params, profile):
-        assert delta_mix(4, 5, 0, params, profile) == pytest.approx(0.60, abs=0.03)
+    """``_Days.mix``: the app-usage mix of the two channels' window means."""
 
-    def test_app_minus_arguments_near_published(self, params, profile):
-        assert delta_mix(2, 2, 5, params, profile) == pytest.approx(0.27, abs=0.03)
+    def test_app_plus_arguments_near_published(self, days, params, rows):
+        assert days.mix(params, rows, 4, 5, 0) == pytest.approx(0.60, abs=0.03)
 
-    def test_no_uptake_degenerates_to_ct(self, params, profile):
+    def test_app_minus_arguments_near_published(self, days, params, rows):
+        assert days.mix(params, rows, 2, 2, 5) == pytest.approx(0.27, abs=0.03)
+
+    def test_no_uptake_degenerates_to_ct(self, days, params, rows):
         p = apply_overrides(params, {"u_app": "0"})
-        assert delta_mix(3, 5, 0, p, profile) == pytest.approx(
-            capital_lambda(3, 5, 0, ct_channel(p), profile)
-        )
+        assert days.mix(p, rows, 3, 5, 0) == pytest.approx(days.mean(rows[0], 3, 5, 0))
 
-    def test_full_uptake_degenerates_to_app(self, params, profile):
+    def test_full_uptake_degenerates_to_app(self, days, params, rows):
         p = apply_overrides(params, {"u_app": "1"})
-        assert delta_mix(3, 5, 0, p, profile) == pytest.approx(
-            capital_lambda(3, 5, 0, app_channel(p), profile)
-        )
+        assert days.mix(p, rows, 3, 5, 0) == pytest.approx(days.mean(rows[1], 3, 5, 0))
 
 
 class TestCaseTypeConstants:
@@ -214,9 +214,14 @@ class TestCalibration:
         assert t.variant == "table"
         assert t.scores == table.scores
         span = p.t_sym + p.t_plan
-        assert t.per_type["sym"] == lambda_alpha(span, ct_channel(p), profile, "table")
+        assert t.per_type["sym"] == t.lambda_ct_row[span - 1]
 
-    def test_zero_delay_channel_rejected(self, params, profile):
-        ch = WarningChannel(kind="app", delay=0, reach=0.5, adherence=0.5)
+    def test_zero_delay_channel_rejected(self, params):
+        p = apply_overrides(params, {"t_app": 0})
         with pytest.raises(ValueError, match="app warning delay"):
-            lambda_alpha(5, ch, profile)
+            LambdaTable.build(p, InfectivityProfile.from_params(p))
+
+    def test_zero_self_report_day_rejected(self, params):
+        p = apply_overrides(params, {"t_sym": 0, "t_plan": 0})
+        with pytest.raises(ValueError, match="isolation day x must be >= 1, got 0"):
+            LambdaTable.build(p, InfectivityProfile.from_params(p))
