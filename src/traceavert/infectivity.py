@@ -74,9 +74,8 @@ class InfectivityProfile:
         """Cumulative adhering infectivity with the model's boundary rules.
 
         Nonpositive days contribute nothing (``0``); days at or beyond the
-        saturation day return ``i_c_inf``. Accepts scalars or arrays (the
-        simulation evaluates it on whole day grids, including ``inf`` for
-        warnings that never arrive).
+        saturation day return ``i_c_inf``. Accepts scalars or arrays,
+        including ``inf`` for a warning that never arrives.
         """
         d = np.asarray(day, dtype=float)
         idx = np.clip(d, 1, _SATURATION_DAY).astype(int) - 1

@@ -45,6 +45,13 @@ _PROFILE_DAYS = 14
 #: day from which i_c stays at its saturation value i_c_inf
 _SATURATION_DAY = 13
 
+#: Day counts are clipped at this day before numpy sees them. Trees compare
+#: quarantine and self-isolation days only with the profile days 1..14, and
+#: read a warning day, quarantine day + latency - infection day (the infection
+#: day <= min(quarantine day, 14)), only through i_c, flat from day 13; so any
+#: value from 27 on acts as 27.
+_LAST_DAY = 2 * _PROFILE_DAYS - 1
+
 #: trees per block in ``_run_trees``: bounds its (trees x days) temporaries
 _BLOCK = 8192
 
@@ -79,7 +86,8 @@ class SimOutcome:
 
 
 def _channel(p: ModelParams, kind: str) -> tuple[int, float]:
-    """Warning delay and warn fraction (adherence times reach) of a channel.
+    """Warning delay, clipped at ``_LAST_DAY``, and warn fraction (adherence
+    times reach) of a channel.
 
     ``kind`` is ``"ct"`` (manual tracing) or ``"app"``. A negative delay or a
     reach or adherence outside [0, 1] raises a ``ValueError`` naming the field.
@@ -92,7 +100,7 @@ def _channel(p: ModelParams, kind: str) -> tuple[int, float]:
     for name, value in ((f"f_{kind}", reach), (f"a_{kind}", adherence)):
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1], got {value}")
-    return delay, adherence * reach
+    return min(delay, _LAST_DAY), adherence * reach
 
 
 def _run_trees(
@@ -125,7 +133,7 @@ def _run_trees(
     i_w = profile.i_w
     width = i_w.size
     days = np.arange(1, width + 1)
-    self_iso_day = p.t_sym + p.t_plan
+    self_iso_day = min(p.t_sym + p.t_plan, _LAST_DAY)
     i_a = np.where(days <= self_iso_day, i_w, i_w * (1.0 - p.a_base))
     # i_c by warning day clipped to 0..13: 0, i_c(1..12), i_c_inf
     i_c = np.concatenate(([0.0], np.cumsum(i_a)[:_SATURATION_DAY]))
@@ -173,15 +181,22 @@ def _detection_window_mixture(
     """
     # i_w on days 0..15, zero at both ends, so clipping gives 0 outside days 1..14
     padded = np.concatenate(([0.0], profile.i_w, [0.0]))
-    weights = padded.take(np.arange(backdate + 1, backdate + window + 1), mode="clip")
+    # Window days past 14, and all once the backdate reaches 14, read the zero
+    # day 15. numpy's pairwise sum adds 16 or more entries in 8 lanes, so the
+    # entries past the 16th add +0.0 to lanes holding the same terms: cut at 16
+    # days, the window has the same total, cumulative weights and draws.
+    width = min(window, padded.size)
+    start = min(backdate, padded.size) + 1
+    weights = padded.take(np.arange(start, start + width), mode="clip")
     total = weights.sum()
     if total <= 0.0:
         raise ValueError(
             f"detection window (window={window}, backdate={backdate}) has "
             f"zero infectivity weight"
         )
-    x = rng.choice(np.arange(1, window + 1), size=n, p=weights / total)
-    return (latency + window + 1 - x).astype(float)
+    x = rng.choice(np.arange(1, width + 1), size=n, p=weights / total)
+    # x <= width, so a quarantine day cut here still lies at or past _LAST_DAY
+    return (min(latency + window + 1, _LAST_DAY + width) - x).astype(float)
 
 
 def simulate_trees(
@@ -244,7 +259,7 @@ def empirical_case_type_taf(
         quarantine = np.full(n, np.inf)
         fraction = np.zeros(n)
     elif case_type == "sym":
-        quarantine = np.full(n, float(self_report_day))
+        quarantine = np.full(n, float(min(self_report_day, _LAST_DAY)))
     elif case_type in ("ct", "pers"):
         quarantine = _detection_window_mixture(
             rng, n, p.t_ct if case_type == "ct" else p.t_pers, self_report_day, 0, profile,

@@ -1,10 +1,10 @@
 """Scalar model parameters with validation, overrides and config files.
 
 All epidemiological and behavioural inputs of the model live in a single
-immutable :class:`ModelParams`. Three of the fields (``a_base``, ``a_ct``,
-``a_app``) are composites of other fields; they are stored at full precision
-(e.g. ``a_ct = 0.675``, not the display-rounded 0.67) because the downstream
-attack-fraction constants are sensitive at the third decimal.
+immutable :class:`ModelParams`. The composite adherences ``a_base``, ``a_ct``
+and ``a_app`` are read-only properties, derived from their constituents at
+full precision (``a_ct`` is 0.675, not the printed 0.67) because the
+downstream attack-fraction constants are sensitive at the third decimal.
 
 The external config format is a flat text file with one ``key = value`` pair
 per line, ``#`` comments, and all keys optional. Unknown keys are rejected.
@@ -28,20 +28,10 @@ __all__ = [
 
 _DELAY_FIELDS = ("t_sym", "t_plan", "t_ct", "t_app", "t_pers")
 
-#: composite field -> the constituent fields it is derived from
-_COMPOSITES: Mapping[str, tuple[str, ...]] = {
-    "a_base": ("a_sym", "f_sym"),
-    "a_ct": ("f_sym", "a_ct_plus", "a_ct_minus"),
-    "a_app": ("f_sym", "a_app_plus", "a_app_minus"),
-}
-
-#: how close a composite must sit to the value derived from its constituents
-_COMPOSITE_TOL = 0.005
-
 
 @dataclass(frozen=True)
 class ModelParams:
-    """All scalar model parameters.
+    """All scalar model parameters; ``ModelParams()`` is the default set.
 
     Parameters
     ----------
@@ -51,13 +41,10 @@ class ModelParams:
         Fraction of infected people who develop symptoms.
     a_sym
         Quarantine-and-test adherence once symptoms appear.
-    a_base
-        Effective base adherence, composite ``a_sym * f_sym``.
-    a_ct_plus, a_ct_minus, a_ct
-        Adherence to a manual-tracing warning with / without symptoms, and
-        the symptom-weighted composite.
-    a_app_plus, a_app_minus, a_app
-        The same three values for an app warning.
+    a_ct_plus, a_ct_minus
+        Adherence to a manual-tracing warning with / without symptoms.
+    a_app_plus, a_app_minus
+        The same two values for an app warning.
     e_ct
         Fraction of manually traced contacts already informed personally by
         their index case before the tracing call.
@@ -82,13 +69,10 @@ class ModelParams:
     ifr: float = 0.0060
     f_sym: float = 0.70
     a_sym: float = 0.50
-    a_base: float = 0.35
     a_ct_plus: float = 0.75
     a_ct_minus: float = 0.50
-    a_ct: float = 0.675
     a_app_plus: float = 0.75
     a_app_minus: float = 0.50
-    a_app: float = 0.675
     e_ct: float = 0.60
     e_app: float = 0.58
     f_ct: float = 0.50
@@ -100,6 +84,21 @@ class ModelParams:
     t_app: int = 2
     t_pers: int = 1
     presym_fraction: float = 0.20
+
+    @property
+    def a_base(self) -> float:
+        """Effective base adherence: ``a_sym * f_sym``."""
+        return self.a_sym * self.f_sym
+
+    @property
+    def a_ct(self) -> float:
+        """Symptom-weighted adherence to a manual-tracing warning."""
+        return self.f_sym * self.a_ct_plus + (1.0 - self.f_sym) * self.a_ct_minus
+
+    @property
+    def a_app(self) -> float:
+        """Symptom-weighted adherence to an app warning."""
+        return self.f_sym * self.a_app_plus + (1.0 - self.f_sym) * self.a_app_minus
 
 
 @dataclass(frozen=True)
@@ -116,18 +115,9 @@ class ValidationReport:
 _FIELD_NAMES = frozenset(f.name for f in fields(ModelParams))
 
 
-def _derived_composites(p: ModelParams) -> dict[str, float]:
-    return {
-        "a_base": p.a_sym * p.f_sym,
-        "a_ct": p.f_sym * p.a_ct_plus + (1.0 - p.f_sym) * p.a_ct_minus,
-        "a_app": p.f_sym * p.a_app_plus + (1.0 - p.f_sym) * p.a_app_minus,
-    }
-
-
 def default_params() -> ModelParams:
-    """Return the default parameter set, composites derived at full precision."""
-    base = ModelParams()
-    return dataclasses.replace(base, **_derived_composites(base))
+    """Return the default parameter set."""
+    return ModelParams()
 
 
 def _coerce(name: str, value: object) -> float | int:
@@ -137,7 +127,10 @@ def _coerce(name: str, value: object) -> float | int:
             as_float = float(value)  # type: ignore[arg-type]
             if not as_float.is_integer():
                 raise ValueError
-            return int(as_float)
+            try:  # an integer or integer text keeps every digit; "5.0" does not parse
+                return int(value)  # type: ignore[arg-type]
+            except ValueError:
+                return int(as_float)
         return float(value)  # type: ignore[arg-type]
     except (TypeError, ValueError):
         raise ValueError(f"invalid value for parameter {name!r}: {value!r}") from None
@@ -146,28 +139,17 @@ def _coerce(name: str, value: object) -> float | int:
 def apply_overrides(base: ModelParams, overrides: Mapping[str, object]) -> ModelParams:
     """Apply field-wise overrides on top of ``base``.
 
-    A composite field (``a_base``, ``a_ct``, ``a_app``) is recomputed from its
-    constituents when any constituent is overridden, unless the composite
-    itself is also overridden explicitly.
-
     Raises
     ------
     ValueError
-        For unknown parameter names or values of the wrong type.
+        For unknown parameter names, the derived composites included, or
+        values of the wrong type.
     """
     unknown = sorted(set(overrides) - _FIELD_NAMES)
     if unknown:
         raise ValueError(f"unknown parameter(s): {', '.join(unknown)}")
-
-    updates = {name: _coerce(name, value) for name, value in overrides.items()}
-    merged = dataclasses.replace(base, **updates)
-    derived = _derived_composites(merged)
-    for composite, constituents in _COMPOSITES.items():
-        if composite in updates:
-            continue
-        if any(name in updates for name in constituents):
-            merged = dataclasses.replace(merged, **{composite: derived[composite]})
-    return merged
+    return dataclasses.replace(
+        base, **{name: _coerce(name, value) for name, value in overrides.items()})
 
 
 def validate(p: ModelParams) -> ValidationReport:
@@ -183,13 +165,6 @@ def validate(p: ModelParams) -> ValidationReport:
         else:
             if not isinstance(value, (int, float)) or not 0.0 <= float(value) <= 1.0:
                 violations.append(f"{f.name} must lie in [0, 1], got {value!r}")
-    for composite, derived in _derived_composites(p).items():
-        actual = getattr(p, composite)
-        if isinstance(actual, (int, float)) and abs(actual - derived) > _COMPOSITE_TOL:
-            violations.append(
-                f"{composite}={actual!r} deviates from its constituent-derived "
-                f"value {derived!r} by more than {_COMPOSITE_TOL}"
-            )
     return ValidationReport(tuple(violations))
 
 

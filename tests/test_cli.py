@@ -164,6 +164,18 @@ class TestEstimateErrors:
         assert code == 2
         assert "unknown parameter" in err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--param", "a_ct=0.67"], "error: unknown parameter(s): a_ct\n"),
+        (["--config", "model.conf"], "error: model.conf:1: unknown parameter 'a_base'\n"),
+    ], ids=["param", "config"])
+    def test_derived_composite_is_not_a_parameter(self, tmp_path, capsys, monkeypatch,
+                                                  flags, message):
+        monkeypatch.chdir(tmp_path)
+        Path("model.conf").write_text("a_base = 0.35\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "estimate", *flags, "--out", "out")
+        assert (code, out, err) == (2, "", message)
+        assert not Path("out").exists()
+
     def test_param_without_equals_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "estimate", "--param", "u_app")
         assert code == 2
@@ -606,6 +618,12 @@ class TestSimulateTrees:
         assert out == ""
         assert f"trees must be at least 2 for a standard error, got {trees}" in err
 
+    @pytest.mark.parametrize("delay", ["t_plan=1000000000000", "t_ct=1000000000000000000000"])
+    def test_huge_delay_ends_in_a_report(self, capsys, delay):
+        code, out, err = run_cli(capsys, "simulate", "--trees", "50", "--param", delay)
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 1 + len(CASE_TYPES)
+
     def test_out_of_memory_exits_2_naming_trees(self, capsys, monkeypatch):
         def exhausted(*args):
             raise MemoryError("Unable to allocate 7.45 GiB")
@@ -691,9 +709,9 @@ def test_estimate_ends_in_finite_reports_or_a_message(text):
 # any parameter set that passes validate ends the same way, on either input
 
 _DELAYS = ("t_sym", "t_plan", "t_ct", "t_app", "t_pers")
-#: every field but the delays and the composites, which follow their constituents
+#: every field but the delays
 _FRACTIONS = tuple(f.name for f in dataclasses.fields(ModelParams)
-                   if f.name not in _DELAYS + ("a_base", "a_ct", "a_app"))
+                   if f.name not in _DELAYS)
 _FRACTION = st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=1.0))
 
 

@@ -49,7 +49,7 @@ def test_i_c_at_accepts_arrays(profile):
 
 
 def test_zero_base_adherence_leaves_profile_untouched(params):
-    p = apply_overrides(params, {"a_base": "0", "a_sym": "0"})
+    p = apply_overrides(params, {"a_sym": "0"})
     profile = InfectivityProfile.from_params(p)
     np.testing.assert_allclose(profile.i_a, profile.i_w)
     assert profile.i_c_inf == pytest.approx(0.99)

@@ -56,7 +56,7 @@ class TestSimulateTrees:
         assert abs(_zscore(outcome, lambdas["miss"])) < 2
 
     def test_full_potential_without_any_adherence(self, params, profile):
-        p = apply_overrides(params, {"a_base": "0", "a_sym": "0"})
+        p = apply_overrides(params, {"a_sym": "0"})
         no_adherence = InfectivityProfile.from_params(p)
         cfg = SimConfig(trees=20_000, seed=0)
         outcome = simulate_trees(cfg, p, no_adherence)
@@ -206,19 +206,47 @@ _BAD_CHANNEL_FIELDS = [
 ]
 
 
+def _with(params, field, value):
+    """``params`` with ``field`` at ``value``; an adherence is set through its
+    symptomatic part, which it equals at f_sym = 1."""
+    if field.startswith("a_"):
+        p = dataclasses.replace(params, f_sym=1.0, **{f"{field}_plus": value})
+    else:
+        p = dataclasses.replace(params, **{field: value})
+    assert getattr(p, field) == value
+    return p
+
+
 class TestChannelRejections:
     @pytest.mark.parametrize("field, value", _BAD_CHANNEL_FIELDS)
     @pytest.mark.parametrize("case_type", CASE_TYPES)
     def test_case_type_rejects_bad_channel_field(self, case_type, field, value, params, profile):
-        p = dataclasses.replace(params, **{field: value})
+        p = _with(params, field, value)
         with pytest.raises(ValueError, match=field):
             empirical_case_type_taf(case_type, SimConfig(trees=10), p, profile)
 
     @pytest.mark.parametrize("field, value", _BAD_CHANNEL_FIELDS)
     def test_simulate_trees_rejects_bad_field_of_its_channel(self, field, value, params, profile):
-        p = dataclasses.replace(params, **{field: value})
+        p = _with(params, field, value)
         with pytest.raises(ValueError, match=field):
             simulate_trees(SimConfig(trees=10), p, profile, field.split("_")[1])
+
+
+class TestHugeDelays:
+    @pytest.mark.parametrize("field", ["t_plan", "t_ct", "t_app", "t_pers"])
+    @pytest.mark.parametrize("case_type", CASE_TYPES)
+    def test_huge_delay_gives_the_trees_of_a_long_one(self, case_type, field, params):
+        def outcome(days):
+            p = dataclasses.replace(params, **{field: days})
+            profile = InfectivityProfile.from_params(p)
+            return empirical_case_type_taf(case_type, SimConfig(trees=500, seed=3), p, profile)
+
+        assert outcome(10**400) == outcome(60)
+
+    def test_zero_weight_window_names_the_huge_backdate(self, params, profile):
+        p = dataclasses.replace(params, t_sym=10**21)
+        with pytest.raises(ValueError, match=rf"\(window=2, backdate={10**21}\) has zero"):
+            empirical_case_type_taf("app_minus", SimConfig(trees=10), p, profile)
 
 
 class TestIndependence:

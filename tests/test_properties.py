@@ -216,9 +216,9 @@ def test_array_calculus_matches_scalar_formulas(fractions, delays, l, h, b, x, v
 
 
 _DELAYS = ("t_sym", "t_plan", "t_ct", "t_app", "t_pers")
-#: every field but the delays and the composites, which follow their constituents
+#: every field but the delays
 _FRACTIONS = tuple(f.name for f in dataclasses.fields(ModelParams)
-                   if f.name not in _DELAYS + ("a_base", "a_ct", "a_app"))
+                   if f.name not in _DELAYS)
 _ANY_FRACTION = st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=1.0))
 
 
@@ -385,12 +385,14 @@ _ORACLE_TARGETS = CASE_TYPES + tuple(
     fractions=st.tuples(_unit, _unit, _unit, _unit, _unit),
     t_ct=st.integers(min_value=1, max_value=7),
     t_app=st.integers(min_value=1, max_value=6),
+    # detection windows on both sides of the oracle's 16-day cut
+    t_plan=st.integers(min_value=1, max_value=40),
 )
-def test_oracle_matches_dense_grid_draws(seed, trees, fractions, t_ct, t_app, params):
+def test_oracle_matches_dense_grid_draws(seed, trees, fractions, t_ct, t_app, t_plan, params):
     u_app, f_ct, f_app, f_sym, e_app = fractions
     p = apply_overrides(params, {
         "u_app": u_app, "f_ct": f_ct, "f_app": f_app, "f_sym": f_sym, "e_app": e_app,
-        "t_ct": t_ct, "t_app": t_app,
+        "t_ct": t_ct, "t_app": t_app, "t_plan": t_plan,
     })
     profile = InfectivityProfile.from_params(p)
     for target in _ORACLE_TARGETS:

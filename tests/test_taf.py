@@ -41,7 +41,9 @@ class TestChannels:
 
     @pytest.mark.parametrize("field", ["f_ct", "a_ct", "f_app", "a_app"])
     def test_fraction_outside_unit_interval_named(self, params, profile, field):
-        p = dataclasses.replace(params, **{field: 1.5})
+        # an adherence equals its symptomatic part at f_sym = 1
+        setting = {"f_sym": 1.0, f"{field}_plus": 1.5} if field.startswith("a_") else {field: 1.5}
+        p = dataclasses.replace(params, **setting)
         with pytest.raises(ValueError, match=rf"^{field} must lie in \[0, 1\], got 1.5$"):
             LambdaTable.build(p, profile)
 
