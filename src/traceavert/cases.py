@@ -30,7 +30,7 @@ import operator
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterator, NoReturn, Sequence, Sized
+from typing import Callable, Iterator, Sequence, Sized
 
 import numpy as np
 
@@ -233,34 +233,65 @@ def _parse_number(path: Path, lineno: int, column: str, text: str) -> float:
     return value
 
 
-def _parse_row(path: Path, lineno: int, row: list[str], columns: Sequence[str]) -> list[float]:
-    """The numbers of a row that starts with a week label, checked left to right."""
-    if _week_mondays(row[:1])[0] < 0:
-        raise ValueError(f"{path}:{lineno}: invalid ISO week label {row[0]!r} (expected YYYY-WW)")
-    return [_parse_number(path, lineno, name, text) for name, text in zip(columns[1:], row[1:])]
-
-
 def _require_rows(path: Path, rows: Sized) -> None:
     if not rows:
         raise ValueError(f"{path}: no data rows")
+
+
+def _load_weekly(
+    path: Path, columns: Sequence[str], rejects: Callable[[np.ndarray], np.ndarray],
+    reason: Callable[[list[str], np.ndarray], str],
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """Week labels and the float (weeks x numbers) array of a weekly file.
+
+    Labels, finiteness and the format's own rule (``rejects`` flags the rows
+    that break it) are checked on the whole array at once.  A rejected file is
+    parsed again row by row, checking each row's label, then its numbers left
+    to right, then the rule (``reason`` words a break), and the first error is
+    raised.
+    """
+    text = _read(path)
+    labels: list[str] = []
+    cells: list[str] = []
+    try:
+        for _, row in _rows(path, text, columns):
+            labels.append(row[0])
+            cells += row[1:]
+        values = np.fromiter(map(float, cells), float, len(cells)).reshape(-1, len(columns) - 1)
+    except ValueError:
+        pass  # the row-by-row pass names it
+    else:
+        _require_rows(path, labels)
+        if (np.isfinite(values).all() and not rejects(values).any()
+                and (_week_mondays(labels) >= 0).all()):
+            return tuple(labels), values
+    for lineno, row in _rows(path, text, columns):
+        if _week_mondays(row[:1])[0] < 0:
+            raise ValueError(f"{path}:{lineno}: invalid ISO week label {row[0]!r} "
+                             f"(expected YYYY-WW)")
+        parsed = np.array([[_parse_number(path, lineno, name, cell)
+                            for name, cell in zip(columns[1:], row[1:])]])
+        if rejects(parsed)[0]:
+            raise ValueError(f"{path}:{lineno}: {reason(row, parsed[0])}")
+    raise AssertionError(f"{path}: rejected, but every row parses")
+
+
+def _residual(values: np.ndarray) -> np.ndarray:
+    """Presplit missed counts: ``c_total`` less the typed counts, added left to right."""
+    return values[:, 0] - np.cumsum(values[:, 1:], axis=1)[:, -1]
 
 
 def load_raw_csv(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
     """Read raw weekly counts as week labels and a float (weeks x 5) array in
     file column order.  The four counts must be nonnegative; ``k_app``, the
     app-key consent rate, is metadata only and enters no computation."""
-    path = Path(path)
-    labels: list[str] = []
-    rows: list[list[float]] = []
-    for lineno, row in _rows(path, _read(path), _RAW_COLUMNS):
-        values = _parse_row(path, lineno, row, _RAW_COLUMNS)
-        for name, text, value in zip(_RAW_COLUMNS[1:5], row[1:5], values):  # not k_app
-            if value < 0:
-                raise ValueError(f"{path}:{lineno}: column {name!r}: negative count: {text!r}")
-        labels.append(row[0])
-        rows.append(values)
-    _require_rows(path, rows)
-    return tuple(labels), np.array(rows, dtype=float)
+
+    def reason(row: list[str], values: np.ndarray) -> str:
+        column = 1 + int(np.argmax(values[:4] < 0))
+        return f"column {_RAW_COLUMNS[column]!r}: negative count: {row[column]!r}"
+
+    return _load_weekly(Path(path), _RAW_COLUMNS,
+                        lambda values: (values[:, :4] < 0).any(axis=1), reason)
 
 
 def load_presplit_csv(path: str | Path) -> CaseSeries:
@@ -269,36 +300,11 @@ def load_presplit_csv(path: str | Path) -> CaseSeries:
     The first row with an invalid label, a non-finite number or typed counts
     above ``c_total`` is reported with its line, column and text.
     """
-    path = Path(path)
-    text = _read(path)
-    labels: list[str] = []
-    cells: list[str] = []
-    try:
-        for _, row in _rows(path, text, _PRESPLIT_COLUMNS):
-            labels.append(row[0])
-            cells += row[1:]
-        values = np.fromiter(map(float, cells), float, len(cells))
-    except ValueError:
-        _presplit_error(path, text)
-    _require_rows(path, labels)
-    values = values.reshape(-1, len(_PRESPLIT_COLUMNS) - 1)
-    total, typed = values[:, 0], values[:, 1:]
-    c_miss = total - np.cumsum(typed, axis=1)[:, -1]  # left to right, as the row check adds
-    if not (np.isfinite(values).all() and (c_miss >= 0.0).all()
-            and (_week_mondays(labels) >= 0).all()):
-        _presplit_error(path, text)
-    return CaseSeries(tuple(labels), total, np.column_stack((c_miss, typed)))
-
-
-def _presplit_error(path: Path, text: str) -> NoReturn:
-    """Parse a rejected presplit file again row by row and raise its first error."""
-    for lineno, row in _rows(path, text, _PRESPLIT_COLUMNS):
-        values = _parse_row(path, lineno, row, _PRESPLIT_COLUMNS)
-        c_miss = values[0] - (values[1] + values[2] + values[3] + values[4] + values[5])
-        if c_miss < 0.0:
-            raise ValueError(f"{path}:{lineno}: typed counts exceed c_total "
-                             f"(residual missed count {c_miss:.1f})")
-    raise AssertionError(f"{path}: rejected, but every row parses")
+    labels, values = _load_weekly(
+        Path(path), _PRESPLIT_COLUMNS, lambda values: _residual(values) < 0.0,
+        lambda row, values: (f"typed counts exceed c_total "
+                             f"(residual missed count {_residual(values[None])[0]:.1f})"))
+    return CaseSeries(labels, values[:, 0], np.column_stack((_residual(values), values[:, 1:])))
 
 
 def load_hospitalizations_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:

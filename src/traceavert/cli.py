@@ -287,7 +287,7 @@ def _run_simulate(args: argparse.Namespace) -> int:
     print("case_type,trees,empirical_taf,standard_error,analytic_taf,delta")
     for kind in kinds:
         try:
-            outcome = oracle.empirical_case_type_taf(kind, cfg, p, profile)
+            outcome = oracle.empirical_case_type_taf(kind, cfg, p)
         except MemoryError as exc:
             raise ValueError(f"--trees {cfg.trees}: not enough memory to simulate "
                              f"{cfg.trees} trees") from exc

@@ -14,9 +14,12 @@ case types, drawing the index quarantine day from the same detection-window
 mixture the analytic layer integrates over.  Estimates converge on the
 analytic constants as the tree count grows, which is what the test suite
 checks.  The module imports nothing from the analytic layer: it reads only
-``i_w`` from the infectivity profile and derives the channel delays, warn
-fractions and the ``i_c`` curve from the model parameters itself, so a fault
-in the analytic code cannot hide on both sides of the cross-check.
+the published ``i_w`` (``WEIBULL_PROFILE``) and derives the channel delays,
+warn fractions and the ``i_c`` curve from the model parameters itself, so a
+fault in the analytic code cannot hide on both sides of the cross-check.
+Values every tree shares (a fixed quarantine day, a channel's latency and
+warn fraction) stay scalars; only the drawn detection day and the app or
+tracing choice are per-tree arrays.
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .infectivity import InfectivityProfile
+from .infectivity import WEIBULL_PROFILE
 from .params import ModelParams
 
 __all__ = [
@@ -39,8 +42,11 @@ CASE_TYPES: tuple[str, ...] = ("miss", "sym", "pers", "ct", "app_minus", "app_pl
 
 _CHANNELS = (None, "ct", "app")
 
-#: infectious window of the hardcoded profile, in days
-_PROFILE_DAYS = 14
+#: i_w on profile days 1..14, the only profile value the trees read
+_I_W = np.array(WEIBULL_PROFILE)
+
+#: infectious window of the profile, in days
+_PROFILE_DAYS = _I_W.size
 
 #: day from which i_c stays at its saturation value i_c_inf
 _SATURATION_DAY = 13
@@ -107,16 +113,16 @@ def _run_trees(
     rng: np.random.Generator,
     n: int,
     r0: float,
-    quarantine_day: np.ndarray,
-    warn_latency: np.ndarray,
-    warn_fraction: np.ndarray,
+    quarantine_day: float | np.ndarray,
+    warn_latency: float | np.ndarray,
+    warn_fraction: float | np.ndarray,
     p: ModelParams,
-    profile: InfectivityProfile,
 ) -> np.ndarray:
     """Per-tree realized/potential tertiary ratios.
 
-    ``quarantine_day``, ``warn_latency`` and ``warn_fraction`` are per-tree
-    arrays; ``np.inf`` as quarantine day means never quarantined.
+    ``quarantine_day``, ``warn_latency`` and ``warn_fraction`` are each a
+    float shared by every tree or a per-tree array; ``np.inf`` as quarantine
+    day means never quarantined.
 
     Draws are made only on the live (tree, day) cells, where the index is
     active and ``i_w`` is nonzero, in C order, and binomial draws only on the
@@ -130,11 +136,12 @@ def _run_trees(
     block's binomial draws. An array draw reads the stream one element at a
     time, so the blocks see the same draws as one call over all trees.
     """
-    i_w = profile.i_w
-    width = i_w.size
-    days = np.arange(1, width + 1)
+    # a shared value is a zero-stride view: indexed per tree, it costs no memory
+    quarantine_day, warn_latency, warn_fraction = (
+        np.broadcast_to(value, n) for value in (quarantine_day, warn_latency, warn_fraction))
+    days = np.arange(1, _PROFILE_DAYS + 1)
     self_iso_day = min(p.t_sym + p.t_plan, _LAST_DAY)
-    i_a = np.where(days <= self_iso_day, i_w, i_w * (1.0 - p.a_base))
+    i_a = np.where(days <= self_iso_day, _I_W, _I_W * (1.0 - p.a_base))
     # i_c by warning day clipped to 0..13: 0, i_c(1..12), i_c_inf
     i_c = np.concatenate(([0.0], np.cumsum(i_a)[:_SATURATION_DAY]))
     i_c_inf = i_c[_SATURATION_DAY]
@@ -144,23 +151,23 @@ def _run_trees(
     starts = range(0, n, _BLOCK)
     hits = []  # per block: block-local cells with secondaries, and their counts
     for start in starts:
-        live = (days <= last_day[start:start + _BLOCK, None]) & (i_w != 0.0)
-        secondaries = rng.poisson(np.broadcast_to(r0 * i_w, live.shape)[live])
+        live = (days <= last_day[start:start + _BLOCK, None]) & (_I_W != 0.0)
+        secondaries = rng.poisson(np.broadcast_to(r0 * _I_W, live.shape)[live])
         hit = np.flatnonzero(secondaries)
         hits.append((np.flatnonzero(live)[hit], secondaries[hit]))
 
     ratios = np.empty(n)
     for start, (cell, secondaries) in zip(starts, hits):
         block = ratios[start:start + _BLOCK]  # a view, written in place
-        rows, cols = np.divmod(cell, width)
+        rows, cols = np.divmod(cell, _PROFILE_DAYS)
         rows += start
         warned = rng.binomial(secondaries, warn_fraction[rows])
         warning_day = quarantine_day[rows] + warn_latency[rows] - (cols + 1)
         day = np.clip(warning_day, 0, _SATURATION_DAY).astype(np.intp)
         # scatter into the block's full grid so each row sums its days in the same order
-        terms = np.zeros(block.size * width)
+        terms = np.zeros(block.size * _PROFILE_DAYS)
         terms[cell] = warned * i_c[day] + (secondaries - warned) * i_c_inf
-        block[:] = terms.reshape(block.size, width).sum(axis=1) / r0
+        block[:] = terms.reshape(block.size, _PROFILE_DAYS).sum(axis=1) / r0
     return ratios
 
 
@@ -170,7 +177,6 @@ def _detection_window_mixture(
     latency: int,
     window: int,
     backdate: int,
-    profile: InfectivityProfile,
 ) -> np.ndarray:
     """Per-tree quarantine days for an index detected inside a window.
 
@@ -180,7 +186,7 @@ def _detection_window_mixture(
     days, so the quarantine day is ``latency + window + 1 - x``.
     """
     # i_w on days 0..15, zero at both ends, so clipping gives 0 outside days 1..14
-    padded = np.concatenate(([0.0], profile.i_w, [0.0]))
+    padded = np.concatenate(([0.0], _I_W, [0.0]))
     # Window days past 14, and all once the backdate reaches 14, read the zero
     # day 15. numpy's pairwise sum adds 16 or more entries in 8 lanes, so the
     # entries past the 16th add +0.0 to lanes holding the same terms: cut at 16
@@ -202,7 +208,6 @@ def _detection_window_mixture(
 def simulate_trees(
     cfg: SimConfig,
     p: ModelParams,
-    profile: InfectivityProfile,
     channel: str | None = None,
     quarantine_day: int | None = None,
 ) -> SimOutcome:
@@ -219,21 +224,12 @@ def simulate_trees(
     if channel not in _CHANNELS:
         raise ValueError(f"unknown warning channel {channel!r}; expected one of {_CHANNELS!r}")
     rng = np.random.default_rng(cfg.seed)
-    n = cfg.trees
-    quarantine = np.full(n, np.inf if quarantine_day is None else float(quarantine_day))
+    quarantine = np.inf if quarantine_day is None else float(quarantine_day)
     delay, fraction = (0, 0.0) if channel is None else _channel(p, channel)
-    ratios = _run_trees(
-        rng, n, cfg.r0, quarantine, np.full(n, float(delay)), np.full(n, fraction), p, profile,
-    )
-    return _summarize(ratios)
+    return _summarize(_run_trees(rng, cfg.trees, cfg.r0, quarantine, float(delay), fraction, p))
 
 
-def empirical_case_type_taf(
-    case_type: str,
-    cfg: SimConfig,
-    p: ModelParams,
-    profile: InfectivityProfile,
-) -> SimOutcome:
+def empirical_case_type_taf(case_type: str, cfg: SimConfig, p: ModelParams) -> SimOutcome:
     """Empirical TAF of one case type, mirroring the analytic constants: the
     case type fixes how the index is detected and warned.
 
@@ -251,33 +247,26 @@ def empirical_case_type_taf(
     n = cfg.trees
     ct_delay, ct_fraction = _channel(p, "ct")
     app_delay, app_fraction = _channel(p, "app")
-    latency = np.full(n, float(ct_delay))
-    fraction = np.full(n, ct_fraction)
-    self_report_day = p.t_sym + p.t_plan
-
+    span = p.t_sym + p.t_plan
+    latency, fraction = float(ct_delay), ct_fraction
     if case_type == "miss":
-        quarantine = np.full(n, np.inf)
-        fraction = np.zeros(n)
+        quarantine, fraction = np.inf, 0.0
     elif case_type == "sym":
-        quarantine = np.full(n, float(min(self_report_day, _LAST_DAY)))
-    elif case_type in ("ct", "pers"):
-        quarantine = _detection_window_mixture(
-            rng, n, p.t_ct if case_type == "ct" else p.t_pers, self_report_day, 0, profile,
-        )
-    else:  # app_plus / app_minus
-        if case_type == "app_plus":
-            quarantine = _detection_window_mixture(
-                rng, n, p.t_sym - 1, p.t_app + p.t_plan + 1, 0, profile,
-            )
-        else:
-            quarantine = _detection_window_mixture(
-                rng, n, p.t_app, p.t_plan, p.t_sym, profile,
-            )
-        via_app = rng.random(n) < p.u_app
-        latency = np.where(via_app, float(app_delay), float(ct_delay))
-        fraction = np.where(via_app, app_fraction, ct_fraction)
-    ratios = _run_trees(rng, n, cfg.r0, quarantine, latency, fraction, p, profile)
-    return _summarize(ratios)
+        quarantine = float(min(span, _LAST_DAY))
+    else:
+        # (latency, window, backdate) of each detected type's detection window
+        windows = {
+            "pers": (p.t_pers, span, 0),
+            "ct": (p.t_ct, span, 0),
+            "app_plus": (p.t_sym - 1, p.t_app + p.t_plan + 1, 0),
+            "app_minus": (p.t_app, p.t_plan, p.t_sym),
+        }
+        quarantine = _detection_window_mixture(rng, n, *windows[case_type])
+        if case_type.startswith("app"):
+            via_app = rng.random(n) < p.u_app
+            latency = np.where(via_app, float(app_delay), latency)
+            fraction = np.where(via_app, app_fraction, ct_fraction)
+    return _summarize(_run_trees(rng, n, cfg.r0, quarantine, latency, fraction, p))
 
 
 def _summarize(ratios: np.ndarray) -> SimOutcome:

@@ -124,13 +124,15 @@ def _coerce(name: str, value: object) -> float | int:
     """Coerce a raw override value to the field's declared type."""
     try:
         if name in _DELAY_FIELDS:
+            if isinstance(value, (int, str)):
+                try:  # an integer or integer text keeps every digit at any size
+                    return int(value)
+                except ValueError:  # "5.0", or text past the int digit limit
+                    pass
             as_float = float(value)  # type: ignore[arg-type]
             if not as_float.is_integer():
                 raise ValueError
-            try:  # an integer or integer text keeps every digit; "5.0" does not parse
-                return int(value)  # type: ignore[arg-type]
-            except ValueError:
-                return int(as_float)
+            return int(as_float)
         return float(value)  # type: ignore[arg-type]
     except (TypeError, ValueError):
         raise ValueError(f"invalid value for parameter {name!r}: {value!r}") from None

@@ -173,12 +173,12 @@ def test_criterion_6_rt_reduction_bands(params, series, lambdas):
     assert 0.0002 <= app.rt_reduction_avg <= 0.0008, app.rt_reduction_avg
 
 
-def test_criterion_7_oracle_agreement(params, profile, lambdas):
+def test_criterion_7_oracle_agreement(params, lambdas):
     """Monte-Carlo TAFs agree with the analytics at 1e5 trees, seed 0."""
     cfg = oracle.SimConfig(trees=100_000, seed=0)
     started = time.perf_counter()
     outcomes = {
-        kind: oracle.empirical_case_type_taf(kind, cfg, params, profile)
+        kind: oracle.empirical_case_type_taf(kind, cfg, params)
         for kind in ("miss", "pers", "ct", "app_minus")
     }
     elapsed = time.perf_counter() - started
@@ -219,8 +219,8 @@ def test_criterion_8_property_suite(params, profile, series, lambdas):
 
     # fixed seed means identical outputs
     cfg = oracle.SimConfig(trees=2_000, seed=42)
-    first = oracle.empirical_case_type_taf("ct", cfg, params, profile)
-    second = oracle.empirical_case_type_taf("ct", cfg, params, profile)
+    first = oracle.empirical_case_type_taf("ct", cfg, params)
+    second = oracle.empirical_case_type_taf("ct", cfg, params)
     assert first == second
 
     # per-type counts partition every weekly total exactly

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from traceavert import cases
 from traceavert.cases import (
     CaseSeries,
     _week_mondays,
@@ -361,6 +362,35 @@ class TestCsvLoaders:
         path.write_text(RAW_HEADER + "2020-42,1,1,1,1,0.5\n2020-W43,1,1,1,1,0.5\n")
         with pytest.raises(ValueError, match=r"raw.csv:3: invalid ISO week label '2020-W43'"):
             load_raw_csv(path)
+
+    @pytest.mark.parametrize("cell, message", [
+        ("inf", "column 'app_with_symptoms': not a finite number: 'inf'"),
+        ("-1", "column 'app_with_symptoms': negative count: '-1'"),
+    ])
+    def test_raw_first_offending_line_wins(self, tmp_path, cell, message):
+        path = tmp_path / "raw.csv"
+        path.write_text(RAW_HEADER + "2020-42,1,1,1,1,0.5\n"
+                        f"2020-43,1,1,{cell},1,0.5\n"
+                        "bogus,1,1,1,1,0.5\n"
+                        "2020-45,abc,1,1,1\n")
+        with pytest.raises(ValueError, match=rf"raw.csv:3: {message}$"):
+            load_raw_csv(path)
+
+    def test_raw_labels_are_parsed_once(self, tmp_path, monkeypatch):
+        calls = []
+        week_mondays = cases._week_mondays
+
+        def counted(labels):
+            calls.append(len(labels))
+            return week_mondays(labels)
+
+        monkeypatch.setattr(cases, "_week_mondays", counted)
+        weeks = [(MONDAY + dt.timedelta(weeks=w)).isocalendar() for w in range(200)]
+        path = tmp_path / "raw.csv"
+        path.write_text(RAW_HEADER + "".join(f"{year}-{week:02d},1,1,1,1,0.5\n"
+                                             for year, week, _ in weeks))
+        assert len(load_raw_csv(path)[0]) == 200
+        assert calls == [200]
 
     def test_raw_roundtrip(self, tmp_path):
         path = tmp_path / "raw.csv"

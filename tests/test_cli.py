@@ -624,6 +624,18 @@ class TestSimulateTrees:
         assert (code, err) == (0, "")
         assert len(out.splitlines()) == 1 + len(CASE_TYPES)
 
+    def test_delay_past_the_float_range_runs_as_a_long_one(self, tmp_path, capsys):
+        def outputs(days):
+            out = tmp_path / "out"
+            commands = (("lambda-table",), ("simulate", "--trees", "200"),
+                        ("estimate", "--out", str(out)))
+            runs = [run_cli(capsys, *argv, "--param", f"t_ct={days}") for argv in commands]
+            return runs, [(out / name).read_bytes() for name in ("weekly.csv", "summary.csv")]
+
+        huge = outputs("1" + "0" * 400)
+        assert [code for code, _, _ in huge[0]] == [0, 0, 0]
+        assert huge == outputs("100000")
+
     def test_out_of_memory_exits_2_naming_trees(self, capsys, monkeypatch):
         def exhausted(*args):
             raise MemoryError("Unable to allocate 7.45 GiB")

@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 from traceavert import oracle
-from traceavert.infectivity import InfectivityProfile
 from traceavert.oracle import SimConfig, empirical_case_type_taf, simulate_trees
 from traceavert.params import apply_overrides
 from traceavert.taf import CASE_TYPES
@@ -40,55 +39,54 @@ class TestSimConfig:
 
 
 class TestSimulateTrees:
-    def test_determinism(self, params, profile):
+    def test_determinism(self, params):
         cfg = SimConfig(trees=5_000, seed=11)
-        first = simulate_trees(cfg, params, profile, "ct", 7)
-        second = simulate_trees(cfg, params, profile, "ct", 7)
+        first = simulate_trees(cfg, params, "ct", 7)
+        second = simulate_trees(cfg, params, "ct", 7)
         assert first == second
 
-    def test_unknown_channel_rejected(self, params, profile):
+    def test_unknown_channel_rejected(self, params):
         with pytest.raises(ValueError, match="channel 'mail'"):
-            simulate_trees(SimConfig(trees=10), params, profile, "mail")
+            simulate_trees(SimConfig(trees=10), params, "mail")
 
-    def test_no_intervention_matches_missed_constant(self, params, profile, lambdas):
+    def test_no_intervention_matches_missed_constant(self, params, lambdas):
         cfg = SimConfig(trees=20_000, seed=0)
-        outcome = simulate_trees(cfg, params, profile)
+        outcome = simulate_trees(cfg, params)
         assert abs(_zscore(outcome, lambdas["miss"])) < 2
 
-    def test_full_potential_without_any_adherence(self, params, profile):
+    def test_full_potential_without_any_adherence(self, params):
         p = apply_overrides(params, {"a_sym": "0"})
-        no_adherence = InfectivityProfile.from_params(p)
         cfg = SimConfig(trees=20_000, seed=0)
-        outcome = simulate_trees(cfg, p, no_adherence)
+        outcome = simulate_trees(cfg, p)
         # the day-by-day profile carries 0.99 of the infection potential, so
         # a fully unimpeded tree realizes 0.99 of it at both generations
         assert abs(_zscore(outcome, 0.99**2)) < 2
 
-    def test_ct_channel_quarantine_day7_matches_analytic(self, params, profile, table):
+    def test_ct_channel_quarantine_day7_matches_analytic(self, params, table):
         analytic = table.lambda_ct_row[6]
-        outcome = simulate_trees(SimConfig(trees=20_000, seed=0), params, profile, "ct", 7)
+        outcome = simulate_trees(SimConfig(trees=20_000, seed=0), params, "ct", 7)
         assert abs(_zscore(outcome, analytic)) < 2
 
-    def test_outcome_accounting(self, params, profile):
+    def test_outcome_accounting(self, params):
         cfg = SimConfig(trees=2_000, seed=5)
-        outcome = simulate_trees(cfg, params, profile)
+        outcome = simulate_trees(cfg, params)
         assert 0.0 <= outcome.empirical_taf <= 1.0
         assert outcome.standard_error > 0.0
 
-    def test_standard_error_shrinks_with_more_trees(self, params, profile):
+    def test_standard_error_shrinks_with_more_trees(self, params):
         ses = [
-            simulate_trees(SimConfig(trees=n, seed=3), params, profile).standard_error
+            simulate_trees(SimConfig(trees=n, seed=3), params).standard_error
             for n in (1_000, 10_000, 100_000)
         ]
         for coarse, fine in zip(ses, ses[1:]):
             ratio = coarse / fine
             assert math.sqrt(10) / 2 < ratio < 2 * math.sqrt(10)
 
-    def test_later_warnings_leak_more_transmission(self, params, profile):
+    def test_later_warnings_leak_more_transmission(self, params):
         tafs = []
         for t_ct in ("1", "5"):
             p = apply_overrides(params, {"t_ct": t_ct})
-            tafs.append(simulate_trees(SimConfig(trees=20_000, seed=9), p, profile, "ct", 7))
+            tafs.append(simulate_trees(SimConfig(trees=20_000, seed=9), p, "ct", 7))
         gap = tafs[1].empirical_taf - tafs[0].empirical_taf
         noise = 2 * math.hypot(tafs[0].standard_error, tafs[1].standard_error)
         assert gap > -noise
@@ -96,47 +94,47 @@ class TestSimulateTrees:
 
 
 class TestCaseTypeTaf:
-    def test_unknown_case_type_rejected(self, params, profile):
+    def test_unknown_case_type_rejected(self, params):
         with pytest.raises(ValueError, match="case type"):
-            empirical_case_type_taf("mystery", SimConfig(trees=10), params, profile)
+            empirical_case_type_taf("mystery", SimConfig(trees=10), params)
 
     @pytest.mark.parametrize("case_type", CASE_TYPES)
-    def test_matches_analytic_within_2se(self, case_type, params, profile, lambdas):
+    def test_matches_analytic_within_2se(self, case_type, params, lambdas):
         cfg = SimConfig(trees=20_000, seed=5)
-        outcome = empirical_case_type_taf(case_type, cfg, params, profile)
+        outcome = empirical_case_type_taf(case_type, cfg, params)
         assert abs(_zscore(outcome, lambdas[case_type])) < 2
 
-    def test_personal_warning_beats_tracing_call(self, params, profile):
+    def test_personal_warning_beats_tracing_call(self, params):
         cfg = SimConfig(trees=20_000, seed=0)
-        pers = empirical_case_type_taf("pers", cfg, params, profile)
-        ct = empirical_case_type_taf("ct", cfg, params, profile)
+        pers = empirical_case_type_taf("pers", cfg, params)
+        ct = empirical_case_type_taf("ct", cfg, params)
         assert (pers.empirical_taf + 2 * pers.standard_error
                 < ct.empirical_taf - 2 * ct.standard_error)
 
-    def test_app_minus_band_at_small_sample(self, params, profile):
+    def test_app_minus_band_at_small_sample(self, params):
         cfg = SimConfig(trees=10_000, seed=0)
-        outcome = empirical_case_type_taf("app_minus", cfg, params, profile)
+        outcome = empirical_case_type_taf("app_minus", cfg, params)
         assert 0.15 <= outcome.empirical_taf <= 0.40
 
-    def test_taf_independent_of_r0(self, params, profile):
+    def test_taf_independent_of_r0(self, params):
         low = empirical_case_type_taf(
-            "ct", SimConfig(trees=20_000, seed=4, r0=1.0), params, profile
+            "ct", SimConfig(trees=20_000, seed=4, r0=1.0), params
         )
         high = empirical_case_type_taf(
-            "ct", SimConfig(trees=20_000, seed=4, r0=3.0), params, profile
+            "ct", SimConfig(trees=20_000, seed=4, r0=3.0), params
         )
         gap = abs(low.empirical_taf - high.empirical_taf)
         assert gap < 3 * math.hypot(low.standard_error, high.standard_error)
 
-    def test_determinism(self, params, profile):
+    def test_determinism(self, params):
         cfg = SimConfig(trees=5_000, seed=21)
         runs = [
-            empirical_case_type_taf("app_plus", cfg, params, profile)
+            empirical_case_type_taf("app_plus", cfg, params)
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
 
-    def test_simulate_output_pinned(self, params, profile):
+    def test_simulate_output_pinned(self, params):
         # exact outcomes of numpy's seeded Generator stream: any change to which
         # draws the oracle makes, or in what order, moves them
         pinned = {
@@ -149,10 +147,10 @@ class TestCaseTypeTaf:
         }
         cfg = SimConfig(trees=5_000, seed=21)
         for case_type, (taf, se) in pinned.items():
-            outcome = empirical_case_type_taf(case_type, cfg, params, profile)
+            outcome = empirical_case_type_taf(case_type, cfg, params)
             assert (outcome.empirical_taf, outcome.standard_error) == (taf, se), case_type
 
-    def test_app_heavy_output_pinned(self, params, profile):
+    def test_app_heavy_output_pinned(self, params):
         # everyone uses the app, whose warning is slower than at the defaults,
         # and tracing is slower still: pins the via_app latency and fraction mix
         pinned = {
@@ -166,7 +164,7 @@ class TestCaseTypeTaf:
         p = apply_overrides(params, {"u_app": "1", "t_app": "3", "t_ct": "5"})
         cfg = SimConfig(trees=3_000, seed=21)
         for case_type, expected in pinned.items():
-            outcome = empirical_case_type_taf(case_type, cfg, p, profile)
+            outcome = empirical_case_type_taf(case_type, cfg, p)
             assert (outcome.empirical_taf, outcome.standard_error) == expected, case_type
 
 
@@ -174,12 +172,11 @@ class TestBlocks:
     @pytest.mark.parametrize("overrides", [{}, {"u_app": "0.5", "t_app": "3", "t_ct": "5"}])
     def test_block_size_does_not_change_outcomes(self, monkeypatch, overrides, params):
         p = apply_overrides(params, overrides)
-        profile = InfectivityProfile.from_params(p)
         cfg = SimConfig(trees=50, seed=13)
 
         def outcomes():
-            by_type = [empirical_case_type_taf(kind, cfg, p, profile) for kind in CASE_TYPES]
-            by_channel = [simulate_trees(cfg, p, profile, channel, day)
+            by_type = [empirical_case_type_taf(kind, cfg, p) for kind in CASE_TYPES]
+            by_channel = [simulate_trees(cfg, p, channel, day)
                           for channel in (None, "ct", "app") for day in (None, 0, 3, 20)]
             return by_type + by_channel
 
@@ -189,11 +186,11 @@ class TestBlocks:
             monkeypatch.setattr(oracle, "_BLOCK", block)
             assert outcomes() == single_block, block
 
-    def test_peak_memory_does_not_grow_with_the_days_grid(self, params, profile):
+    def test_peak_memory_does_not_grow_with_the_days_grid(self, params):
         # 100,000 trees x 14 days: one float grid alone is 10.7 MiB
         tracemalloc.start()
         try:
-            empirical_case_type_taf("miss", SimConfig(trees=100_000, seed=7), params, profile)
+            empirical_case_type_taf("miss", SimConfig(trees=100_000, seed=7), params)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -220,16 +217,16 @@ def _with(params, field, value):
 class TestChannelRejections:
     @pytest.mark.parametrize("field, value", _BAD_CHANNEL_FIELDS)
     @pytest.mark.parametrize("case_type", CASE_TYPES)
-    def test_case_type_rejects_bad_channel_field(self, case_type, field, value, params, profile):
+    def test_case_type_rejects_bad_channel_field(self, case_type, field, value, params):
         p = _with(params, field, value)
         with pytest.raises(ValueError, match=field):
-            empirical_case_type_taf(case_type, SimConfig(trees=10), p, profile)
+            empirical_case_type_taf(case_type, SimConfig(trees=10), p)
 
     @pytest.mark.parametrize("field, value", _BAD_CHANNEL_FIELDS)
-    def test_simulate_trees_rejects_bad_field_of_its_channel(self, field, value, params, profile):
+    def test_simulate_trees_rejects_bad_field_of_its_channel(self, field, value, params):
         p = _with(params, field, value)
         with pytest.raises(ValueError, match=field):
-            simulate_trees(SimConfig(trees=10), p, profile, field.split("_")[1])
+            simulate_trees(SimConfig(trees=10), p, field.split("_")[1])
 
 
 class TestHugeDelays:
@@ -238,15 +235,14 @@ class TestHugeDelays:
     def test_huge_delay_gives_the_trees_of_a_long_one(self, case_type, field, params):
         def outcome(days):
             p = dataclasses.replace(params, **{field: days})
-            profile = InfectivityProfile.from_params(p)
-            return empirical_case_type_taf(case_type, SimConfig(trees=500, seed=3), p, profile)
+            return empirical_case_type_taf(case_type, SimConfig(trees=500, seed=3), p)
 
         assert outcome(10**400) == outcome(60)
 
-    def test_zero_weight_window_names_the_huge_backdate(self, params, profile):
+    def test_zero_weight_window_names_the_huge_backdate(self, params):
         p = dataclasses.replace(params, t_sym=10**21)
         with pytest.raises(ValueError, match=rf"\(window=2, backdate={10**21}\) has zero"):
-            empirical_case_type_taf("app_minus", SimConfig(trees=10), p, profile)
+            empirical_case_type_taf("app_minus", SimConfig(trees=10), p)
 
 
 class TestIndependence:
@@ -261,6 +257,7 @@ class TestIndependence:
                 for alias in node.names:
                     imported.update(alias.name.split("."))
         assert "taf" not in imported
+        assert "InfectivityProfile" not in imported  # only the published i_w
         assert "infectivity" in imported  # the walk does see the module's imports
 
     def test_case_types_match_analytic_layer(self):

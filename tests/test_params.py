@@ -1,7 +1,10 @@
 import dataclasses
+import sys
 
 import pytest
 
+from traceavert import InfectivityProfile, LambdaTable, averted_app, averted_ct
+from traceavert.oracle import SimConfig, empirical_case_type_taf
 from traceavert.params import (
     ModelParams,
     apply_overrides,
@@ -75,6 +78,33 @@ class TestOverrides:
     def test_whole_delay_keeps_every_digit(self, params, value, days):
         p = apply_overrides(params, {"t_sym": value})
         assert p.t_sym == days and type(p.t_sym) is int
+
+    def test_delay_past_the_float_range_runs_as_a_long_one(self, params, series):
+        def results(days):
+            p = apply_overrides(params, {"t_ct": days})
+            per_type = LambdaTable.build(p, InfectivityProfile.from_params(p)).per_type
+            trees = [empirical_case_type_taf(kind, SimConfig(trees=200, seed=1), p)
+                     for kind in per_type]
+            runs = (averted_ct(series, per_type, p), averted_app(series, per_type, p))
+            reports = [(r.c_not_weekly.tolist(), r.s_weekly.tolist(), r.rt_weekly.tolist())
+                       for r in runs]
+            return p.t_ct, per_type, trees, reports
+
+        huge, long = results(10**400), results(100_000)
+        assert huge[0] == 10**400 and type(huge[0]) is int
+        assert huge[1:] == long[1:]
+
+    @pytest.mark.parametrize("text", ["5.5", "inf", "-inf", "nan", "lots", ""])
+    def test_non_integer_delay_text_is_named(self, params, text):
+        with pytest.raises(ValueError, match=r"invalid value for parameter 't_ct'"):
+            apply_overrides(params, {"t_ct": text})
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="this Python converts integer text of any length")
+    def test_delay_text_past_the_int_digit_limit_is_named(self, params):
+        text = "9" * (sys.get_int_max_str_digits() + 1)
+        with pytest.raises(ValueError, match=r"invalid value for parameter 't_ct'"):
+            apply_overrides(params, {"t_ct": text})
 
     def test_garbage_value_rejected(self, params):
         with pytest.raises(ValueError, match="u_app"):

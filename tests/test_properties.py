@@ -79,10 +79,10 @@ def test_no_app_uptake_collapses_mixture_to_manual_tracing(l, h, b, params, prof
     seed=st.integers(min_value=0, max_value=2**31 - 1),
     case_type=st.sampled_from(CASE_TYPES),
 )
-def test_simulation_deterministic_for_fixed_seed(seed, case_type, params, profile):
+def test_simulation_deterministic_for_fixed_seed(seed, case_type, params):
     cfg = SimConfig(trees=400, seed=seed)
-    first = empirical_case_type_taf(case_type, cfg, params, profile)
-    second = empirical_case_type_taf(case_type, cfg, params, profile)
+    first = empirical_case_type_taf(case_type, cfg, params)
+    second = empirical_case_type_taf(case_type, cfg, params)
     assert first == second
 
 
@@ -398,7 +398,7 @@ def test_oracle_matches_dense_grid_draws(seed, trees, fractions, t_ct, t_app, t_
     for target in _ORACLE_TARGETS:
         if isinstance(target, tuple):
             channel, day = target
-            outcome = simulate_trees(SimConfig(trees=trees, seed=seed), p, profile, channel, day)
+            outcome = simulate_trees(SimConfig(trees=trees, seed=seed), p, channel, day)
         else:
-            outcome = empirical_case_type_taf(target, SimConfig(trees=trees, seed=seed), p, profile)
+            outcome = empirical_case_type_taf(target, SimConfig(trees=trees, seed=seed), p)
         assert outcome == _dense_outcome(target, trees, seed, p, profile), target
