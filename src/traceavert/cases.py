@@ -27,6 +27,7 @@ import functools
 import io
 import math
 import operator
+import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -62,6 +63,8 @@ _PRESPLIT_COLUMNS = (
     "week", "c_total", "c_sym", "c_pers", "c_ct", "c_app_minus", "c_app_plus",
 )
 _HOSP_COLUMNS = ("date", "admissions")
+#: the one admission date form; date.fromisoformat reads more from Python 3.11 on
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 #: names of the total and the six count columns, as violations print them
 _COUNT_NAMES = ("c_total",) + tuple(f"c_{name}" for name in CASE_TYPES)
 
@@ -316,6 +319,8 @@ def load_hospitalizations_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]
     previous: dt.date | None = None
     for lineno, (date_text, count_text) in _rows(path, _read(path), _HOSP_COLUMNS):
         try:
+            if not _ISO_DATE.fullmatch(date_text):
+                raise ValueError
             day = dt.date.fromisoformat(date_text)
         except ValueError:
             raise ValueError(f"{path}:{lineno}: invalid date {date_text!r}") from None

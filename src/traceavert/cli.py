@@ -28,7 +28,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 from . import cases, counterfactual, oracle
 from .infectivity import InfectivityProfile
@@ -95,10 +95,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--data", metavar="PATH", default=None,
                        help="weekly series CSV (default: bundled dataset)")
         p.add_argument("--hosp", metavar="PATH", default=None,
-                       help="daily hospital admissions CSV (raw mode)")
-        p.add_argument("--raw", action="store_true",
-                       help="data is raw surveillance counts; derive "
-                            "case types (needs --data and --hosp)")
+                       help="daily hospital admissions CSV; --data then holds raw "
+                            "surveillance counts, whose case types are derived")
 
     p_estimate = sub.add_parser("estimate", help="weekly reconstruction and summary")
     add_param_flags(p_estimate)
@@ -147,20 +145,24 @@ def _effective_params(args: argparse.Namespace) -> ModelParams:
     return params_from_config(args.config, overrides)
 
 
-def _load_raw(args: argparse.Namespace) -> tuple[tuple, tuple]:
-    if args.data is None or args.hosp is None:
-        raise ValueError("--raw needs both --data and --hosp")
-    return cases.load_raw_csv(args.data), cases.load_hospitalizations_csv(args.hosp)
+def _series_reader(args: argparse.Namespace,
+                   stream) -> Callable[[ModelParams], cases.CaseSeries | None]:
+    """Read the inputs once; return a function from a parameter set to its series,
+    or to ``None`` once the series' violations are printed to ``stream``. With
+    ``--hosp``, ``--data`` holds raw counts, split per parameter set; a presplit
+    series (``--data`` or the bundled one) is checked here, once."""
+    def checked(series: cases.CaseSeries) -> cases.CaseSeries | None:
+        bad = _report_violations(cases.validate_series(series), "series", stream)
+        return None if bad else series
 
-
-def _load_series(args: argparse.Namespace, p: ModelParams) -> cases.CaseSeries:
-    if args.raw:
-        return cases.build_series_from_raw(*_load_raw(args), p)
     if args.hosp is not None:
-        raise ValueError("--hosp is only read with --raw")
-    if args.data is None:
-        return cases.load_fixture()
-    return cases.load_presplit_csv(args.data)
+        if args.data is None:
+            raise ValueError("--hosp needs --data, the raw weekly counts")
+        raw, admissions = cases.load_raw_csv(args.data), cases.load_hospitalizations_csv(args.hosp)
+        return lambda p: checked(cases.build_series_from_raw(raw, admissions, p))
+    series = checked(cases.load_fixture() if args.data is None
+                     else cases.load_presplit_csv(args.data))
+    return lambda p: series
 
 
 def _reconstruct(series: cases.CaseSeries, p: ModelParams) -> tuple[
@@ -187,8 +189,8 @@ def _run_estimate(args: argparse.Namespace) -> int:
     p = _effective_params(args)
     if _report_violations(validate(p), "params", sys.stderr):
         return 1
-    series = _load_series(args, p)
-    if _report_violations(cases.validate_series(series), "series", sys.stderr):
+    series = _series_reader(args, sys.stderr)(p)
+    if series is None:
         return 1
 
     table, ct, app = _reconstruct(series, p)
@@ -314,21 +316,14 @@ def _run_sweep(args: argparse.Namespace) -> int:
         if _report_violations(validate(p), f"params ({name}={text})", sys.stderr):
             return 1
         params.append(p)
-    # The input files are read once; only a raw series depends on the parameters.
-    if args.raw:
-        raw, admissions = _load_raw(args)
-    else:
-        series = _load_series(args, base)
-        if _report_violations(cases.validate_series(series), "series", sys.stderr):
-            return 1
+    series_for = _series_reader(args, sys.stderr)
     lines = ["param,value,s_ct_total,s_app_total,"
              "hosp_ct,icu_ct,deaths_ct,hosp_app,icu_app,deaths_app,"
              "rt_reduction_ct,rt_reduction_app"]
     for text, p in zip(values, params):
-        if args.raw:
-            series = cases.build_series_from_raw(raw, admissions, p)
-            if _report_violations(cases.validate_series(series), "series", sys.stderr):
-                return 1
+        series = series_for(p)
+        if series is None:
+            return 1
         _, ct, app = _reconstruct(series, p)
         _, _, ct_text, app_text = zip(*_summary_rows(ct, app))
         lines.append(",".join((name, text, ct_text[0], app_text[0], *ct_text[1:4],
@@ -344,11 +339,10 @@ def _run_sweep(args: argparse.Namespace) -> int:
 def _run_validate(args: argparse.Namespace) -> int:
     p = _effective_params(args)
     bad = _report_violations(validate(p), "params", sys.stdout)
-    if bad and args.raw:  # a raw series is built from the parameters
+    if bad and args.hosp is not None:  # a raw series is built from the parameters
         return 1
-    series = _load_series(args, p)
-    bad = _report_violations(cases.validate_series(series), "series", sys.stdout) or bad
-    if bad:
+    series = _series_reader(args, sys.stdout)(p)
+    if bad or series is None:
         return 1
     _reconstruct(series, p)  # the inputs must also pass estimate's reconstruction
     print("params: ok")

@@ -23,6 +23,7 @@ tracing choice are per-tree arrays.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,12 +220,16 @@ def simulate_trees(
     ------
     ValueError
         If ``channel`` is unknown, or it has a negative delay or a reach or
-        adherence outside [0, 1].
+        adherence outside [0, 1], or ``quarantine_day`` is neither ``None``
+        nor an integer >= 0.
     """
     if channel not in _CHANNELS:
         raise ValueError(f"unknown warning channel {channel!r}; expected one of {_CHANNELS!r}")
+    if quarantine_day is not None and (isinstance(quarantine_day, bool) or not isinstance(
+            quarantine_day, numbers.Integral) or quarantine_day < 0):
+        raise ValueError(f"quarantine_day must be None or an integer >= 0, got {quarantine_day!r}")
     rng = np.random.default_rng(cfg.seed)
-    quarantine = np.inf if quarantine_day is None else float(quarantine_day)
+    quarantine = np.inf if quarantine_day is None else float(min(quarantine_day, _LAST_DAY))
     delay, fraction = (0, 0.0) if channel is None else _channel(p, channel)
     return _summarize(_run_trees(rng, cfg.trees, cfg.r0, quarantine, float(delay), fraction, p))
 

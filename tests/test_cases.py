@@ -435,6 +435,15 @@ class TestCsvLoaders:
             load_hospitalizations_csv(path)
 
 
+    @pytest.mark.parametrize("text", ["20201012", "2020-W42-1"])
+    def test_hospitalizations_date_is_yyyy_mm_dd(self, tmp_path, text):
+        # Python 3.11 and later read both compact forms with date.fromisoformat
+        path = tmp_path / "hosp.csv"
+        path.write_text(f"date,admissions\n2020-10-11,4\n{text},5\n")
+        with pytest.raises(ValueError, match=f"hosp.csv:3: invalid date '{text}'$"):
+            load_hospitalizations_csv(path)
+
+
 class TestRawPipeline:
     def test_build_series_from_raw(self, params):
         raw = (("2020-42", "2020-43"), np.array([[500.0, 200.0, 30.0, 10.0, 8.4],

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from traceavert import cli, counterfactual, load_fixture
+from traceavert import cases, cli, counterfactual, load_fixture
 from traceavert.params import ModelParams, apply_overrides, default_params, validate
 from traceavert.taf import CASE_TYPES
 
@@ -199,22 +199,39 @@ class TestEstimateErrors:
         assert "c_pers" in err
 
     @pytest.mark.parametrize("command", ["estimate", "sweep", "validate"])
-    def test_hosp_without_raw_exits_2(self, tmp_path, capsys, command):
+    def test_hosp_without_data_exits_2(self, tmp_path, capsys, command):
         extra = {"estimate": ["--out", str(tmp_path / "out")], "sweep": ["--sweep", "u_app=0.1"]}
         code, out, err = run_cli(capsys, command, *extra.get(command, []),
                                  "--hosp", str(tmp_path / "missing.csv"))
         assert code == 2
         assert out == ""
-        assert err == "error: --hosp is only read with --raw\n"
+        assert err == "error: --hosp needs --data, the raw weekly counts\n"
         assert not (tmp_path / "out").exists()
 
-    def test_raw_without_hosp_exits_2(self, tmp_path, capsys):
-        data = tmp_path / "raw.csv"
-        data.write_text("week\n", encoding="utf-8")
-        code, _, err = run_cli(
-            capsys, "estimate", "--raw", "--data", str(data))
-        assert code == 2
-        assert "--hosp" in err
+    @pytest.mark.parametrize("hosp, missing", [
+        (False, "c_total, c_sym, c_pers, c_ct, c_app_minus, c_app_plus"),
+        (True, "sym_positives, ct_found, app_with_symptoms, app_without_symptoms, k_app"),
+    ], ids=["raw_without_hosp", "presplit_with_hosp"])
+    def test_data_file_must_match_hosp(self, tmp_path, capsys, hosp, missing):
+        """``--hosp`` alone says that ``--data`` holds raw counts."""
+        raw, admissions = write_raw_inputs(tmp_path)
+        data = write_presplit(tmp_path / "weekly.csv", [("2020-10", 1000, 300, 40, 60, 5, 10)])
+        argv = ("--data", data, "--hosp", admissions) if hosp else ("--data", raw)
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, "estimate", *argv, "--out", str(out_dir))
+        assert (code, out) == (2, "")
+        assert err == f"error: {argv[1]}: missing required column(s): {missing}\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("line", [" = 5", "u_app ="], ids=["no_key", "no_value"])
+    def test_config_line_without_key_or_value_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                      line):
+        monkeypatch.chdir(tmp_path)
+        Path("model.conf").write_text(f"# model\n{line}\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "estimate", "--config", "model.conf", "--out", "out")
+        assert (code, out) == (2, "")
+        assert err == f"error: model.conf:2: expected 'key = value', got {line!r}\n"
+        assert not Path("out").exists()
 
     def test_zero_tracing_delay_exits_2_naming_delay(self, tmp_path, capsys):
         code, _, err = run_cli(
@@ -222,6 +239,13 @@ class TestEstimateErrors:
         assert code == 2
         assert "ct warning delay" in err and "got 0" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [("lambda-table",), ("simulate", "--trees", "10")],
+                         ids=["lambda-table", "simulate"])
+def test_out_of_range_param_exits_1(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--param", "u_app=1.5")
+    assert (code, out, err) == (1, "", "params: u_app must lie in [0, 1], got 1.5\n")
 
 
 # --------------------------------------------------------------------------
@@ -327,7 +351,7 @@ class TestSweep:
     def test_raw_sweep_rows_match_single_estimates(self, tmp_path, capsys):
         raw, hosp = write_raw_inputs(tmp_path)
         code, out, _ = run_cli(
-            capsys, "sweep", "--sweep", "t_ct=2,4", "--raw",
+            capsys, "sweep", "--sweep", "t_ct=2,4",
             "--data", raw, "--hosp", hosp)
         assert code == 0
         rows = out.splitlines()[1:]
@@ -335,7 +359,7 @@ class TestSweep:
         for row, value in zip(rows, ("2", "4")):
             out_dir = tmp_path / f"t_ct{value}"
             assert run_cli(
-                capsys, "estimate", "--param", f"t_ct={value}", "--raw",
+                capsys, "estimate", "--param", f"t_ct={value}",
                 "--data", raw, "--hosp", hosp, "--out", str(out_dir))[0] == 0
             summary = (out_dir / "summary.csv").read_text().splitlines()
             averted = dict(line.split(",", 1) for line in summary[1:])["averted_cases"]
@@ -345,6 +369,55 @@ class TestSweep:
         code, _, err = run_cli(capsys, "sweep", "--sweep", "u_app=0.1,1.5")
         assert code == 1
         assert "u_app=1.5" in err
+
+    def test_repeated_week_is_reported_once(self, tmp_path, capsys):
+        data = write_presplit(tmp_path / "weekly.csv", [
+            ("2020-42", 1000, 300, 40, 60, 5, 10),
+            ("2020-42", 1100, 320, 44, 66, 6, 11),
+        ])
+        code, out, err = run_cli(capsys, "sweep", "--sweep", "u_app=0.1,0.2", "--data", data)
+        assert (code, out) == (1, "")
+        assert err == "series: week 2020-42: repeats 2020-42 (ISO weeks must be consecutive)\n"
+
+    def test_raw_week_gap_exits_1(self, tmp_path, capsys):
+        raw, hosp = write_raw_inputs(
+            tmp_path, rows=("2020-10,100,50,10,5,0.5", "2020-12,120,60,12,6,0.5"),
+            admissions=["1.32"] * 21)
+        code, out, err = run_cli(capsys, "sweep", "--sweep", "t_ct=2,4",
+                                 "--data", raw, "--hosp", hosp)
+        assert (code, out) == (1, "")
+        assert err == ("series: week 2020-12: does not follow 2020-10 "
+                       "(ISO weeks must be consecutive)\n")
+
+    def test_presplit_series_is_validated_once(self, capsys, monkeypatch):
+        calls = []
+        validate_series = cases.validate_series
+
+        def counted(series):
+            calls.append(len(series))
+            return validate_series(series)
+
+        monkeypatch.setattr(cases, "validate_series", counted)
+        assert run_cli(capsys, "sweep", "--sweep", "u_app=0.1,0.2,0.3,0.4")[0] == 0
+        assert calls == [31]
+
+    def test_raw_files_are_read_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def counting(name):
+            load = getattr(cases, name)
+
+            def counted(path):
+                calls.append(name)
+                return load(path)
+            return counted
+
+        for name in ("load_raw_csv", "load_hospitalizations_csv"):
+            monkeypatch.setattr(cases, name, counting(name))
+        raw, hosp = write_raw_inputs(tmp_path)
+        assert run_cli(capsys, "sweep", "--sweep", "t_ct=2,4",
+                       "--data", raw, "--hosp", hosp)[0] == 0
+        assert sorted(calls) == ["load_hospitalizations_csv", "load_raw_csv"]
 
     def test_full_app_reach_keeps_the_calibrated_formula(self, capsys):
         """Manual tracing barely depends on app reach; a switch of the channel-row
@@ -374,7 +447,7 @@ class TestValidate:
     def test_raw_stops_after_param_violations(self, tmp_path, capsys):
         # a raw series is built from the parameters, so a bad ihr is not used
         raw, hosp = write_raw_inputs(tmp_path)
-        code, out, err = run_cli(capsys, "validate", "--raw", "--data", raw, "--hosp", hosp,
+        code, out, err = run_cli(capsys, "validate", "--data", raw, "--hosp", hosp,
                                  "--param", "ihr=-0.5")
         assert code == 1
         assert out.startswith("params: ") and "ihr" in out
@@ -389,7 +462,7 @@ class TestValidate:
     def test_rejects_what_estimate_rejects(self, tmp_path, capsys, case, message):
         if case == "raw_overflow":
             raw, hosp = write_raw_inputs(tmp_path)
-            argv = ("--raw", "--data", raw, "--hosp", hosp, "--param", "ihr=3e-307")
+            argv = ("--data", raw, "--hosp", hosp, "--param", "ihr=3e-307")
         elif case == "zero_total_week":
             argv = ("--data", write_presplit(tmp_path / "weekly.csv", [
                 ("2020-10", 1000, 300, 40, 60, 5, 10),
@@ -420,7 +493,7 @@ class TestRawMode:
         raw, hosp = raw_inputs
         out_dir = tmp_path / "out"
         code, out, _ = run_cli(
-            capsys, "estimate", "--raw", "--data", raw, "--hosp", hosp,
+            capsys, "estimate", "--data", raw, "--hosp", hosp,
             "--out", str(out_dir))
         assert code == 0
         assert "weeks: 2020-10 .. 2020-11 (2)" in out
@@ -433,7 +506,7 @@ class TestRawMode:
     def test_validate_accepts_raw_inputs(self, raw_inputs, capsys):
         raw, hosp = raw_inputs
         code, out, _ = run_cli(
-            capsys, "validate", "--raw", "--data", raw, "--hosp", hosp)
+            capsys, "validate", "--data", raw, "--hosp", hosp)
         assert code == 0
         assert "series: ok (2 weeks, 2020-10 .. 2020-11)" in out
 
@@ -450,7 +523,7 @@ class TestZeroIhr:
     def test_raw_exits_2_naming_ihr(self, tmp_path, monkeypatch, capsys, command, extra):
         monkeypatch.chdir(tmp_path)  # estimate writes to ./out by default
         raw, hosp = write_raw_inputs(tmp_path)
-        code, _, err = run_cli(capsys, command, "--raw", "--data", raw, "--hosp", hosp,
+        code, _, err = run_cli(capsys, command, "--data", raw, "--hosp", hosp,
                                "--param", "ihr=0", *extra)
         assert code == 2
         assert "ihr" in err
@@ -467,7 +540,7 @@ class TestZeroIhr:
                                                      command, extra):
         monkeypatch.chdir(tmp_path)
         raw, hosp = write_raw_inputs(tmp_path)
-        code, out, err = run_cli(capsys, command, "--raw", "--data", raw, "--hosp", hosp,
+        code, out, err = run_cli(capsys, command, "--data", raw, "--hosp", hosp,
                                  "--param", "ihr=5e-324", *extra)
         assert code == 2
         assert out == ""
@@ -513,14 +586,14 @@ class TestNonFiniteInput:
     def test_raw_counts(self, capsys, tmp_path, command, text):
         raw, hosp = write_raw_inputs(
             tmp_path, rows=("2020-10,100,50,10,5,0.5", f"2020-11,120,60,{text},6,0.5"))
-        err = self.run(capsys, tmp_path, command, "--raw", "--data", raw, "--hosp", hosp)
+        err = self.run(capsys, tmp_path, command, "--data", raw, "--hosp", hosp)
         assert f"raw.csv:3: column 'app_with_symptoms': not a finite number: '{text}'" in err
 
     def test_raw_admissions(self, capsys, tmp_path, command, text):
         admissions = ["1.32"] * 14
         admissions[4] = text
         raw, hosp = write_raw_inputs(tmp_path, admissions=admissions)
-        err = self.run(capsys, tmp_path, command, "--raw", "--data", raw, "--hosp", hosp)
+        err = self.run(capsys, tmp_path, command, "--data", raw, "--hosp", hosp)
         assert f"hosp.csv:6: column 'admissions': not a finite number: '{text}'" in err
 
 
@@ -533,7 +606,7 @@ class TestEmptyInput:
 
     def test_raw_without_rows_exits_2(self, tmp_path, capsys):
         raw, hosp = write_raw_inputs(tmp_path, rows=())
-        code, _, err = run_cli(capsys, "validate", "--raw", "--data", raw, "--hosp", hosp)
+        code, _, err = run_cli(capsys, "validate", "--data", raw, "--hosp", hosp)
         assert code == 2
         assert "raw.csv: no data rows" in err
 
@@ -589,7 +662,7 @@ class TestMalformedRows:
     def test_negative_raw_count_exits_2(self, tmp_path, capsys):
         raw, hosp = write_raw_inputs(
             tmp_path, rows=("2020-10,100,50,10,5,0.5", "2020-11,120,-60,12,6,0.5"))
-        code, _, err = run_cli(capsys, "estimate", "--raw", "--data", raw, "--hosp", hosp,
+        code, _, err = run_cli(capsys, "estimate", "--data", raw, "--hosp", hosp,
                                "--out", str(tmp_path / "out"))
         assert code == 2
         assert "raw.csv:3: column 'ct_found': negative count: '-60'" in err
@@ -746,7 +819,7 @@ def test_valid_params_end_in_finite_reports_or_a_message(overrides, raw):
         argv = ["estimate", "--out", str(Path(work) / "out")]
         if raw:
             data, hosp = write_raw_inputs(Path(work))
-            argv += ["--raw", "--data", data, "--hosp", hosp]
+            argv += ["--data", data, "--hosp", hosp]
         for name, value in overrides.items():
             argv += ["--param", f"{name}={value}"]
         out, err = io.StringIO(), io.StringIO()

@@ -93,6 +93,19 @@ class TestSimulateTrees:
         assert gap > 0  # the true effect is far larger than the noise here
 
 
+class TestQuarantineDay:
+    @pytest.mark.parametrize("channel", [None, "ct", "app"])
+    def test_day_past_the_float_range_acts_as_day_27(self, channel, params):
+        cfg = SimConfig(trees=50)
+        assert simulate_trees(cfg, params, channel, 10**400) == \
+            simulate_trees(cfg, params, channel, 27)
+
+    @pytest.mark.parametrize("day", [-5, 2.5, 7.0, True])
+    def test_bad_day_is_named(self, day, params):
+        with pytest.raises(ValueError, match="quarantine_day"):
+            simulate_trees(SimConfig(trees=10), params, "ct", day)
+
+
 class TestCaseTypeTaf:
     def test_unknown_case_type_rejected(self, params):
         with pytest.raises(ValueError, match="case type"):
