@@ -281,12 +281,11 @@ def _run_simulate(args: argparse.Namespace) -> int:
     p = _effective_params(args)
     if _report_violations(validate(p), "params", sys.stderr):
         return 1
-    profile = InfectivityProfile.from_params(p)
-    table = LambdaTable.build(p, profile)
     cfg = oracle.SimConfig(trees=args.trees, seed=args.seed)
+    table = LambdaTable.build(p, InfectivityProfile.from_params(p))
     kinds = CASE_TYPES if args.case_type == "all" else (args.case_type,)
 
-    print("case_type,trees,empirical_taf,standard_error,analytic_taf,delta")
+    lines = ["case_type,trees,empirical_taf,standard_error,analytic_taf,delta"]
     for kind in kinds:
         try:
             outcome = oracle.empirical_case_type_taf(kind, cfg, p)
@@ -294,9 +293,10 @@ def _run_simulate(args: argparse.Namespace) -> int:
             raise ValueError(f"--trees {cfg.trees}: not enough memory to simulate "
                              f"{cfg.trees} trees") from exc
         analytic = table.per_type[kind]
-        print(f"{kind},{cfg.trees},{outcome.empirical_taf:.4f},"
-              f"{outcome.standard_error:.6f},{analytic:.4f},"
-              f"{outcome.empirical_taf - analytic:+.4f}")
+        lines.append(f"{kind},{cfg.trees},{outcome.empirical_taf:.4f},"
+                     f"{outcome.standard_error:.6f},{analytic:.4f},"
+                     f"{outcome.empirical_taf - analytic:+.4f}")
+    print("\n".join(lines))  # the header only with the rows: nothing before an error
     return 0
 
 

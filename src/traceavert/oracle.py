@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .infectivity import WEIBULL_PROFILE
-from .params import ModelParams
+from .params import ModelParams, validate
 
 __all__ = [
     "SimConfig",
@@ -62,6 +62,9 @@ _LAST_DAY = 2 * _PROFILE_DAYS - 1
 #: trees per block in ``_run_trees``: bounds its (trees x days) temporaries
 _BLOCK = 8192
 
+#: numpy refuses a float array of more elements than this before allocating it
+_MAX_TREES = np.iinfo(np.intp).max // 8
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -75,6 +78,10 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.trees < 2:
             raise ValueError(f"trees must be at least 2 for a standard error, got {self.trees}")
+        if self.trees > _MAX_TREES:
+            raise ValueError(f"trees must be at most {_MAX_TREES}, got {self.trees}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.r0 > 0.0:
             raise ValueError(f"r0 must be positive, got {self.r0}")
         if self.horizon < _PROFILE_DAYS:
@@ -92,22 +99,15 @@ class SimOutcome:
     standard_error: float
 
 
-def _channel(p: ModelParams, kind: str) -> tuple[int, float]:
+def _channels(p: ModelParams) -> dict[str | None, tuple[int, float]]:
     """Warning delay, clipped at ``_LAST_DAY``, and warn fraction (adherence
-    times reach) of a channel.
-
-    ``kind`` is ``"ct"`` (manual tracing) or ``"app"``. A negative delay or a
-    reach or adherence outside [0, 1] raises a ``ValueError`` naming the field.
-    """
-    delay, reach, adherence = (
-        (p.t_ct, p.f_ct, p.a_ct) if kind == "ct" else (p.t_app, p.f_app, p.a_app)
-    )
-    if delay < 0:
-        raise ValueError(f"t_{kind} must be >= 0 days, got {delay}")
-    for name, value in ((f"f_{kind}", reach), (f"a_{kind}", adherence)):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {value}")
-    return min(delay, _LAST_DAY), adherence * reach
+    times reach) of each channel; ``None`` warns nobody. A ``p`` that fails
+    ``validate`` raises one ``ValueError`` naming every field at fault."""
+    violations = validate(p).violations
+    if violations:
+        raise ValueError("; ".join(violations))
+    return {None: (0, 0.0), "ct": (min(p.t_ct, _LAST_DAY), p.a_ct * p.f_ct),
+            "app": (min(p.t_app, _LAST_DAY), p.a_app * p.f_app)}
 
 
 def _run_trees(
@@ -219,9 +219,8 @@ def simulate_trees(
     Raises
     ------
     ValueError
-        If ``channel`` is unknown, or it has a negative delay or a reach or
-        adherence outside [0, 1], or ``quarantine_day`` is neither ``None``
-        nor an integer >= 0.
+        If ``channel`` is unknown, ``quarantine_day`` is neither ``None``
+        nor an integer >= 0, or ``p`` fails ``validate``.
     """
     if channel not in _CHANNELS:
         raise ValueError(f"unknown warning channel {channel!r}; expected one of {_CHANNELS!r}")
@@ -230,7 +229,7 @@ def simulate_trees(
         raise ValueError(f"quarantine_day must be None or an integer >= 0, got {quarantine_day!r}")
     rng = np.random.default_rng(cfg.seed)
     quarantine = np.inf if quarantine_day is None else float(min(quarantine_day, _LAST_DAY))
-    delay, fraction = (0, 0.0) if channel is None else _channel(p, channel)
+    delay, fraction = _channels(p)[channel]
     return _summarize(_run_trees(rng, cfg.trees, cfg.r0, quarantine, float(delay), fraction, p))
 
 
@@ -241,8 +240,8 @@ def empirical_case_type_taf(case_type: str, cfg: SimConfig, p: ModelParams) -> S
     Raises
     ------
     ValueError
-        If ``case_type`` is not one of the six model types, or a channel has
-        a negative delay or a reach or adherence outside [0, 1].
+        If ``case_type`` is not one of the six model types, or ``p`` fails
+        ``validate``.
     """
     if case_type not in CASE_TYPES:
         raise ValueError(
@@ -250,8 +249,8 @@ def empirical_case_type_taf(case_type: str, cfg: SimConfig, p: ModelParams) -> S
         )
     rng = np.random.default_rng(cfg.seed)
     n = cfg.trees
-    ct_delay, ct_fraction = _channel(p, "ct")
-    app_delay, app_fraction = _channel(p, "app")
+    channels = _channels(p)
+    (ct_delay, ct_fraction), (app_delay, app_fraction) = channels["ct"], channels["app"]
     span = p.t_sym + p.t_plan
     latency, fraction = float(ct_delay), ct_fraction
     if case_type == "miss":

@@ -22,7 +22,6 @@ __all__ = [
     "default_params",
     "apply_overrides",
     "validate",
-    "load_config",
     "params_from_config",
 ]
 
@@ -193,13 +192,6 @@ def _parse_config_lines(lines: Iterable[str], source: str) -> dict[str, str]:
     return raw
 
 
-def load_config(path: str | Path) -> dict[str, str]:
-    """Read a config file into a raw override mapping (values still strings)."""
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as handle:
-        return _parse_config_lines(handle, str(path))
-
-
 def params_from_config(
     path: str | Path | None,
     cli_overrides: Mapping[str, object] | None = None,
@@ -207,7 +199,9 @@ def params_from_config(
     """Build params from defaults, an optional config file, then CLI overrides."""
     p = default_params()
     if path is not None:
-        p = apply_overrides(p, load_config(path))
+        path = Path(path)
+        with path.open("r", encoding="utf-8") as handle:
+            p = apply_overrides(p, _parse_config_lines(handle, str(path)))
     if cli_overrides:
         p = apply_overrides(p, cli_overrides)
     return p

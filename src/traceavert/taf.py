@@ -37,13 +37,14 @@ parameters, which those rows were tabulated for.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from .infectivity import InfectivityProfile
-from .params import ModelParams, default_params
+from .params import ModelParams, default_params, validate
 
 __all__ = [
     "LambdaTable", "CASE_TYPES", "VARIANTS", "REFERENCE_LAMBDA_PAIR_ROW",
@@ -80,33 +81,31 @@ REFERENCE_CASE_TYPE_TAF: Mapping[str, float] = {
 _Rows = tuple[np.ndarray, np.ndarray]  # the manual-tracing and app channel rows
 
 
-def _channel(p: ModelParams, kind: str) -> tuple[int, float]:
-    """Warning delay and warn fraction (adherence times reach) of a channel.
-
-    ``kind`` is ``"ct"`` (manual tracing: ``t_ct``, ``f_ct``, ``a_ct``) or
-    ``"app"`` (``t_app``, ``f_app``, ``a_app``). A reach or adherence outside
-    [0, 1] or a delay below one day raises a ``ValueError`` naming the field.
-    """
-    delay, reach, adherence = (
-        (p.t_ct, p.f_ct, p.a_ct) if kind == "ct" else (p.t_app, p.f_app, p.a_app)
-    )
-    for name, value in ((f"f_{kind}", reach), (f"a_{kind}", adherence)):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {value}")
-    if delay < 1:
-        raise ValueError(f"{kind} warning delay must be >= 1 day, got {delay}")
-    return delay, adherence * reach
-
-
 def _sum(terms: np.ndarray) -> np.ndarray:
     """Left-to-right sum over the last axis, rounding as the scalar formulas do:
     pair-row entries such as 0.76995 sit on 4-decimal ties in printed reports."""
     return np.cumsum(terms, axis=-1)[..., -1]
 
 
-def _check_day(x: int) -> None:
-    if x < 1:
-        raise ValueError(f"isolation day x must be >= 1, got {x}")
+def _check(p: ModelParams, profile: InfectivityProfile) -> None:
+    """Raise one ``ValueError`` naming every field of ``p`` at fault: the
+    ``validate`` violations if any (the bounds below compare delays, which need
+    not be integers then), else each delay out of the TAF domain."""
+    violations = validate(p).violations
+    if not violations:
+        # Exact because the published i_w is nonzero on every day from its first
+        # nonzero day (3) to its last (13): app_minus weighs days t_sym + 1 ..
+        # t_sym + t_plan, pers and ct days 1 .. t_sym + t_plan, and app_plus
+        # isolates on day t_sym. A warning comes a day or more after isolation.
+        first, last = (np.flatnonzero(profile.i_w)[[0, -1]] + 1).tolist()
+        bounds = {"t_sym": (p.t_sym, 1, last - 1), "t_plan": (p.t_plan, 1, math.inf),
+                  "t_sym + t_plan": (p.t_sym + p.t_plan, first, math.inf),
+                  "t_ct": (p.t_ct, 1, math.inf), "t_app": (p.t_app, 1, math.inf)}
+        violations = tuple(
+            f"{name} must be {f'>= {low}' if value < low else f'<= {high}'}, got {value}"
+            for name, (value, low, high) in bounds.items() if not low <= value <= high)
+    if violations:
+        raise ValueError("; ".join(violations))
 
 
 class _Days:
@@ -130,23 +129,19 @@ class _Days:
         return wf * warned + (1.0 - wf) * (self.icx * self.i_c_inf)
 
     def rows(self, p: ModelParams, variant: str) -> _Rows:
-        return self.row(*_channel(p, "ct"), variant), self.row(*_channel(p, "app"), variant)
+        return (self.row(p.t_ct, p.a_ct * p.f_ct, variant),
+                self.row(p.t_app, p.a_app * p.f_app, variant))
 
     def mean(self, row: np.ndarray, l: int, h: int, b: int) -> float:
         """Mean of ``row`` on days ``l+h .. l+1``, weighted by ``i_w(b+1 .. b+h)``."""
-        if h < 1:
-            raise ValueError(f"window width h must be >= 1, got {h}")
         # Weights past day n are 0: an offset past n leaves only those, and the
         # first n window days hold every other one; a term dropped would add +0.0.
         width, start = min(h, self.n), min(b, self.n)
         weights = self.iwx.take(np.arange(start + 1, start + width + 1), mode="clip")
-        total = _sum(weights)
-        if total <= 0.0:
-            raise ValueError(f"all infectivity weights vanish for window h={h}, offset b={b}")
-        _check_day(l + 1)
         # from a top day past last + width, every day read is past last
         top = min(l + h, self.last + width)
-        return float(_sum(weights * row.take(np.arange(top, top - width, -1), mode="clip")) / total)
+        values = row.take(np.arange(top, top - width, -1), mode="clip")
+        return float(_sum(weights * values) / _sum(weights))
 
     def mix(self, p: ModelParams, rows: _Rows, l: int, h: int, b: int) -> float:
         lam_app, lam_ct = self.mean(rows[1], l, h, b), self.mean(rows[0], l, h, b)
@@ -154,7 +149,6 @@ class _Days:
 
     def per_type(self, p: ModelParams, rows: _Rows) -> dict[str, float]:
         span = p.t_sym + p.t_plan
-        _check_day(span)
         return {
             "miss": self.i_c_inf ** 2,
             "sym": float(rows[0][min(span, self.last)]),
@@ -216,7 +210,9 @@ class LambdaTable:
 
     @classmethod
     def build(cls, p: ModelParams, profile: InfectivityProfile) -> "LambdaTable":
-        """Compute the full table with the calibrated pairing."""
+        """Compute the full table with the calibrated pairing; a ``ValueError``
+        names every field of ``p`` out of ``validate``'s range or the TAF domain."""
+        _check(p, profile)
         days = _Days(profile)
         rows = days.rows(p, _VARIANT)
         n = profile.i_w.size

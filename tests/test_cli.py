@@ -237,8 +237,19 @@ class TestEstimateErrors:
         code, _, err = run_cli(
             capsys, "estimate", "--param", "t_ct=0", "--out", str(tmp_path))
         assert code == 2
-        assert "ct warning delay" in err and "got 0" in err
-        assert "Traceback" not in err
+        assert err == "error: t_ct must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize("argv", [("lambda-table",), ("simulate", "--trees", "10")],
+                         ids=["lambda-table", "simulate"])
+@pytest.mark.parametrize("delays, message", [
+    (("t_plan=0",), "t_plan must be >= 1, got 0"),
+    (("t_sym=13",), "t_sym must be <= 12, got 13"),
+    (("t_sym=1", "t_plan=1"), "t_sym + t_plan must be >= 3, got 2"),
+], ids=["same_day_testing", "late_symptoms", "short_span"])
+def test_delay_outside_the_taf_domain_exits_2_naming_it(capsys, argv, delays, message):
+    params = [arg for delay in delays for arg in ("--param", delay)]
+    assert run_cli(capsys, *argv, *params) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("argv", [("lambda-table",), ("simulate", "--trees", "10")],
@@ -457,7 +468,7 @@ class TestValidate:
         ("raw_overflow", "error: ct counterfactual overflows: week 2020-11 reaches inf"),
         ("zero_total_week", "error: week 2020-11: nonpositive case total 0.0 breaks the "
                             "growth recurrence"),
-        ("zero_ct_delay", "error: ct warning delay must be >= 1 day, got 0"),
+        ("zero_ct_delay", "error: t_ct must be >= 1, got 0"),
     ], ids=["raw_overflow", "zero_total_week", "zero_ct_delay"])
     def test_rejects_what_estimate_rejects(self, tmp_path, capsys, case, message):
         if case == "raw_overflow":
@@ -715,10 +726,19 @@ class TestSimulateTrees:
 
         monkeypatch.setattr(cli.oracle, "empirical_case_type_taf", exhausted)
         code, out, err = run_cli(capsys, "simulate", "--trees", "1000000000", "--case-type", "ct")
-        assert code == 2
-        assert out == "case_type,trees,empirical_taf,standard_error,analytic_taf,delta\n"
+        assert (code, out) == (2, "")
         assert err == ("error: --trees 1000000000: not enough memory to simulate "
                        "1000000000 trees\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--seed", "-1"), "seed must be >= 0, got -1"),
+        (("--trees", "99999999999999999999999"),
+         f"trees must be at most {np.iinfo(np.intp).max // 8}, got 99999999999999999999999"),
+    ], ids=["negative_seed", "trees_past_numpy_size"])
+    def test_bad_flag_exits_2_naming_it_before_any_output(self, capsys, argv, message):
+        # both are rejected before a tree is drawn, so nothing is allocated
+        code, out, err = run_cli(capsys, "simulate", "--case-type", "ct", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 # --------------------------------------------------------------------------

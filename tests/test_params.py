@@ -9,7 +9,6 @@ from traceavert.params import (
     ModelParams,
     apply_overrides,
     default_params,
-    load_config,
     params_from_config,
     validate,
 )
@@ -161,11 +160,6 @@ class TestConfigFiles:
         path.write_text("just some words\n")
         with pytest.raises(ValueError, match=r"model\.conf:1"):
             params_from_config(path)
-
-    def test_load_config_returns_raw_strings(self, tmp_path):
-        path = tmp_path / "model.conf"
-        path.write_text("u_app = 0.30\n")
-        assert load_config(path) == {"u_app": "0.30"}
 
     def test_config_composite_recompute_from_file(self, tmp_path):
         path = tmp_path / "model.conf"

@@ -22,7 +22,7 @@ from traceavert.params import (
     validate,
 )
 from traceavert.infectivity import InfectivityProfile
-from traceavert.taf import CASE_TYPES, VARIANTS, LambdaTable, _channel, _Days
+from traceavert.taf import CASE_TYPES, VARIANTS, LambdaTable, _Days
 
 _count = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
 _positive_count = st.floats(min_value=1.0, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -160,6 +160,12 @@ def _i_c(profile, day):
     return float(profile.i_c[day - 1])
 
 
+def _warn_channels(p):
+    """Warning delay and warn fraction (adherence times reach) of manual
+    tracing and of the app."""
+    return (p.t_ct, p.a_ct * p.f_ct), (p.t_app, p.a_app * p.f_app)
+
+
 def _loop_pair(l, h, profile):
     return sum(_i_w(profile, x) * _i_c(profile, l + h - x) for x in range(1, l + h))
 
@@ -200,7 +206,7 @@ def test_array_calculus_matches_scalar_formulas(fractions, delays, l, h, b, x, v
         "t_ct": t_ct, "t_app": t_app, "t_sym": t_sym, "t_plan": t_plan,
     })
     profile = InfectivityProfile.from_params(p)
-    days, channels = _Days(profile), (_channel(p, "ct"), _channel(p, "app"))
+    days, channels = _Days(profile), _warn_channels(p)
     rows = days.rows(p, variant)
     close = dict(rel=1e-12, abs=1e-12)
     assert days.pair[l + h] == pytest.approx(_loop_pair(l, h, profile), **close)
@@ -337,7 +343,7 @@ def _dense_window(rng, n, latency, window, backdate, profile):
 
 def _dense_outcome(target, n, seed, p, profile):
     rng = np.random.default_rng(seed)
-    (ct_delay, ct_fraction), (app_delay, app_fraction) = _channel(p, "ct"), _channel(p, "app")
+    (ct_delay, ct_fraction), (app_delay, app_fraction) = _warn_channels(p)
     latency = np.full(n, float(ct_delay))
     fraction = np.full(n, ct_fraction)
     self_report_day = p.t_sym + p.t_plan

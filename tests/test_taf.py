@@ -1,10 +1,13 @@
 import dataclasses
+import itertools
+import math
+import re
 
 import pytest
 
 from traceavert.infectivity import InfectivityProfile
 from traceavert.params import apply_overrides
-from traceavert.taf import CASE_TYPES, VARIANTS, LambdaTable, _channel, _Days
+from traceavert.taf import CASE_TYPES, VARIANTS, LambdaTable, _Days
 
 
 @pytest.fixture(scope="module")
@@ -29,22 +32,30 @@ FROZEN_CONSTANTS = {
 }
 
 
-class TestChannels:
-    def test_ct_channel_fields(self, params):
-        delay, wf = _channel(params, "ct")
-        assert delay == params.t_ct
-        assert wf == pytest.approx(params.a_ct * params.f_ct)
-        assert wf == pytest.approx(0.3375)
+def _build(params, **fields):
+    p = dataclasses.replace(params, **fields)
+    return LambdaTable.build(p, InfectivityProfile.from_params(p))
 
-    def test_app_channel_fields(self, params):
-        assert _channel(params, "app") == (params.t_app, params.a_app * params.f_app)
+
+class TestChannels:
+    """Each channel row reads its delay and warn fraction (adherence times reach)."""
+
+    def test_ct_channel_fields(self, days, params, rows):
+        wf = params.a_ct * params.f_ct
+        assert wf == pytest.approx(0.3375)
+        assert rows[0].tolist() == days.row(params.t_ct, wf, "table").tolist()
+
+    def test_app_channel_fields(self, days, params, rows):
+        wf = params.a_app * params.f_app
+        assert rows[1].tolist() == days.row(params.t_app, wf, "table").tolist()
 
     @pytest.mark.parametrize("field", ["f_ct", "a_ct", "f_app", "a_app"])
     def test_fraction_outside_unit_interval_named(self, params, profile, field):
-        # an adherence equals its symptomatic part at f_sym = 1
-        setting = {"f_sym": 1.0, f"{field}_plus": 1.5} if field.startswith("a_") else {field: 1.5}
-        p = dataclasses.replace(params, **setting)
-        with pytest.raises(ValueError, match=rf"^{field} must lie in \[0, 1\], got 1.5$"):
+        # an adherence equals its symptomatic part at f_sym = 1, and the error
+        # names the part that was set, since the adherence itself is derived
+        name = f"{field}_plus" if field.startswith("a_") else field
+        p = dataclasses.replace(params, f_sym=1.0, **{name: 1.5})
+        with pytest.raises(ValueError, match=rf"^{name} must lie in \[0, 1\], got 1.5$"):
             LambdaTable.build(p, profile)
 
 
@@ -82,13 +93,13 @@ class TestLambdaAlpha:
         got = days.row(3, 0.0, "table")[9]  # reach 0: nobody is warned
         assert got == pytest.approx(profile.i_c_at(9) * profile.i_c_inf)
 
-    def test_rejects_day_below_one(self, days, rows):
-        # rows cover day 0; the window mean checks the isolation day it reads
-        with pytest.raises(ValueError, match="x"):
-            days.mean(rows[0], -1, 5, 0)
+    def test_rejects_day_below_one(self, params):
+        # app_plus isolates on day t_sym
+        with pytest.raises(ValueError, match=r"^t_sym must be >= 1, got 0$"):
+            _build(params, t_sym=0, t_plan=3)
 
     def test_text_variant_differs(self, days, params):
-        delay, wf = _channel(params, "ct")
+        delay, wf = params.t_ct, params.a_ct * params.f_ct
         assert days.row(delay, wf, "text")[5] != pytest.approx(days.row(delay, wf, "table")[5])
 
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -110,19 +121,21 @@ class TestCapitalLambda:
     def test_single_day_window_collapses(self, days, rows):
         assert days.mean(rows[0], 4, 1, 2) == pytest.approx(rows[0][5])
 
-    def test_zero_weight_window_rejected(self, days, rows):
-        with pytest.raises(ValueError, match="weight"):
-            days.mean(rows[0], 1, 2, 20)
+    def test_zero_weight_window_rejected(self, params):
+        # the app_minus window starts on day t_sym + 1, past the last infectious day
+        with pytest.raises(ValueError, match=r"^t_sym must be <= 12, got 20$"):
+            _build(params, t_sym=20)
 
-    def test_rejects_empty_window(self, days, rows):
-        with pytest.raises(ValueError, match="h"):
-            days.mean(rows[0], 1, 0, 0)
+    def test_rejects_empty_window(self, params):
+        # the app_minus window is t_plan days wide
+        with pytest.raises(ValueError, match=r"^t_plan must be >= 1, got 0$"):
+            _build(params, t_plan=0)
 
-    def test_huge_windows_are_clipped(self, days, rows):
+    def test_huge_windows_are_clipped(self, days, rows, params):
         assert days.mean(rows[0], 10**21, 10**21, 0) == days.mean(rows[0], 100, 100, 0)
         assert days.mean(rows[0], 3, 10**12, 0) == days.mean(rows[0], 3, 10**9, 0)
-        with pytest.raises(ValueError, match=r"h=2, offset b=1000000000000000000000$"):
-            days.mean(rows[0], 1, 2, 10**21)
+        with pytest.raises(ValueError, match=r"^t_sym must be <= 12, got 1000000000000000000000$"):
+            _build(params, t_sym=10**21)
 
 
 class TestDeltaMix:
@@ -219,11 +232,56 @@ class TestCalibration:
         assert t.per_type["sym"] == t.lambda_ct_row[span - 1]
 
     def test_zero_delay_channel_rejected(self, params):
-        p = apply_overrides(params, {"t_app": 0})
-        with pytest.raises(ValueError, match="app warning delay"):
-            LambdaTable.build(p, InfectivityProfile.from_params(p))
+        with pytest.raises(ValueError, match=r"^t_app must be >= 1, got 0$"):
+            _build(params, t_app=0)
 
     def test_zero_self_report_day_rejected(self, params):
-        p = apply_overrides(params, {"t_sym": 0, "t_plan": 0})
-        with pytest.raises(ValueError, match="isolation day x must be >= 1, got 0"):
-            LambdaTable.build(p, InfectivityProfile.from_params(p))
+        with pytest.raises(ValueError) as info:
+            _build(params, t_sym=0, t_plan=0)
+        assert str(info.value) == ("t_sym must be >= 1, got 0; t_plan must be >= 1, got 0; "
+                                   "t_sym + t_plan must be >= 3, got 0")
+
+
+class TestDomain:
+    """``LambdaTable.build`` checks its parameters once, naming the fields."""
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("u_app", 1.5, "u_app must lie in [0, 1], got 1.5"),
+        ("t_sym", 5.0, "t_sym must be an integer number of days >= 0, got 5.0"),
+        ("t_ct", math.nan, "t_ct must be an integer number of days >= 0, got nan"),
+    ])
+    def test_validate_violations_are_raised(self, params, field, value, message):
+        with pytest.raises(ValueError) as info:
+            _build(params, **{field: value})
+        assert str(info.value) == message
+
+    def test_only_validate_violations_when_there_are_any(self, params):
+        # t_ct=0 is out of the domain, but the bounds compare delays, and the
+        # non-integer t_sym fails validate first
+        with pytest.raises(ValueError) as info:
+            _build(params, t_sym=2.5, u_app=-1.0, t_ct=0)
+        assert str(info.value) == ("u_app must lie in [0, 1], got -1.0; "
+                                   "t_sym must be an integer number of days >= 0, got 2.5")
+
+    def test_domain_rules(self, params):
+        """The domain is what the README states, and every set in it builds
+        finite constants; i_w is nonzero on days 3 to 13 and on no other day."""
+        for t_sym, t_plan, t_ct, t_app in itertools.product(range(16), range(5), range(2),
+                                                            range(2)):
+            delays = dict(t_sym=t_sym, t_plan=t_plan, t_ct=t_ct, t_app=t_app)
+            inside = (min(t_ct, t_app, t_plan) >= 1 and 1 <= t_sym <= 12
+                      and t_sym + t_plan >= 3)
+            try:
+                table = _build(params, **delays)
+            except ValueError as exc:
+                assert not inside, delays
+                assert "\n" not in str(exc) and re.search(r"\bt_(sym|plan|ct|app)\b", str(exc))
+            else:
+                assert inside, delays
+                assert all(0.0 <= value < 1.0 for value in table.per_type.values()), delays
+
+    @pytest.mark.parametrize("field", ["t_plan", "t_ct", "t_app", "t_pers"])
+    @pytest.mark.parametrize("t_sym", [5, 12])
+    def test_huge_delays_build(self, params, field, t_sym):
+        huge = _build(params, t_sym=t_sym, **{field: 10**30})
+        assert huge == _build(params, t_sym=t_sym, **{field: 100})
