@@ -344,14 +344,16 @@ def load_fixture() -> CaseSeries:
 
 
 def validate_series(series: CaseSeries) -> ValidationReport:
-    """Check labels, consecutive ISO weeks, the partition and nonnegativity."""
+    """Check labels, consecutive ISO weeks, the partition and finite, nonnegative values."""
     labels = series.labels
     mondays = _week_mondays(labels)
     step = np.diff(mondays, prepend=mondays[:1] - 7)
-    parts = np.cumsum(series.counts, axis=1)[:, -1]
-    negative = np.column_stack((series.total, series.counts)) < 0
-    broken = np.abs(parts - series.total) > _PARTITION_SLACK
-    flagged = (mondays < 0) | (step != 7) | broken | negative.any(axis=1)
+    values = np.column_stack((series.total, series.counts))
+    bad = ~np.isfinite(values) | (values < 0)
+    with np.errstate(invalid="ignore"):  # inf - inf: the infinite value is named below
+        parts = np.cumsum(series.counts, axis=1)[:, -1]
+        broken = np.abs(parts - series.total) > _PARTITION_SLACK
+    flagged = (mondays < 0) | (step != 7) | broken | bad.any(axis=1)
     violations: list[str] = []
     for w in np.flatnonzero(flagged).tolist():
         label = labels[w]
@@ -364,8 +366,8 @@ def validate_series(series: CaseSeries) -> ValidationReport:
         if broken[w]:
             violations.append(f"week {label}: typed counts sum to {parts[w]:.1f} "
                               f"but c_total is {series.total[w]:.1f}")
-        for name, value, bad in zip(_COUNT_NAMES, (series.total[w], *series.counts[w]),
-                                    negative[w]):
-            if bad:
-                violations.append(f"week {label}: {name} is negative ({value:.1f})")
+        for name, value, flag in zip(_COUNT_NAMES, values[w], bad[w]):
+            if flag:
+                problem = "is negative" if np.isfinite(value) else "is not finite"
+                violations.append(f"week {label}: {name} {problem} ({value:.1f})")
     return ValidationReport(tuple(violations))

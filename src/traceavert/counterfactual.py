@@ -81,19 +81,19 @@ def reconstruct(
     ------
     ValueError
         If the series is shorter than 2 weeks, a weekly total or transmission
-        volume is not positive, or the replay overflows.
+        volume is not positive (NaN included), or the replay overflows.
     """
     if len(series) < 2:
         raise ValueError("counterfactual reconstruction needs at least 2 weeks")
     c = series.total
-    nonpositive = np.flatnonzero(c <= 0.0)
+    nonpositive = np.flatnonzero(~(c > 0.0))  # NaN too
     if nonpositive.size:
         w = nonpositive[0]
         raise ValueError(f"week {series.labels[w]}: nonpositive case total "
                          f"{c[w]:.1f} breaks the growth recurrence")
     counts = series.counts[:-1]
     volume = _weighted(counts, lambdas)
-    nonpositive = np.flatnonzero(volume <= 0.0)
+    nonpositive = np.flatnonzero(~(volume > 0.0))
     if nonpositive.size:
         w = nonpositive[0]
         raise ValueError(f"week {series.labels[w]}: nonpositive transmission "

@@ -12,6 +12,7 @@ per line, ``#`` comments, and all keys optional. Unknown keys are rejected.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -22,6 +23,7 @@ __all__ = [
     "default_params",
     "apply_overrides",
     "validate",
+    "check",
     "params_from_config",
 ]
 
@@ -167,6 +169,28 @@ def validate(p: ModelParams) -> ValidationReport:
             if not isinstance(value, (int, float)) or not 0.0 <= float(value) <= 1.0:
                 violations.append(f"{f.name} must lie in [0, 1], got {value!r}")
     return ValidationReport(tuple(violations))
+
+
+def check(p: ModelParams, i_w: Iterable[float]) -> None:
+    """Raise one ``ValueError`` naming every field of ``p`` at fault: the
+    ``validate`` violations if any (the bounds below compare delays, which need
+    not be integers then), else each delay out of the domain that the
+    infectivity weights ``i_w`` of profile days 1, 2, ... give the model."""
+    violations = validate(p).violations
+    if not violations:
+        # Exact because the published i_w is nonzero on every day from its first
+        # nonzero day (3) to its last (13): app_minus weighs days t_sym + 1 ..
+        # t_sym + t_plan, pers and ct days 1 .. t_sym + t_plan, and app_plus
+        # isolates on day t_sym. A warning comes a day or more after isolation.
+        infectious = [day for day, weight in enumerate(i_w, start=1) if weight]
+        bounds = {"t_sym": (p.t_sym, 1, infectious[-1] - 1), "t_plan": (p.t_plan, 1, math.inf),
+                  "t_sym + t_plan": (p.t_sym + p.t_plan, infectious[0], math.inf),
+                  "t_ct": (p.t_ct, 1, math.inf), "t_app": (p.t_app, 1, math.inf)}
+        violations = tuple(
+            f"{name} must be {f'>= {low}' if value < low else f'<= {high}'}, got {value}"
+            for name, (value, low, high) in bounds.items() if not low <= value <= high)
+    if violations:
+        raise ValueError("; ".join(violations))
 
 
 # ----------------------------------------------------------------------------

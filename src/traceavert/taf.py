@@ -37,14 +37,13 @@ parameters, which those rows were tabulated for.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from .infectivity import InfectivityProfile
-from .params import ModelParams, default_params, validate
+from .params import ModelParams, check, default_params
 
 __all__ = [
     "LambdaTable", "CASE_TYPES", "VARIANTS", "REFERENCE_LAMBDA_PAIR_ROW",
@@ -85,27 +84,6 @@ def _sum(terms: np.ndarray) -> np.ndarray:
     """Left-to-right sum over the last axis, rounding as the scalar formulas do:
     pair-row entries such as 0.76995 sit on 4-decimal ties in printed reports."""
     return np.cumsum(terms, axis=-1)[..., -1]
-
-
-def _check(p: ModelParams, profile: InfectivityProfile) -> None:
-    """Raise one ``ValueError`` naming every field of ``p`` at fault: the
-    ``validate`` violations if any (the bounds below compare delays, which need
-    not be integers then), else each delay out of the TAF domain."""
-    violations = validate(p).violations
-    if not violations:
-        # Exact because the published i_w is nonzero on every day from its first
-        # nonzero day (3) to its last (13): app_minus weighs days t_sym + 1 ..
-        # t_sym + t_plan, pers and ct days 1 .. t_sym + t_plan, and app_plus
-        # isolates on day t_sym. A warning comes a day or more after isolation.
-        first, last = (np.flatnonzero(profile.i_w)[[0, -1]] + 1).tolist()
-        bounds = {"t_sym": (p.t_sym, 1, last - 1), "t_plan": (p.t_plan, 1, math.inf),
-                  "t_sym + t_plan": (p.t_sym + p.t_plan, first, math.inf),
-                  "t_ct": (p.t_ct, 1, math.inf), "t_app": (p.t_app, 1, math.inf)}
-        violations = tuple(
-            f"{name} must be {f'>= {low}' if value < low else f'<= {high}'}, got {value}"
-            for name, (value, low, high) in bounds.items() if not low <= value <= high)
-    if violations:
-        raise ValueError("; ".join(violations))
 
 
 class _Days:
@@ -210,9 +188,10 @@ class LambdaTable:
 
     @classmethod
     def build(cls, p: ModelParams, profile: InfectivityProfile) -> "LambdaTable":
-        """Compute the full table with the calibrated pairing; a ``ValueError``
-        names every field of ``p`` out of ``validate``'s range or the TAF domain."""
-        _check(p, profile)
+        """Compute the full table with the calibrated pairing; ``params.check``
+        raises a ``ValueError`` naming every field of ``p`` out of ``validate``'s
+        range or, for ``profile.i_w``, out of the delay domain."""
+        check(p, profile.i_w)
         days = _Days(profile)
         rows = days.rows(p, _VARIANT)
         n = profile.i_w.size

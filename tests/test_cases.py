@@ -169,6 +169,18 @@ class TestValidateSeries:
         report = validate_series(bad)
         assert report.violations == ("week 2020-42: c_miss is negative (-5.0)",)
 
+    def test_non_finite_values_named_by_week_and_column(self):
+        # a NaN passes every comparison, so neither the partition nor the sign flags it
+        bad = CaseSeries(("2020-42", "2020-43", "2020-44"), [np.nan, 100, 100],
+                         [[50, 30, 10, 5, 3, 2], [np.nan, 50, 20, 20, 5, 5],
+                          [50, 30, 10, 5, 3, -np.inf]])
+        assert validate_series(bad).violations == (
+            "week 2020-42: c_total is not finite (nan)",
+            "week 2020-43: c_miss is not finite (nan)",
+            "week 2020-44: typed counts sum to -inf but c_total is 100.0",
+            "week 2020-44: c_app_plus is not finite (-inf)",
+        )
+
     def test_partition_break_flagged(self):
         report = validate_series(_series(("2020-42",), total=1000.0))
         assert any("c_total" in v for v in report.violations)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from traceavert.cases import CaseSeries
@@ -114,6 +116,17 @@ class TestAvertedCt:
     def test_zero_total_in_last_week_rejected(self, lambdas, params):
         series = _series([(50.0, 10.0, 2.0, 2.0, 1.0, 1.0), (0.0,) * 6])
         with pytest.raises(ValueError, match="week 2020-41: nonpositive case total"):
+            averted_ct(series, lambdas, params)
+
+    @pytest.mark.parametrize("total, miss, message", [
+        (math.nan, 50.0, "nonpositive case total nan"),
+        (100.0, math.nan, "nonpositive transmission volume nan"),
+    ], ids=["total", "count"])
+    def test_nan_midseries_names_its_week(self, lambdas, params, total, miss, message):
+        row = (50.0, 30.0, 10.0, 5.0, 3.0, 2.0)
+        series = CaseSeries(["2020-40", "2020-41", "2020-42"], [100.0, total, 100.0],
+                            [row, (miss, *row[1:]), row])
+        with pytest.raises(ValueError, match=f"^week 2020-41: {message}"):
             averted_ct(series, lambdas, params)
 
     def test_result_carries_counterfactual_rt(self, series, lambdas, params):

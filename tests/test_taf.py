@@ -6,6 +6,7 @@ import re
 import pytest
 
 from traceavert.infectivity import InfectivityProfile
+from traceavert.oracle import SimConfig, empirical_case_type_taf
 from traceavert.params import apply_overrides
 from traceavert.taf import CASE_TYPES, VARIANTS, LambdaTable, _Days
 
@@ -265,10 +266,15 @@ class TestDomain:
 
     def test_domain_rules(self, params):
         """The domain is what the README states, and every set in it builds
-        finite constants; i_w is nonzero on days 3 to 13 and on no other day."""
+        finite constants; i_w is nonzero on days 3 to 13 and on no other day.
+        The oracle accepts the same sets and rejects the rest with the same text.
+        A tree's ratio has no upper bound, so its mean needs enough trees to sit
+        below 1 where the TAF does."""
+        cfg = SimConfig(trees=1000)
         for t_sym, t_plan, t_ct, t_app in itertools.product(range(16), range(5), range(2),
                                                             range(2)):
             delays = dict(t_sym=t_sym, t_plan=t_plan, t_ct=t_ct, t_app=t_app)
+            p = dataclasses.replace(params, **delays)
             inside = (min(t_ct, t_app, t_plan) >= 1 and 1 <= t_sym <= 12
                       and t_sym + t_plan >= 3)
             try:
@@ -276,9 +282,16 @@ class TestDomain:
             except ValueError as exc:
                 assert not inside, delays
                 assert "\n" not in str(exc) and re.search(r"\bt_(sym|plan|ct|app)\b", str(exc))
+                for kind in CASE_TYPES:
+                    with pytest.raises(ValueError) as info:
+                        empirical_case_type_taf(kind, cfg, p)
+                    assert str(info.value) == str(exc), (delays, kind)
             else:
                 assert inside, delays
                 assert all(0.0 <= value < 1.0 for value in table.per_type.values()), delays
+                for kind in CASE_TYPES:
+                    assert 0.0 <= empirical_case_type_taf(kind, cfg, p).empirical_taf <= 1.0, (
+                        delays, kind)
 
     @pytest.mark.parametrize("field", ["t_plan", "t_ct", "t_app", "t_pers"])
     @pytest.mark.parametrize("t_sym", [5, 12])
