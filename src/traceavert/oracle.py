@@ -71,6 +71,11 @@ _BLOCK = 8192
 _MAX_TREES = np.iinfo(np.intp).max // 8
 
 
+def _is_integer(value: object) -> bool:
+    """An integer of any integral type, but not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Simulation knobs shared by both entry points."""
@@ -80,6 +85,9 @@ class SimConfig:
     horizon: int = 28  # checked only: trees run over the profile's 14 days
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not _is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.trees < 2:
             raise ValueError(f"trees must be at least 2 for a standard error, got {self.trees}")
         if self.trees > _MAX_TREES:
@@ -135,11 +143,14 @@ def _run_trees(
     The grid is walked in blocks of ``_BLOCK`` trees, twice: first every
     block's Poisson draws, keeping only the cells with secondaries, then every
     block's binomial draws. An array draw reads the stream one element at a
-    time, so the blocks see the same draws as one call over all trees.
+    time, so the blocks see the same draws as one call over all trees. The
+    Poisson means are read from one block's worth of cell means, laid out in
+    C order like the live cells' flat indices. The binomial pass scatters each
+    block's day terms into one reused day-major buffer and adds each tree's 14
+    terms in the order of numpy's pairwise ``sum(axis=1)`` over a row: the
+    first eight in pairs, ``((d1 + d2) + (d3 + d4)) + ((d5 + d6) + (d7 + d8))``,
+    then days 9 to 14 one at a time.
     """
-    # a shared value is a zero-stride view: indexed per tree, it costs no memory
-    quarantine_day, warn_latency, warn_fraction = (
-        np.broadcast_to(value, n) for value in (quarantine_day, warn_latency, warn_fraction))
     days = np.arange(1, _PROFILE_DAYS + 1)
     self_iso_day = min(p.t_sym + p.t_plan, _LAST_DAY)
     i_a = np.where(days <= self_iso_day, _I_W, _I_W * (1.0 - p.a_base))
@@ -148,27 +159,44 @@ def _run_trees(
     i_c_inf = i_c[_SATURATION_DAY]
 
     adherent = rng.random(n) < p.a_base
-    last_day = np.where(adherent, np.minimum(quarantine_day, self_iso_day), quarantine_day)
+    # the last day the index is out, cut at the profile's end; a zero-weight
+    # day sorts after it, so one comparison finds the live cells
+    last_day = np.minimum(quarantine_day, np.where(
+        adherent, min(self_iso_day, _PROFILE_DAYS), _PROFILE_DAYS))
+    live_key = np.where(_I_W != 0.0, days, _PROFILE_DAYS + 1)
+    size = min(n, _BLOCK)
+    means = np.tile(_R0 * _I_W, size)
     starts = range(0, n, _BLOCK)
     hits = []  # per block: block-local cells with secondaries, and their counts
     for start in starts:
-        live = (days <= last_day[start:start + _BLOCK, None]) & (_I_W != 0.0)
-        secondaries = rng.poisson(np.broadcast_to(_R0 * _I_W, live.shape)[live])
-        hit = np.flatnonzero(secondaries)
-        hits.append((np.flatnonzero(live)[hit], secondaries[hit]))
+        live = np.flatnonzero(live_key <= last_day[start:start + _BLOCK, None])
+        secondaries = rng.poisson(means[live])
+        hit = np.flatnonzero(secondaries > 0)
+        hits.append((live[hit], secondaries[hit]))
+    del means  # the binomial pass sets the peak of memory
+
+    def per_cell(value, start, rows):
+        """A per-tree value at each cell's tree; a shared value stays a scalar."""
+        return value[start:start + _BLOCK][rows] if np.ndim(value) else value
 
     ratios = np.empty(n)
+    buffer = np.empty(_PROFILE_DAYS * size)
     for start, (cell, secondaries) in zip(starts, hits):
         block = ratios[start:start + _BLOCK]  # a view, written in place
         rows, cols = np.divmod(cell, _PROFILE_DAYS)
-        rows += start
-        warned = rng.binomial(secondaries, warn_fraction[rows])
-        warning_day = quarantine_day[rows] + warn_latency[rows] - (cols + 1)
+        warned = rng.binomial(secondaries, per_cell(warn_fraction, start, rows))
+        warning_day = (per_cell(quarantine_day, start, rows)
+                       + per_cell(warn_latency, start, rows) - (cols + 1))
         day = np.clip(warning_day, 0, _SATURATION_DAY).astype(np.intp)
-        # scatter into the block's full grid so each row sums its days in the same order
-        terms = np.zeros(block.size * _PROFILE_DAYS)
-        terms[cell] = warned * i_c[day] + (secondaries - warned) * i_c_inf
-        block[:] = terms.reshape(block.size, _PROFILE_DAYS).sum(axis=1) / _R0
+        terms = buffer[:_PROFILE_DAYS * block.size]
+        terms.fill(0.0)
+        terms[cols * block.size + rows] = warned * i_c[day] + (secondaries - warned) * i_c_inf
+        by_day = terms.reshape(_PROFILE_DAYS, block.size)
+        total = (((by_day[0] + by_day[1]) + (by_day[2] + by_day[3]))
+                 + ((by_day[4] + by_day[5]) + (by_day[6] + by_day[7])))
+        for later in by_day[8:]:
+            total += later
+        block[:] = total / _R0
     return ratios
 
 
@@ -218,8 +246,7 @@ def simulate_trees(
     """
     if channel not in _CHANNELS:
         raise ValueError(f"unknown warning channel {channel!r}; expected one of {_CHANNELS!r}")
-    if quarantine_day is not None and (isinstance(quarantine_day, bool) or not isinstance(
-            quarantine_day, numbers.Integral) or quarantine_day < 0):
+    if quarantine_day is not None and (not _is_integer(quarantine_day) or quarantine_day < 0):
         raise ValueError(f"quarantine_day must be None or an integer >= 0, got {quarantine_day!r}")
     rng = np.random.default_rng(cfg.seed)
     quarantine = np.inf if quarantine_day is None else float(min(quarantine_day, _LAST_DAY))

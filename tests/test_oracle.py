@@ -34,11 +34,20 @@ class TestSimConfig:
             (dict(horizon=10), "horizon"),
             (dict(seed=-1), r"^seed must be >= 0, got -1$"),
             (dict(trees=np.iinfo(np.intp).max // 8 + 1), r"^trees must be at most"),
+            (dict(trees=2.5), r"^trees must be an integer, got 2\.5$"),
+            (dict(trees="10"), r"^trees must be an integer, got '10'$"),
+            (dict(seed=1.5), r"^seed must be an integer, got 1\.5$"),
+            (dict(seed=True), r"^seed must be an integer, got True$"),
+            (dict(horizon=28.0), r"^horizon must be an integer, got 28\.0$"),
         ],
     )
     def test_rejects_bad_config(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             SimConfig(**kwargs)
+
+    def test_accepts_numpy_integers(self):
+        cfg = SimConfig(trees=np.int64(50), seed=np.uint32(7), horizon=np.int16(14))
+        assert (cfg.trees, cfg.seed, cfg.horizon) == (50, 7, 14)
 
 
 class TestSimulateTrees:
@@ -172,6 +181,26 @@ class TestCaseTypeTaf:
         for case_type, expected in pinned.items():
             outcome = empirical_case_type_taf(case_type, cfg, p)
             assert (outcome.empirical_taf, outcome.standard_error) == expected, case_type
+
+    def test_output_pinned_across_blocks(self, params):
+        # 20,000 trees are two full blocks of the oracle and a partial third, so
+        # these pin how each block's cells map back to their trees
+        assert 2 * oracle._BLOCK < 20_000 < 3 * oracle._BLOCK
+        pinned = {
+            "miss": (0.8731187666666664, 0.003733634424826174),
+            "sym": (0.6938378999999999, 0.0031863914277276157),
+            "pers": (0.3739610333333333, 0.0026989908993931464),
+            "ct": (0.6151759416666666, 0.0031336356218883503),
+            "app_minus": (0.25006509999999993, 0.0019809599096809716),
+            "app_plus": (0.5901047666666667, 0.002986014043219104),
+        }
+        cfg = SimConfig(trees=20_000, seed=21)
+        for case_type, expected in pinned.items():
+            outcome = empirical_case_type_taf(case_type, cfg, params)
+            assert (outcome.empirical_taf, outcome.standard_error) == expected, case_type
+        outcome = simulate_trees(cfg, params, "ct", 3)
+        assert (outcome.empirical_taf, outcome.standard_error) == (
+            0.15209479999999997, 0.0014697809175749648)
 
 
 #: why the analytic constants run high away from the defaults: (a) the warned
