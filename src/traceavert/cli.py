@@ -138,10 +138,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _effective_params(args: argparse.Namespace) -> ModelParams:
     overrides = {}
     for item in args.param:
-        key, sep, value = item.partition("=")
+        key, sep, value = (part.strip() for part in item.partition("="))
         if not sep or not key:
             raise ValueError(f"--param expects KEY=VALUE, got {item!r}")
-        overrides[key.strip()] = value.strip()
+        overrides[key] = value
     return params_from_config(args.config, overrides)
 
 
@@ -328,11 +328,10 @@ def _run_sweep(args: argparse.Namespace) -> int:
         _, _, ct_text, app_text = zip(*_summary_rows(ct, app))
         lines.append(",".join((name, text, ct_text[0], app_text[0], *ct_text[1:4],
                                *app_text[1:4], ct_text[4], app_text[4])))
+    if args.out is not None:  # written first, so that an error prints nothing
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+        _write_text(Path(args.out) / "sweep.csv", lines)
     print("\n".join(lines))
-    if args.out is not None:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_text(out_dir / "sweep.csv", lines)
     return 0
 
 

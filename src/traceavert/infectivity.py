@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.typing as npt
 
 from .params import ModelParams
 
@@ -69,18 +68,3 @@ class InfectivityProfile:
         for arr in (i_w, i_a, i_c):
             arr.flags.writeable = False
         return cls(i_w=i_w, i_a=i_a, i_c=i_c, i_c_inf=float(i_c[_SATURATION_DAY - 1]))
-
-    def i_c_at(self, day: npt.ArrayLike) -> float | np.ndarray:
-        """Cumulative adhering infectivity with the model's boundary rules.
-
-        Nonpositive days contribute nothing (``0``); days at or beyond the
-        saturation day return ``i_c_inf``. Accepts scalars or arrays,
-        including ``inf`` for a warning that never arrives.
-        """
-        d = np.asarray(day, dtype=float)
-        idx = np.clip(d, 1, _SATURATION_DAY).astype(int) - 1
-        out = np.where(d >= _SATURATION_DAY, self.i_c_inf,
-                       np.where(d >= 1, self.i_c[idx], 0.0))
-        if np.ndim(day) == 0:
-            return float(out)
-        return out

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -121,11 +122,19 @@ def default_params() -> ModelParams:
     return ModelParams()
 
 
+def _is_integer(value: object) -> bool:
+    """An integer of any integral type, numpy's included, but not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _coerce(name: str, value: object) -> float | int:
-    """Coerce a raw override value to the field's declared type."""
+    """Convert text or a number, but not a bool, to the field's declared type:
+    a delay to an exact ``int``, a fraction to a ``float``."""
     try:
+        if isinstance(value, bool) or not isinstance(value, (str, numbers.Number)):
+            raise TypeError
         if name in _DELAY_FIELDS:
-            if isinstance(value, (int, str)):
+            if _is_integer(value) or isinstance(value, str):
                 try:  # an integer or integer text keeps every digit at any size
                     return int(value)
                 except ValueError:  # "5.0", or text past the int digit limit
@@ -156,18 +165,17 @@ def apply_overrides(base: ModelParams, overrides: Mapping[str, object]) -> Model
 
 
 def validate(p: ModelParams) -> ValidationReport:
-    """Check every parameter invariant; the report lists all violations."""
+    """Check every parameter invariant; the report lists all violations. No value is a
+    bool, and a fraction is an ``int`` or ``float``: NEP 50 keeps float32 arithmetic."""
     violations: list[str] = []
-    for f in fields(ModelParams):
-        value = getattr(p, f.name)
-        if f.name in _DELAY_FIELDS:
+    for name, value in vars(p).items():
+        if name in _DELAY_FIELDS:
             if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                violations.append(
-                    f"{f.name} must be an integer number of days >= 0, got {value!r}"
-                )
-        else:
-            if not isinstance(value, (int, float)) or not 0.0 <= float(value) <= 1.0:
-                violations.append(f"{f.name} must lie in [0, 1], got {value!r}")
+                violations.append(f"{name} must be an integer number of days >= 0, got {value!r}")
+        elif not isinstance(value, (int, float)) or isinstance(value, bool):
+            violations.append(f"{name} must be an int or float, got {type(value).__name__}")
+        elif not 0.0 <= value <= 1.0:
+            violations.append(f"{name} must lie in [0, 1], got {value!r}")
     return ValidationReport(tuple(violations))
 
 

@@ -94,7 +94,8 @@ class _Days:
         self.n = n = profile.i_w.size
         self.last = 2 * n - 1  # day 27, from which pair and every row are constant
         self.iwx = np.concatenate(([0.0], profile.i_w, [0.0]))  # days 0..15
-        self.icx = profile.i_c_at(np.arange(2 * n))  # days 0..27
+        # i_c on days 0..27: 0 on day 0, i_c_inf from the saturation day 13 on
+        self.icx = np.concatenate(([0.0], profile.i_c[:n - 2], np.full(n + 1, self.i_c_inf)))
         lags = np.arange(2 * n)[:, None] - np.arange(1, n + 1)  # s - x, spans s, days x
         self.pair = _sum(profile.i_w * self.icx.take(lags, mode="clip"))  # spans 0..27
 
@@ -112,10 +113,10 @@ class _Days:
 
     def mean(self, row: np.ndarray, l: int, h: int, b: int) -> float:
         """Mean of ``row`` on days ``l+h .. l+1``, weighted by ``i_w(b+1 .. b+h)``."""
-        # Weights past day n are 0: an offset past n leaves only those, and the
-        # first n window days hold every other one; a term dropped would add +0.0.
-        width, start = min(h, self.n), min(b, self.n)
-        weights = self.iwx.take(np.arange(start + 1, start + width + 1), mode="clip")
+        # Weights past day n are 0 and the offset b, 0 or t_sym, is below n (params.check),
+        # so the first n window days hold every nonzero one; a term dropped would add +0.0.
+        width = min(h, self.n)
+        weights = self.iwx.take(np.arange(b + 1, b + width + 1), mode="clip")
         # from a top day past last + width, every day read is past last
         top = min(l + h, self.last + width)
         values = row.take(np.arange(top, top - width, -1), mode="clip")

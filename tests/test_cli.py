@@ -12,6 +12,7 @@ import datetime as dt
 import io
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -181,6 +182,10 @@ class TestEstimateErrors:
         assert code == 2
         assert "KEY=VALUE" in err
 
+    def test_blank_param_key_exits_2_naming_the_flag(self, capsys):
+        code, out, err = run_cli(capsys, "estimate", "--param", " =0")
+        assert (code, out, err) == (2, "", "error: --param expects KEY=VALUE, got ' =0'\n")
+
     def test_missing_data_file_exits_2(self, tmp_path, capsys):
         missing = tmp_path / "nope.csv"
         code, _, err = run_cli(capsys, "estimate", "--data", str(missing))
@@ -348,6 +353,13 @@ class TestSweep:
         assert app_totals[0] < app_totals[1]
         written = (out_dir / "sweep.csv").read_text().splitlines()
         assert written == lines
+
+    def test_unwritable_out_prints_nothing(self, tmp_path, capsys):
+        (tmp_path / "afile").write_text("", encoding="utf-8")
+        out_dir = tmp_path / "afile" / "sub"
+        code, out, err = run_cli(capsys, "sweep", "--sweep", "u_app=0.1", "--out", str(out_dir))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and str(out_dir) in err
 
     def test_empty_value_list_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--sweep", "u_app=")
@@ -856,3 +868,67 @@ def test_valid_params_end_in_finite_reports_or_a_message(overrides, raw):
             lines = err.getvalue().splitlines()
             assert lines and all(line.startswith(prefix) for line in lines)
             assert not out_dir.exists()
+
+
+# --------------------------------------------------------------------------
+# any --param and --sweep argv ends in exit 0, 1 or 2, and a failure names its cause
+
+_FIELDS = tuple(f.name for f in dataclasses.fields(ModelParams))
+#: mostly parameter names, so that many runs get past the parsing
+_KEY = st.one_of(
+    st.sampled_from(_FIELDS), st.sampled_from(_FIELDS), st.sampled_from(_FIELDS),
+    st.sampled_from(("a_ct", "a_base", "uapp", "T_CT", "", " ", "-t_ct", " t_ct ", "=")),
+    st.text(max_size=6).map("zz{}".format),  # junk: "zz" is in no message of its own
+)
+#: mostly values in or near a parameter's range
+_VALUE = st.one_of(
+    st.integers(0, 20).map(str), st.floats(0.0, 1.0).map(repr),
+    st.integers(-(10**25), 10**25).map(str), st.floats().map(repr),
+    st.sampled_from(("0", "1", "-0", "-1", "0.5", "5.0", "1e400", "-1e400", "1e-400", "nan",
+                     "inf", "", " ", "0x10", "1_0", "\u0663", "9" * 5000, "2**63")),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def _param_argv(draw):
+    """A ``lambda-table``, ``validate`` or ``sweep`` argv of ``--param`` and
+    ``--sweep`` items, perhaps malformed, and its keys as the CLI reads them."""
+    command = draw(st.sampled_from(("lambda-table", "validate", "sweep")))
+    argv, keys = [command], []
+
+    def item(values):
+        sep = draw(st.sampled_from(("=",) * 6 + ("", "==")))
+        text = draw(_KEY) + sep + ",".join(draw(values))
+        keys.append(text.partition("=")[0].strip())  # the key as the CLI reads it
+        return text
+
+    for _ in range(draw(st.integers(0, 3))):
+        argv += ["--param", item(_VALUE.map(lambda value: [value]))]
+    if command == "sweep":
+        argv += ["--sweep", item(st.lists(_VALUE, min_size=1, max_size=3))]
+    argv += draw(st.sampled_from(([],) * 6 + (["--param"], ["--sweep"], ["--bogus"])))
+    return argv, keys
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_param_argv())
+def test_param_argv_ends_in_an_exit_code_that_names_its_cause(case):
+    argv, keys = case
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:  # the message, past argparse's usage text, names a key or flag typed
+        names = [key for key in keys if key] + [arg for arg in argv if arg.startswith("--")]
+        message = out.getvalue() + err.getvalue()
+        if message.startswith("usage:"):
+            message = message.partition(": error: ")[2]
+        assert any(name in message for name in names), message

@@ -30,24 +30,6 @@ def test_saturation_value(profile):
     assert profile.i_c[-1] == pytest.approx(profile.i_c_inf)
 
 
-def test_i_c_at_boundaries(profile):
-    assert profile.i_c_at(0) == 0.0
-    assert profile.i_c_at(-3) == 0.0
-    assert profile.i_c_at(1) == 0.0
-    assert profile.i_c_at(5) == pytest.approx(0.62)
-    assert profile.i_c_at(13) == pytest.approx(profile.i_c_inf)
-    assert profile.i_c_at(20) == pytest.approx(profile.i_c_inf)
-    assert profile.i_c_at(float("inf")) == pytest.approx(profile.i_c_inf)
-
-
-def test_i_c_at_accepts_arrays(profile):
-    days = np.array([[-1.0, 4.0], [13.0, np.inf]])
-    got = profile.i_c_at(days)
-    np.testing.assert_allclose(
-        got, [[0.0, 0.44], [profile.i_c_inf, profile.i_c_inf]]
-    )
-
-
 def test_zero_base_adherence_leaves_profile_untouched(params):
     p = apply_overrides(params, {"a_sym": "0"})
     profile = InfectivityProfile.from_params(p)

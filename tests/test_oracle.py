@@ -30,15 +30,14 @@ class TestSimConfig:
         [
             (dict(trees=0), "trees"),
             (dict(trees=1), r"^trees must be at least 2 for a standard error, got 1$"),
-            (dict(horizon=13), r"^horizon must cover the 14-day infectious window, got 13$"),
-            (dict(horizon=10), "horizon"),
+            (dict(seed=np.int64(-1)), r"^seed must be >= 0, got -1$"),
+            (dict(trees=np.True_), r"^trees must be an integer, got "),
             (dict(seed=-1), r"^seed must be >= 0, got -1$"),
             (dict(trees=np.iinfo(np.intp).max // 8 + 1), r"^trees must be at most"),
             (dict(trees=2.5), r"^trees must be an integer, got 2\.5$"),
             (dict(trees="10"), r"^trees must be an integer, got '10'$"),
             (dict(seed=1.5), r"^seed must be an integer, got 1\.5$"),
             (dict(seed=True), r"^seed must be an integer, got True$"),
-            (dict(horizon=28.0), r"^horizon must be an integer, got 28\.0$"),
         ],
     )
     def test_rejects_bad_config(self, kwargs, message):
@@ -46,8 +45,14 @@ class TestSimConfig:
             SimConfig(**kwargs)
 
     def test_accepts_numpy_integers(self):
-        cfg = SimConfig(trees=np.int64(50), seed=np.uint32(7), horizon=np.int16(14))
-        assert (cfg.trees, cfg.seed, cfg.horizon) == (50, 7, 14)
+        cfg = SimConfig(trees=np.int64(50), seed=np.uint32(7))
+        assert (cfg.trees, cfg.seed) == (50, 7)
+
+    def test_horizon_is_a_constant(self):
+        assert [f.name for f in dataclasses.fields(SimConfig)] == ["trees", "seed"]
+        assert SimConfig.horizon == 28
+        with pytest.raises(TypeError, match="horizon"):
+            SimConfig(horizon=28)
 
 
 class TestSimulateTrees:

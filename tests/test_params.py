@@ -1,6 +1,7 @@
 import dataclasses
 import sys
 
+import numpy as np
 import pytest
 
 from traceavert import InfectivityProfile, LambdaTable, averted_app, averted_ct
@@ -73,7 +74,8 @@ class TestOverrides:
 
     @pytest.mark.parametrize("value, days", [
         ("100000000000000000000000", 10**23), (10**23, 10**23), ("5.0", 5), (5.0, 5),
-    ], ids=["text", "int", "float-text", "float"])
+        (np.int64(2**60 + 1), 2**60 + 1),
+    ], ids=["text", "int", "float-text", "float", "numpy-int"])
     def test_whole_delay_keeps_every_digit(self, params, value, days):
         p = apply_overrides(params, {"t_sym": value})
         assert p.t_sym == days and type(p.t_sym) is int
@@ -109,6 +111,13 @@ class TestOverrides:
         with pytest.raises(ValueError, match="u_app"):
             apply_overrides(params, {"u_app": "lots"})
 
+    @pytest.mark.parametrize("value", [True, False, np.True_], ids=["True", "False", "numpy"])
+    @pytest.mark.parametrize("name", ["t_ct", "u_app"])
+    def test_bool_is_not_a_value(self, params, name, value):
+        # validate rejects bools, so an override does not turn one into a number
+        with pytest.raises(ValueError, match=rf"^invalid value for parameter '{name}': "):
+            apply_overrides(params, {name: value})
+
 
 class TestValidation:
     def test_fraction_out_of_range_flagged(self, params):
@@ -120,6 +129,15 @@ class TestValidation:
     def test_negative_delay_flagged(self, params):
         p = apply_overrides(params, {"t_plan": "-1"})
         assert any("t_plan" in v for v in validate(p).violations)
+
+    @pytest.mark.parametrize("name, value, kind", [
+        ("f_ct", True, "bool"), ("u_app", False, "bool"), ("ihr", True, "bool"),
+        # under NEP 50, float32 * float stays float32: the model would lose precision
+        ("u_app", np.float32(0.16), "float32"),
+    ], ids=["f_ct-True", "u_app-False", "ihr-True", "float32"])
+    def test_fraction_of_another_type_names_it(self, params, name, value, kind):
+        p = dataclasses.replace(params, **{name: value})
+        assert validate(p).violations == (f"{name} must be an int or float, got {kind}",)
 
 
 class TestConfigFiles:

@@ -314,7 +314,7 @@ def test_presplit_loader_matches_row_by_row_parse(rows, tmp_path_factory):
 
 
 # Dense transcription of the Monte-Carlo oracle: Poisson and binomial draws on
-# every cell of the trees x days grid, i_c from the profile's boundary rules and
+# every cell of the trees x days grid, the profile's i_c under the boundary rules and
 # the channels from the analytic layer. The oracle draws on live cells only and
 # must consume the same stream and return the same outcomes.
 
@@ -328,10 +328,10 @@ def _dense_trees(rng, n, r0, quarantine_day, warn_latency, warn_fraction, p, pro
     secondaries = rng.poisson(r0 * profile.i_w[None, :] * active)
     warned = rng.binomial(secondaries, warn_fraction[:, None])
     warning_day = quarantine_day[:, None] + warn_latency[:, None] - days[None, :]
-    realized = (
-        warned * profile.i_c_at(warning_day)
-        + (secondaries - warned) * profile.i_c_inf
-    ).sum(axis=1)
+    # i_c by warning day: 0 before day 1, i_c_inf from day 13 on (and never warned)
+    i_c = np.where(warning_day >= 13, profile.i_c_inf, np.where(
+        warning_day >= 1, profile.i_c[np.clip(warning_day, 1, 13).astype(int) - 1], 0.0))
+    realized = (warned * i_c + (secondaries - warned) * profile.i_c_inf).sum(axis=1)
     return realized / r0
 
 

@@ -60,6 +60,20 @@ class TestChannels:
             LambdaTable.build(p, profile)
 
 
+class TestIcx:
+    """``_Days.icx``: ``i_c`` on days 0..27 under the model's boundary rules."""
+
+    def test_boundary_values(self, days, profile):
+        assert days.icx.size == 28
+        assert days.icx[0] == 0.0
+        assert days.icx[1] == 0.0
+        assert days.icx[4] == pytest.approx(0.44)
+        assert days.icx[5] == pytest.approx(0.62)
+        assert days.icx[1:13].tolist() == profile.i_c[:12].tolist()
+        assert days.icx[13] == pytest.approx(0.9340, abs=1e-12)
+        assert days.icx[13:].tolist() == [profile.i_c_inf] * 15
+
+
 class TestLambdaPair:
     """``_Days.pair``: the convolution at span ``l + h``."""
 
@@ -92,7 +106,7 @@ class TestLambdaAlpha:
 
     def test_zero_reach_degenerates_to_unimpeded(self, days, profile):
         got = days.row(3, 0.0, "table")[9]  # reach 0: nobody is warned
-        assert got == pytest.approx(profile.i_c_at(9) * profile.i_c_inf)
+        assert got == pytest.approx(profile.i_c[9 - 1] * profile.i_c_inf)
 
     def test_rejects_day_below_one(self, params):
         # app_plus isolates on day t_sym
