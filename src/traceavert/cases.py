@@ -30,6 +30,7 @@ import operator
 import re
 from dataclasses import dataclass
 from importlib import resources
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterator, Sequence, Sized
 
@@ -185,15 +186,17 @@ def build_series_from_raw(
 
 
 # ----------------------------------------------------------------------------
-# CSV ingestion. All formats: header row required, UTF-8, comma separator.
-# Blank lines are skipped; errors name the file line a row starts on.
+# CSV ingestion. All formats: header row required, UTF-8 (a leading byte-order
+# mark is dropped), comma separator. Blank lines are skipped; errors name the
+# file line a row starts on.
 
 
 def _read(path: Path) -> str:
     """The whole file; read once, so a pipe can be parsed twice."""
     try:
         with path.open("r", encoding="utf-8", newline="") as handle:
-            return handle.read()
+            # drop a byte-order mark, as utf-8-sig would without its 0.4-ms import
+            return handle.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -241,42 +244,75 @@ def _require_rows(path: Path, rows: Sized) -> None:
         raise ValueError(f"{path}: no data rows")
 
 
+def _split(text: str, columns: Sequence[str]) -> tuple[list[str], np.ndarray] | None:
+    """Labels and numbers of a quote-free ``text`` with header ``columns``; ``None``
+    if it has no rows, a number float() does not read, or anything the csv module
+    might read otherwise: quotes, NULs, lone CRs, ragged or overlong lines."""
+    text = text.replace("\r\n", "\n")
+    if '"' in text or "\0" in text or "\r" in text:
+        return None
+    header, *lines = text.split("\n")
+    rows = list(filter(None, lines))
+    if (header.split(",") != list(columns)
+            or set(map(str.count, rows, repeat(","))) != {len(columns) - 1}  # no rows too
+            or max(map(len, rows)) > csv.field_size_limit()):
+        return None
+    cells = ",".join(rows).split(",")
+    labels = cells[::len(columns)]
+    del cells[::len(columns)]
+    try:
+        return labels, np.fromiter(map(float, cells), float, len(cells)).reshape(len(rows), -1)
+    except ValueError:
+        return None
+
+
+def _faults(labels: Sequence[str], values: np.ndarray,
+            rejects: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Rows with an invalid label, a non-finite number or a break of ``rejects``."""
+    with np.errstate(invalid="ignore", over="ignore"):  # at non-finite or huge numbers
+        return (_week_mondays(labels) < 0) | ~np.isfinite(values).all(axis=1) | rejects(values)
+
+
 def _load_weekly(
     path: Path, columns: Sequence[str], rejects: Callable[[np.ndarray], np.ndarray],
     reason: Callable[[list[str], np.ndarray], str],
 ) -> tuple[tuple[str, ...], np.ndarray]:
     """Week labels and the float (weeks x numbers) array of a weekly file.
 
-    Labels, finiteness and the format's own rule (``rejects`` flags the rows
-    that break it) are checked on the whole array at once.  A rejected file is
-    parsed again row by row, checking each row's label, then its numbers left
-    to right, then the rule (``reason`` words a break), and the first error is
-    raised.
+    A file that ``_split`` reads without ``_faults`` is returned as split.  Any
+    other file is read row by row up to its first malformed row or unreadable
+    number, and the first error in file order is raised: in a row the label,
+    then the numbers left to right, then the rule (``rejects`` flags the rows
+    that break it, ``reason`` words a break).
     """
     text = _read(path)
-    labels: list[str] = []
-    cells: list[str] = []
+    split = _split(text, columns)
+    if split is not None and not _faults(*split, rejects).any():
+        return tuple(split[0]), split[1]
+    rows, numbers, error = [], [], None
     try:
-        for _, row in _rows(path, text, columns):
-            labels.append(row[0])
-            cells += row[1:]
-        values = np.fromiter(map(float, cells), float, len(cells)).reshape(-1, len(columns) - 1)
-    except ValueError:
-        pass  # the row-by-row pass names it
-    else:
-        _require_rows(path, labels)
-        if (np.isfinite(values).all() and not rejects(values).any()
-                and (_week_mondays(labels) >= 0).all()):
-            return tuple(labels), values
-    for lineno, row in _rows(path, text, columns):
+        for lineno, row in _rows(path, text, columns):
+            rows.append((lineno, row))
+            numbers += map(float, row[1:])
+    except ValueError as exc:
+        error = exc
+    labels = [row[0] for _, row in rows]
+    read = len(numbers) // (len(columns) - 1)  # rows whose numbers all read
+    values = np.array(numbers[:read * (len(columns) - 1)]).reshape(read, len(columns) - 1)
+    # a row whose numbers did not all read is at fault too
+    faults = np.append(_faults(labels[:read], values, rejects), len(rows) > read)
+    if faults.any():
+        lineno, row = rows[int(np.argmax(faults))]
         if _week_mondays(row[:1])[0] < 0:
             raise ValueError(f"{path}:{lineno}: invalid ISO week label {row[0]!r} "
                              f"(expected YYYY-WW)")
-        parsed = np.array([[_parse_number(path, lineno, name, cell)
-                            for name, cell in zip(columns[1:], row[1:])]])
-        if rejects(parsed)[0]:
-            raise ValueError(f"{path}:{lineno}: {reason(row, parsed[0])}")
-    raise AssertionError(f"{path}: rejected, but every row parses")
+        parsed = [_parse_number(path, lineno, name, cell)  # names the first bad number
+                  for name, cell in zip(columns[1:], row[1:])]
+        raise ValueError(f"{path}:{lineno}: {reason(row, np.array(parsed))}")
+    if error is not None:
+        raise error
+    _require_rows(path, labels)
+    return tuple(labels), values
 
 
 def _residual(values: np.ndarray) -> np.ndarray:

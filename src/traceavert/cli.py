@@ -30,6 +30,8 @@ import sys
 from pathlib import Path
 from typing import Callable, Iterator
 
+import numpy as np
+
 from . import cases, counterfactual, oracle
 from .infectivity import InfectivityProfile
 from .params import ModelParams, apply_overrides, params_from_config, validate
@@ -51,20 +53,6 @@ _SUMMARY_METRICS = (
     ("averted_deaths", "averted deaths", "{:.0f}"),
     ("rt_reduction_avg", "average Rt reduction", "{:.4f}"),
 )
-#: from 2**53 up every float is an integer, and ``%d`` prints the digits
-#: ``%.0f`` prints in less time
-_EXACT_INT = 2.0**53
-
-
-def _weekly_formats(rt_cells: str) -> tuple[str, ...]:
-    """``weekly.csv`` row formats, indexed by a bitmask whose bit i is set when
-    count column i of the row is at least ``_EXACT_INT`` in magnitude."""
-    return tuple("%s" + "".join(",%d" if key >> i & 1 else ",%.0f" for i in range(5))
-                 + rt_cells for key in range(32))
-
-
-_WEEKLY_ROWS = _weekly_formats(",%.4f,%.4f,%.4f\n")
-_LAST_WEEKLY_ROWS = _weekly_formats(",,,\n")  # the last week has no forward-looking Rt
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -224,12 +212,18 @@ def _run_estimate(args: argparse.Namespace) -> int:
 
 def _weekly_rows(labels, counts, rts) -> Iterator[str]:
     """One ``weekly.csv`` row per week: the label, the five ``counts`` arrays and
-    the three ``rts`` arrays, which are one week shorter."""
-    keys = sum((abs(column) >= _EXACT_INT) * (1 << i) for i, column in enumerate(counts)).tolist()
-    columns = [column.tolist() for column in counts]
+    the three ``rts`` arrays, which are one week shorter.  A count prints the
+    digits of ``%.0f`` from an int, which is faster: rounded half to even, and
+    ``-0`` where it rounds to negative zero."""
+    columns: list[list] = []
+    for rounded in map(np.rint, counts):
+        columns.append(list(map(int, rounded.tolist())))
+        for w in np.flatnonzero((rounded == 0.0) & np.signbit(rounded)).tolist():
+            columns[-1][w] = "-0"
     rows = zip(labels, *columns, *(rt.tolist() for rt in rts))
-    yield from (_WEEKLY_ROWS[key] % row for key, row in zip(keys, rows))
-    yield _LAST_WEEKLY_ROWS[keys[-1]] % (labels[-1], *(column[-1] for column in columns))
+    yield from ("%s,%s,%s,%s,%s,%s,%.4f,%.4f,%.4f\n" % row for row in rows)
+    # the last week has no forward-looking Rt
+    yield ",".join(map(str, (labels[-1], *(column[-1] for column in columns)))) + ",,,\n"
 
 
 def _summary_rows(ct, app) -> list[tuple[str, str, str, str]]:

@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import datetime as dt
+import io
 import os
 
 import numpy as np
@@ -331,10 +333,89 @@ class TestCsvLoaders:
             load_hospitalizations_csv(path)
 
     def test_oversized_field_is_an_input_error(self, tmp_path):
+        # the field reads as 100.0, but csv refuses it
         path = tmp_path / "weekly.csv"
-        path.write_text(HEADER + "2020-42," + "1" * 200_000 + ",1,1,1,1,1\n")
-        with pytest.raises(ValueError, match=r"weekly.csv:2: field larger than field limit"):
+        path.write_text(HEADER + "2020-42,100,1,1,1,1,1\n"
+                        "2020-43," + "0" * csv.field_size_limit() + "100,1,1,1,1,1\n")
+        with pytest.raises(ValueError, match=r"weekly.csv:3: field larger than field limit"):
             load_presplit_csv(path)
+
+    def test_line_over_the_field_limit_with_fields_within_it_loads(self, tmp_path):
+        # the line is too long for the one-pass split, but no field is too long for csv
+        path = tmp_path / "weekly.csv"
+        path.write_text(HEADER + "2020-42," + "0" * (csv.field_size_limit() - 3) + "100,1,1,1,1,1\n")
+        assert load_presplit_csv(path).total.tolist() == [100.0]
+
+    @pytest.mark.parametrize("load, header", [(load_presplit_csv, HEADER),
+                                              (load_raw_csv, RAW_HEADER),
+                                              (load_hospitalizations_csv, "date,admissions\n")])
+    @pytest.mark.parametrize("blank", ["", "\n\n", "\r\n"])
+    def test_header_only_file_has_no_data_rows(self, tmp_path, load, header, blank):
+        path = tmp_path / "input.csv"
+        path.write_bytes((header + blank).encode())
+        with pytest.raises(ValueError, match=r"input.csv: no data rows$"):
+            load(path)
+
+    def test_quote_free_file_is_split_in_one_pass(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cases, "_rows", None)  # the row-by-row pass would fail
+        path = tmp_path / "weekly.csv"
+        path.write_bytes((HEADER + "2020-42,100,1,1,1,1,1\r\n\n2020-43,90,1,1,1,1,1").encode())
+        assert load_presplit_csv(path).labels == ("2020-42", "2020-43")
+
+    @pytest.fixture
+    def row_passes(self, monkeypatch) -> list:
+        """One entry per call of the row-by-row pass."""
+        calls = []
+        rows = cases._rows
+        monkeypatch.setattr(cases, "_rows", lambda *args: calls.append(1) or rows(*args))
+        return calls
+
+    @pytest.mark.parametrize("text, expected", [
+        (HEADER.replace("\n", "\r") + "2020-42,100,1,1,1,1,1\r2020-43,90,1,1,1,1,1\r",
+         ("2020-42", "2020-43")),
+        # csv ends the row at the CR; float() would read "100\r"
+        (HEADER + "2020-42,100\r,1,1,1,1,1\n", "weekly.csv:2: expected 7 fields, got 2"),
+    ])
+    def test_lone_cr_is_read_row_by_row(self, tmp_path, row_passes, text, expected):
+        path = tmp_path / "weekly.csv"
+        path.write_bytes(text.encode())
+        if isinstance(expected, str):
+            with pytest.raises(ValueError, match=rf"{expected}$"):
+                load_presplit_csv(path)
+        else:
+            assert load_presplit_csv(path).labels == expected
+        assert row_passes == [1]
+
+    def test_nul_is_read_row_by_row(self, tmp_path, row_passes):
+        text = HEADER + "2020-42\0,100,1,1,1,1,1\n2020-43,90,1,1,1,1,1\n"
+        path = tmp_path / "weekly.csv"
+        path.write_bytes(text.encode())
+        try:  # csv reads a NUL from Python 3.11 on
+            labels = tuple(row[0] for row in list(csv.reader(io.StringIO(text, newline="")))[1:])
+        except csv.Error as exc:
+            with pytest.raises(ValueError, match=rf"weekly.csv:2: {exc}$"):
+                load_presplit_csv(path)
+        else:
+            assert load_presplit_csv(path).labels == labels
+        assert row_passes == [1]
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        bom = "\ufeff"
+        presplit = HEADER + "2020-42,100,1,1,1,1,1\n2020-43,90,1,1,1,1,1\n"
+        raw = RAW_HEADER + "2020-42,500,200,30,10,0.4\n"
+        hosp = "date,admissions\n2020-10-12,5\n2020-10-14,7.5\n"
+        loaded = []
+        for prefix in ("", bom):
+            (tmp_path / "weekly.csv").write_text(prefix + presplit, encoding="utf-8")
+            (tmp_path / "raw.csv").write_text(prefix + raw, encoding="utf-8")
+            (tmp_path / "hosp.csv").write_text(prefix + hosp, encoding="utf-8")
+            series = load_presplit_csv(tmp_path / "weekly.csv")
+            labels, counts = load_raw_csv(tmp_path / "raw.csv")
+            days, admissions = load_hospitalizations_csv(tmp_path / "hosp.csv")
+            loaded.append((series.labels, series.total.tolist(), series.counts.tolist(),
+                           labels, counts.tolist(), days.tolist(), admissions.tolist()))
+        assert (tmp_path / "weekly.csv").read_bytes().startswith(b"\xef\xbb\xbfweek,")
+        assert loaded[0] == loaded[1]
 
     @pytest.mark.parametrize("label", ["bogus", "2020-54", "2021-53", "2020-00", "20-42",
                                        "2020-042", "2020/42", " 2020-42", "0000-01"])

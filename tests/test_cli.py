@@ -139,7 +139,8 @@ class TestEstimate:
         assert len(calls) == 3  # the observed series and each counterfactual
 
 
-#: the integer-valued floats from 2**53 up print with %d, the rest with %.0f
+#: ties, negative zeros, and the integers around 2**53 (from 2**53 up every float is an
+#: integer): each prints as %.0f prints it, though the cells print from ints
 _COUNT_CELLS = (2.0**53, -(2.0**53), 2.0**53 - 1, -(2.0**53 - 1), 0.5, 1.5, -0.4, -0.0, 1e79)
 
 
@@ -152,6 +153,27 @@ class TestWeeklyRows:
         text = ",".join("%.0f" % x for x in cells)
         assert first == f"2020-01,{text},0.0000,0.0000,0.0000\n"
         assert last == f"2020-02,{text},,,\n"
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+#: counts near zero, half-integer ties, and any finite float up to 1.8e308
+_COUNT = st.one_of(st.floats(min_value=-3.0, max_value=3.0), _FINITE,
+                   st.integers(-2**60, 2**60).map(lambda n: n / 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), weeks=st.integers(min_value=1, max_value=5))
+def test_weekly_rows_print_each_cell_as_percent_formats(data, weeks):
+    column = st.lists(_COUNT, min_size=weeks, max_size=weeks).map(np.array)
+    counts = [data.draw(column) for _ in range(5)]
+    rts = [data.draw(st.lists(_FINITE, min_size=weeks - 1, max_size=weeks - 1).map(np.array))
+           for _ in range(3)]
+    labels = [f"2020-{w + 10}" for w in range(weeks)]
+    rows = list(cli._weekly_rows(labels, counts, rts))
+    assert len(rows) == weeks
+    for w, row in enumerate(rows):
+        rt_cells = ["%.4f" % rt[w] for rt in rts] if w < weeks - 1 else ["", "", ""]
+        assert row == ",".join([labels[w], *("%.0f" % c[w] for c in counts), *rt_cells]) + "\n"
 
 
 class TestEstimateErrors:
@@ -764,31 +786,49 @@ _ODD_CELLS = ("nan", "inf", "-inf", "", "abc", "-5", "-0.0", "0", "1e308", "5e-3
 _ODD_LABELS = ("bogus", "2020-54", "2021-53", "2021-1", "", "2020-52", "2021-04", "2021-W02")
 
 
-@st.composite
-def _presplit_text(draw):
-    """A presplit CSV of well-formed rows, one of them perhaps corrupted."""
+def _weekly_text(draw, header: str, draw_cells) -> str:
+    """A weekly CSV of ``draw_cells(label)`` rows, one of them perhaps corrupted."""
     weeks = draw(st.integers(min_value=0, max_value=len(_LABELS)))
     corruption = draw(st.sampled_from(("none", "cell", "label", "drop", "extra", "blank")))
     corrupted = draw(st.integers(min_value=0, max_value=max(weeks - 1, 0)))
-    lines = [_PRESPLIT_HEADER]
+    lines = [header]
     for w in range(weeks):
-        typed = draw(st.lists(st.integers(min_value=0, max_value=5000), min_size=5, max_size=5))
-        total = sum(typed) + draw(st.integers(min_value=0, max_value=100_000))
-        cells = [_LABELS[w], str(total), *map(str, typed)]
+        cells = draw_cells(_LABELS[w])
         if w != corrupted:
             pass
         elif corruption == "cell":
-            cells[draw(st.integers(1, 6))] = draw(st.sampled_from(_ODD_CELLS))
+            cells[draw(st.integers(1, len(cells) - 1))] = draw(st.sampled_from(_ODD_CELLS))
         elif corruption == "label":
             cells[0] = draw(st.sampled_from(_ODD_LABELS))
         elif corruption == "drop":
-            del cells[draw(st.integers(0, 6))]
+            del cells[draw(st.integers(0, len(cells) - 1))]
         elif corruption == "extra":
             cells.append("1")
         elif corruption == "blank":
             lines.append("")
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _presplit_text(draw):
+    """A presplit CSV of well-formed rows, one of them perhaps corrupted."""
+    def cells(label):
+        typed = draw(st.lists(st.integers(min_value=0, max_value=5000), min_size=5, max_size=5))
+        total = sum(typed) + draw(st.integers(min_value=0, max_value=100_000))
+        return [label, str(total), *map(str, typed)]
+
+    return _weekly_text(draw, _PRESPLIT_HEADER, cells)
+
+
+@st.composite
+def _raw_text(draw):
+    """A raw CSV of well-formed rows, one of them perhaps corrupted."""
+    def cells(label):
+        counts = draw(st.lists(st.integers(min_value=0, max_value=5000), min_size=4, max_size=4))
+        return [label, *map(str, counts), str(draw(st.floats(min_value=0.0, max_value=1.0)))]
+
+    return _weekly_text(draw, RAW_HEADER, cells)
 
 
 def _finite_cells(text: str) -> bool:
@@ -820,6 +860,42 @@ def test_estimate_ends_in_finite_reports_or_a_message(text):
             lines = err.getvalue().splitlines()
             assert lines and all(line.startswith(prefix) for line in lines)
             assert not out_dir.exists()
+
+
+def _loaded(load, path):
+    """Labels, shape and value bytes of a weekly file, or its error message."""
+    try:
+        result = load(path)
+    except ValueError as exc:
+        return str(exc)
+    if isinstance(result, cases.CaseSeries):
+        result = result.labels, np.column_stack((result.total, result.counts))
+    return result[0], result[1].shape, result[1].tobytes()
+
+
+def _quoted(text: str) -> str:
+    return "\n".join(",".join(f'"{cell}"' for cell in line.split(",")) if line else line
+                      for line in text.split("\n"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), raw=st.booleans())
+def test_line_ends_and_quotes_load_the_same(data, raw):
+    # quote-free files are split in one pass, quoted ones read row by row
+    text = data.draw(_raw_text() if raw else _presplit_text())
+    load = cases.load_raw_csv if raw else cases.load_presplit_csv
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "weekly.csv"
+        outcomes = []
+        for variant in (text, text.replace("\n", "\r\n"), _quoted(text)):
+            path.write_bytes(variant.encode())
+            outcomes.append(_loaded(load, path))
+        assert outcomes[1] == outcomes[0]
+        assert outcomes[2] == outcomes[0]
+        if not isinstance(outcomes[0], str):  # a valid file: columns in any order
+            path.write_bytes("\n".join(",".join(line.split(",")[::-1])
+                                        for line in text.split("\n")).encode())
+            assert _loaded(load, path) == outcomes[0]
 
 
 # --------------------------------------------------------------------------
