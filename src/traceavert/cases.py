@@ -112,16 +112,18 @@ class CaseSeries:
 def _week_mondays(labels: Sequence[str]) -> np.ndarray:
     """Ordinal of the Monday of each ``YYYY-WW`` label (four-digit year, two-digit
     ISO week of that year), or -1 where a label is not one."""
-    # Labels longer than 7 characters keep an 8th one and fail the check.
-    codes = np.array(labels, dtype="U8").view(np.uint32).reshape(-1, 8).astype(np.int64)
+    # numpy keeps the first 7 characters of a label, less trailing NULs
+    codes = np.array(labels, dtype="U7").view(np.uint32).reshape(-1, 7).astype(np.int64)
     digits = codes - ord("0")
     numeric = digits[:, [0, 1, 2, 3, 5, 6]]
     year = digits[:, :4] @ np.array([1000, 100, 10, 1])
     week = digits[:, 5] * 10 + digits[:, 6]
     first = _iso_week_one(year)
-    valid = ((codes[:, 4] == ord("-")) & (codes[:, 7] == 0)
-             & ((numeric >= 0) & (numeric <= 9)).all(axis=1) & (year >= 1)
-             & (week >= 1) & (7 * week <= _iso_week_one(year + 1) - first))
+    valid = ((codes[:, 4] == ord("-")) & ((numeric >= 0) & (numeric <= 9)).all(axis=1)
+             & (year >= 1) & (week >= 1) & (7 * week <= _iso_week_one(year + 1) - first))
+    # a valid label has 7 characters or more, so 7 on average means 7 each
+    if not (valid.all() and sum(map(len, labels)) == 7 * len(labels)):
+        valid &= np.fromiter(map(len, map(str, labels)), np.int64, len(labels)) == 7
     return np.where(valid, first + 7 * (week - 1), -1)
 
 

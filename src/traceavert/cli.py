@@ -26,6 +26,7 @@ All outputs are deterministic for identical inputs, config, and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import Callable, Iterator
@@ -56,8 +57,10 @@ _SUMMARY_METRICS = (
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand on ``argv`` (default: ``sys.argv[1:]``) and return its
+    exit status; a bad flag exits 2 through ``SystemExit``.  The argument parser
+    is built on the first call and reused by every later call in the process."""
+    args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except (OSError, ValueError) as exc:
@@ -65,6 +68,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="traceavert",

@@ -20,8 +20,14 @@ cases, scaled by the observed per-case transmission volume of that week:
 Both weights are linear in the week's per-type counts: ``volume(w) = counts(w)
 · λ`` is the TAF-weighted case total and ``gap(w) = counts(w) · Δ``, where the
 channel's Δ holds each reverted type's fallback TAF minus its actual TAF.
-Averted cases are ``c_not - c`` per week; severity outcomes are their total
-times fixed infection-to-outcome rates; the Rt effect is the mean weekly gap.
+The growth factors cancel, so the replay is one cumulative product:
+
+    c_not(w) = c(w) · Π_{k<w} (1 + gap(k)/volume(k))
+
+The replay overflows where ``c(w)`` times that product is not finite, or where
+the averted totals add up beyond the largest double.  Averted cases are
+``c_not - c`` per week; severity outcomes are their total times fixed
+infection-to-outcome rates; the Rt effect is the mean weekly gap.
 """
 from __future__ import annotations
 
@@ -81,7 +87,9 @@ def reconstruct(
     ------
     ValueError
         If the series is shorter than 2 weeks, a weekly total or transmission
-        volume is not positive (NaN included), or the replay overflows.
+        volume is not positive (NaN included), or the replay overflows: some
+        week's ``c(w) · Π_{k<w} (1 + gap(k)/volume(k))`` is not finite (the
+        error names the first such week), or the averted totals are not.
     """
     if len(series) < 2:
         raise ValueError("counterfactual reconstruction needs at least 2 weeks")
@@ -100,12 +108,8 @@ def reconstruct(
                          f"volume {volume[w]:.1f}")
     gap = _weighted(counts, delta)
 
-    c_not = [float(c[0])]
-    for g, gap_w, volume_w in zip((c[1:] / c[:-1]).tolist(), gap.tolist(), volume.tolist()):
-        carried = c_not[-1] * g
-        c_not.append(carried + carried * gap_w / volume_w)
-
-    c_not = np.array(c_not)
+    with np.errstate(over="ignore", invalid="ignore"):  # the first non-finite week is named
+        c_not = c * np.cumprod(np.concatenate(([1.0], 1.0 + gap / volume)))
     finite = np.isfinite(c_not)
     if not finite.all():
         w = int(finite.argmin())

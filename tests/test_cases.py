@@ -3,6 +3,7 @@ import dataclasses
 import datetime as dt
 import io
 import os
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +27,19 @@ RAW_HEADER = "week,sym_positives,ct_found,app_with_symptoms,app_without_symptoms
 
 
 MONDAY = dt.date(2020, 10, 12)  # of ISO week 2020-42
+#: a valid label and a NUL: numpy's fixed-width strings drop trailing NULs and
+#: keep only as many characters as they hold
+NUL_LABELS = ("2020-42\0", "2020-42\0\0", "2020-42\0x")
+
+
+def _nul_error(text: str, label: str) -> str:
+    """The pattern of a loader's message on ``label``, a label with a NUL, in
+    ``text``: csv's own error before Python 3.11, which csv reads NULs from on."""
+    try:
+        list(csv.reader(io.StringIO(text, newline="")))
+    except csv.Error as exc:
+        return re.escape(str(exc))
+    return re.escape(f"invalid ISO week label {label!r} (expected YYYY-WW)")
 
 
 def _flat_admissions(start: dt.date, days: int, value: float) -> tuple[np.ndarray, np.ndarray]:
@@ -213,6 +227,15 @@ class TestValidateSeries:
         report = validate_series(_series(("2021-52", "2021-53")))
         assert report.violations == ("week '2021-53': not an ISO YYYY-WW week label",)
 
+    @pytest.mark.parametrize("label", NUL_LABELS)
+    def test_nul_after_label_flagged(self, label):
+        report = validate_series(_series(("2020-41", label)))
+        assert report.violations == (f"week {label!r}: not an ISO YYYY-WW week label",)
+
+    def test_non_string_label_flagged(self):
+        report = validate_series(_series(("2020-41", 2020)))
+        assert report.violations == ("week 2020: not an ISO YYYY-WW week label",)
+
     def test_rounding_slack_tolerated(self):
         assert validate_series(_series(("2020-42",), total=61.5)).ok
 
@@ -387,16 +410,12 @@ class TestCsvLoaders:
         assert row_passes == [1]
 
     def test_nul_is_read_row_by_row(self, tmp_path, row_passes):
-        text = HEADER + "2020-42\0,100,1,1,1,1,1\n2020-43,90,1,1,1,1,1\n"
+        label = NUL_LABELS[0]
+        text = HEADER + label + ",100,1,1,1,1,1\n2020-43,90,1,1,1,1,1\n"
         path = tmp_path / "weekly.csv"
         path.write_bytes(text.encode())
-        try:  # csv reads a NUL from Python 3.11 on
-            labels = tuple(row[0] for row in list(csv.reader(io.StringIO(text, newline="")))[1:])
-        except csv.Error as exc:
-            with pytest.raises(ValueError, match=rf"weekly.csv:2: {exc}$"):
-                load_presplit_csv(path)
-        else:
-            assert load_presplit_csv(path).labels == labels
+        with pytest.raises(ValueError, match=rf"weekly.csv:2: {_nul_error(text, label)}$"):
+            load_presplit_csv(path)
         assert row_passes == [1]
 
     def test_byte_order_mark_is_dropped(self, tmp_path):
@@ -454,6 +473,14 @@ class TestCsvLoaders:
         path = tmp_path / "raw.csv"
         path.write_text(RAW_HEADER + "2020-42,1,1,1,1,0.5\n2020-W43,1,1,1,1,0.5\n")
         with pytest.raises(ValueError, match=r"raw.csv:3: invalid ISO week label '2020-W43'"):
+            load_raw_csv(path)
+
+    @pytest.mark.parametrize("label", NUL_LABELS)
+    def test_raw_nul_after_week_label_names_line(self, tmp_path, label):
+        text = RAW_HEADER + "2020-42,1,1,1,1,0.5\n" + label + ",1,1,1,1,0.5\n"
+        path = tmp_path / "raw.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=rf"raw.csv:3: {_nul_error(text, label)}$"):
             load_raw_csv(path)
 
     @pytest.mark.parametrize("cell, message", [
@@ -552,6 +579,11 @@ class TestRawPipeline:
     def test_week_mondays(self):
         assert _week_mondays(["2020-42", "2021-19"]).tolist() == [
             dt.date(2020, 10, 12).toordinal(), dt.date(2021, 5, 10).toordinal()]
+
+    def test_week_mondays_check_each_label_length(self):
+        # 6 and 8 characters average 7, so only the length of each label tells
+        assert _week_mondays(["2020-4", "2020-42\0", "2020-43"]).tolist() == [
+            -1, -1, dt.date(2020, 10, 19).toordinal()]
 
     def test_bad_week_label(self, params):
         with pytest.raises(ValueError, match="label '2020/42'"):

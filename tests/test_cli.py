@@ -61,6 +61,17 @@ def write_raw_inputs(directory, rows=("2020-10,100,50,10,5,0.5", "2020-11,120,60
     return str(raw), str(hosp)
 
 
+#: ``summary.csv`` of ``estimate`` at the default parameters on the bundled data
+DEFAULT_SUMMARY = [
+    "metric,ct,app",
+    "averted_cases,803079,68884",
+    "averted_hospitalizations,10601,909",
+    "averted_icu_admissions,2008,172",
+    "averted_deaths,4818,413",
+    "rt_reduction_avg,0.0093,0.0008",
+]
+
+
 # --------------------------------------------------------------------------
 # estimate
 
@@ -91,15 +102,7 @@ class TestEstimate:
         out_dir = tmp_path / "out"
         code, _, _ = run_cli(capsys, "estimate", "--out", str(out_dir))
         assert code == 0
-        lines = (out_dir / "summary.csv").read_text().splitlines()
-        assert lines == [
-            "metric,ct,app",
-            "averted_cases,803079,68884",
-            "averted_hospitalizations,10601,909",
-            "averted_icu_admissions,2008,172",
-            "averted_deaths,4818,413",
-            "rt_reduction_avg,0.0093,0.0008",
-        ]
+        assert (out_dir / "summary.csv").read_text().splitlines() == DEFAULT_SUMMARY
 
     def test_output_is_deterministic(self, tmp_path, capsys):
         first = tmp_path / "a"
@@ -506,8 +509,11 @@ class TestValidate:
     ], ids=["raw_overflow", "zero_total_week", "zero_ct_delay"])
     def test_rejects_what_estimate_rejects(self, tmp_path, capsys, case, message):
         if case == "raw_overflow":
-            raw, hosp = write_raw_inputs(tmp_path)
-            argv = ("--data", raw, "--hosp", hosp, "--param", "ihr=3e-307")
+            # totals of 8.4e307 and 1.68e308, and a ct share that makes the
+            # multiplier of week 2020-11 1.095: c · m passes the largest double
+            raw, hosp = write_raw_inputs(
+                tmp_path, rows=("2020-10,0,5e307,0,0,0.5", "2020-11,0,0,0,0,0.5"))
+            argv = ("--data", raw, "--hosp", hosp, "--param", "ihr=1.1e-307")
         elif case == "zero_total_week":
             argv = ("--data", write_presplit(tmp_path / "weekly.csv", [
                 ("2020-10", 1000, 300, 40, 60, 5, 10),
@@ -726,6 +732,56 @@ class TestOverflow:
         assert out == ""
         assert err == "error: ct counterfactual overflows: week 2020-43 reaches inf\n"
         assert not (tmp_path / "out").exists()
+
+    def test_overflow_in_the_recurrence_alone_ends_in_finite_reports(self, tmp_path, capsys):
+        # totals of 3.1e307 and 6.2e307: carried · gap overflowed in the week-by-week
+        # recurrence, but the multiplier rounds to 1, so c · m is finite
+        raw, hosp = write_raw_inputs(tmp_path)
+        argv = ("--data", raw, "--hosp", hosp, "--param", "ihr=3e-307")
+        out_dir = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_cli(capsys, "validate", *argv)[0] == 0
+            code, _, err = run_cli(capsys, "estimate", *argv, "--out", str(out_dir))
+        assert (code, err) == (0, "")
+        for name in ("weekly.csv", "summary.csv"):
+            assert _finite_cells((out_dir / name).read_text(encoding="utf-8")), name
+
+
+class TestParserReuse:
+    """One parser serves every ``main`` call in a process; no call leaves state
+    behind for the next."""
+
+    def test_param_overrides_do_not_accumulate(self, tmp_path, capsys):
+        # --param appends to its default list, which every call shares
+        swept, plain = tmp_path / "swept", tmp_path / "plain"
+        assert run_cli(capsys, "estimate", "--param", "u_app=0.9", "--out", str(swept))[0] == 0
+        assert (swept / "summary.csv").read_text().splitlines() != DEFAULT_SUMMARY
+        assert run_cli(capsys, "estimate", "--out", str(plain))[0] == 0
+        assert (plain / "summary.csv").read_text().splitlines() == DEFAULT_SUMMARY
+
+    def test_usage_error_leaves_the_parser_usable(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["estimate", "--bogus"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+        code, out, err = run_cli(capsys, "validate")
+        assert (code, err) == (0, "")
+        assert "series: ok (31 weeks, 2020-42 .. 2021-19)" in out
+
+    def test_subcommands_dispatch_to_their_own_handlers(self, capsys):
+        runs = [("sweep", "--sweep", "u_app=0.16"),
+                ("simulate", "--trees", "50", "--case-type", "ct"),
+                ("lambda-table",)] * 2
+        heads = []
+        for argv in runs:
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, "")
+            heads.append(out.splitlines()[0])
+        assert heads[:3] == heads[3:]
+        assert heads[0].startswith("param,value,s_ct_total")
+        assert heads[1] == "case_type,trees,empirical_taf,standard_error,analytic_taf,delta"
+        assert heads[2] == "# infectivity profile"
 
 
 class TestSimulateTrees:

@@ -248,9 +248,10 @@ def test_every_table_uses_the_default_calibration(fractions, delays, params, tab
     assert t.per_type["app_minus"] == days.mix(p, rows, p.t_app, p.t_plan, p.t_sym)
 
 
-# Literal transcription of the weekly replay as the counterfactual docstring
-# states it, one week and one term at a time; the array version must
-# reproduce it bit for bit, since the reports print every digit of c_not.
+# Literal transcription of the product form the counterfactual docstring
+# states, c_not(w) = c(w) · Π_{k<w} (1 + gap(k)/volume(k)), one week and one
+# term at a time; np.cumprod multiplies in the same order, so the array version
+# must reproduce it bit for bit, since the reports print every digit of c_not.
 
 
 def _left_to_right(terms):
@@ -262,11 +263,11 @@ def _left_to_right(terms):
 
 
 def _loop_replay(c, rows, lambdas, gap):
-    c_not = [c[0]]
+    c_not, m = [c[0]], 1.0
     for w in range(len(c) - 1):
         volume = _left_to_right(lambdas[name] * rows[w][j] for j, name in enumerate(CASE_TYPES))
-        carried = c_not[w] * (c[w + 1] / c[w])
-        c_not.append(carried + carried * gap(rows[w]) / volume)
+        m *= 1.0 + gap(rows[w]) / volume
+        c_not.append(c[w + 1] * m)
     return c_not
 
 
