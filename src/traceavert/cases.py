@@ -32,11 +32,11 @@ from dataclasses import dataclass
 from importlib import resources
 from itertools import repeat
 from pathlib import Path
-from typing import Callable, Iterator, Sequence, Sized
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .params import ModelParams, ValidationReport
+from .params import ModelParams, ValidationReport, _read
 from .taf import CASE_TYPES
 
 __all__ = [
@@ -188,19 +188,11 @@ def build_series_from_raw(
 
 
 # ----------------------------------------------------------------------------
-# CSV ingestion. All formats: header row required, UTF-8 (a leading byte-order
-# mark is dropped), comma separator. Blank lines are skipped; errors name the
-# file line a row starts on.
-
-
-def _read(path: Path) -> str:
-    """The whole file; read once, so a pipe can be parsed twice."""
-    try:
-        with path.open("r", encoding="utf-8", newline="") as handle:
-            # drop a byte-order mark, as utf-8-sig would without its 0.4-ms import
-            return handle.read().removeprefix("\ufeff")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+# CSV ingestion. All formats: header row required, UTF-8 (``params._read`` drops
+# a leading byte-order mark), comma separator. Blank lines are skipped; errors
+# name the file line a row starts on. A weekly file is accepted when it passes
+# its checks as a whole; a rejected file is read again row by row to name its
+# first error.
 
 
 def _rows(path: Path, text: str, expected: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
@@ -241,11 +233,6 @@ def _parse_number(path: Path, lineno: int, column: str, text: str) -> float:
     return value
 
 
-def _require_rows(path: Path, rows: Sized) -> None:
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-
-
 def _split(text: str, columns: Sequence[str]) -> tuple[list[str], np.ndarray] | None:
     """Labels and numbers of a quote-free ``text`` with header ``columns``; ``None``
     if it has no rows, a number float() does not read, or anything the csv module
@@ -268,53 +255,42 @@ def _split(text: str, columns: Sequence[str]) -> tuple[list[str], np.ndarray] | 
         return None
 
 
-def _faults(labels: Sequence[str], values: np.ndarray,
-            rejects: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Rows with an invalid label, a non-finite number or a break of ``rejects``."""
-    with np.errstate(invalid="ignore", over="ignore"):  # at non-finite or huge numbers
-        return (_week_mondays(labels) < 0) | ~np.isfinite(values).all(axis=1) | rejects(values)
-
-
 def _load_weekly(
     path: Path, columns: Sequence[str], rejects: Callable[[np.ndarray], np.ndarray],
     reason: Callable[[list[str], np.ndarray], str],
 ) -> tuple[tuple[str, ...], np.ndarray]:
     """Week labels and the float (weeks x numbers) array of a weekly file.
 
-    A file that ``_split`` reads without ``_faults`` is returned as split.  Any
-    other file is read row by row up to its first malformed row or unreadable
-    number, and the first error in file order is raised: in a row the label,
-    then the numbers left to right, then the rule (``rejects`` flags the rows
-    that break it, ``reason`` words a break).
+    ``_split`` reads a quote-free file, ``_rows`` any other, and the file is
+    accepted if every label is valid, every number finite and no row breaks the
+    rule (``rejects`` flags the rows that do).  A rejected file is read again row
+    by row and its first error in file order is raised: in a row the label, then
+    the numbers left to right, then the rule (``reason`` words a break).
     """
     text = _read(path)
     split = _split(text, columns)
-    if split is not None and not _faults(*split, rejects).any():
-        return tuple(split[0]), split[1]
-    rows, numbers, error = [], [], None
-    try:
+    if split is None:
+        try:  # one csv pass; a malformed row or an unreadable number is named below
+            rows = [row for _, row in _rows(path, text, columns)]
+            values = np.array([float(cell) for row in rows for cell in row[1:]])
+            split = [row[0] for row in rows], values.reshape(len(rows), len(columns) - 1)
+        except ValueError:
+            pass
+    with np.errstate(invalid="ignore", over="ignore"):  # at non-finite or huge numbers
+        if split is not None:
+            labels, values = split
+            if (labels and (_week_mondays(labels) >= 0).all()
+                    and np.isfinite(values).all() and not rejects(values).any()):
+                return tuple(labels), values
         for lineno, row in _rows(path, text, columns):
-            rows.append((lineno, row))
-            numbers += map(float, row[1:])
-    except ValueError as exc:
-        error = exc
-    labels = [row[0] for _, row in rows]
-    read = len(numbers) // (len(columns) - 1)  # rows whose numbers all read
-    values = np.array(numbers[:read * (len(columns) - 1)]).reshape(read, len(columns) - 1)
-    # a row whose numbers did not all read is at fault too
-    faults = np.append(_faults(labels[:read], values, rejects), len(rows) > read)
-    if faults.any():
-        lineno, row = rows[int(np.argmax(faults))]
-        if _week_mondays(row[:1])[0] < 0:
-            raise ValueError(f"{path}:{lineno}: invalid ISO week label {row[0]!r} "
-                             f"(expected YYYY-WW)")
-        parsed = [_parse_number(path, lineno, name, cell)  # names the first bad number
-                  for name, cell in zip(columns[1:], row[1:])]
-        raise ValueError(f"{path}:{lineno}: {reason(row, np.array(parsed))}")
-    if error is not None:
-        raise error
-    _require_rows(path, labels)
-    return tuple(labels), values
+            if _week_mondays(row[:1])[0] < 0:
+                raise ValueError(f"{path}:{lineno}: invalid ISO week label {row[0]!r} "
+                                 f"(expected YYYY-WW)")
+            parsed = np.array([_parse_number(path, lineno, name, cell)
+                               for name, cell in zip(columns[1:], row[1:])])
+            if rejects(parsed[None])[0]:
+                raise ValueError(f"{path}:{lineno}: {reason(row, parsed)}")
+    raise ValueError(f"{path}: no data rows")
 
 
 def _residual(values: np.ndarray) -> np.ndarray:
@@ -370,7 +346,8 @@ def load_hospitalizations_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]
         previous = day
         days.append(day.toordinal())
         admissions.append(count)
-    _require_rows(path, days)
+    if not days:
+        raise ValueError(f"{path}: no data rows")
     return np.array(days, dtype=np.int64), np.array(admissions, dtype=float)
 
 

@@ -12,6 +12,7 @@ per line, ``#`` comments, and all keys optional. Unknown keys are rejected.
 from __future__ import annotations
 
 import dataclasses
+import io
 import math
 import numbers
 from dataclasses import dataclass, fields
@@ -205,6 +206,18 @@ def check(p: ModelParams, i_w: Iterable[float]) -> None:
 # config files: flat "key = value" lines, '#' comments, unknown keys rejected
 
 
+def _read(path: Path) -> str:
+    """The whole of a UTF-8 config or data file; read once, so that a pipe can be
+    parsed twice.  A leading byte-order mark is dropped, and a byte that is not
+    UTF-8 is a ``ValueError`` naming ``path``."""
+    try:
+        with path.open("r", encoding="utf-8", newline="") as handle:
+            # drop a byte-order mark, as utf-8-sig would without its 0.4-ms import
+            return handle.read().removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _parse_config_lines(lines: Iterable[str], source: str) -> dict[str, str]:
     raw: dict[str, str] = {}
     for lineno, line in enumerate(lines, start=1):
@@ -231,9 +244,8 @@ def params_from_config(
     """Build params from defaults, an optional config file, then CLI overrides."""
     p = default_params()
     if path is not None:
-        path = Path(path)
-        with path.open("r", encoding="utf-8") as handle:
-            p = apply_overrides(p, _parse_config_lines(handle, str(path)))
+        lines = io.StringIO(_read(Path(path)), newline=None)  # as a text-mode file splits them
+        p = apply_overrides(p, _parse_config_lines(lines, str(path)))
     if cli_overrides:
         p = apply_overrides(p, cli_overrides)
     return p

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_loader_corpus import _quoted, mutated
 
 from traceavert import cases, cli, counterfactual, load_fixture
 from traceavert.params import ModelParams, apply_overrides, default_params, validate
@@ -261,6 +262,14 @@ class TestEstimateErrors:
         code, out, err = run_cli(capsys, "estimate", "--config", "model.conf", "--out", "out")
         assert (code, out) == (2, "")
         assert err == f"error: model.conf:2: expected 'key = value', got {line!r}\n"
+        assert not Path("out").exists()
+
+    def test_config_byte_not_utf8_exits_2_naming_the_file(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("model.conf").write_bytes(b"u_app = 0.\xff\n")
+        code, out, err = run_cli(capsys, "estimate", "--config", "model.conf", "--out", "out")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: model.conf: 'utf-8' codec can't decode byte 0xff")
         assert not Path("out").exists()
 
     def test_zero_tracing_delay_exits_2_naming_delay(self, tmp_path, capsys):
@@ -918,6 +927,38 @@ def test_estimate_ends_in_finite_reports_or_a_message(text):
             assert not out_dir.exists()
 
 
+@settings(max_examples=100, deadline=None)
+@given(command=st.sampled_from(("estimate", "validate", "sweep")),
+       which=st.sampled_from(("raw", "hosp", "both")), seed=st.integers(0, 2**32))
+def test_mutated_raw_inputs_end_in_finite_reports_or_a_named_error(command, which, seed):
+    # 1-3 bytes of the raw --data file, the --hosp file or both inserted, replaced or deleted
+    with tempfile.TemporaryDirectory() as work:
+        paths = write_raw_inputs(Path(work))
+        for name, path in zip(("raw", "hosp"), paths):
+            if which in (name, "both"):
+                Path(path).write_bytes(mutated(Path(path).read_bytes(), f"{seed}-{name}"))
+        out_dir = Path(work) / "out"
+        argv = [command, "--data", paths[0], "--hosp", paths[1]]
+        argv += {"estimate": ["--out", str(out_dir)], "sweep": ["--sweep", "t_ct=2,4"]}.get(
+            command, [])
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main(argv)  # a traceback fails the test here
+        if code == 0:
+            assert err.getvalue() == ""
+            if command == "estimate":
+                for name in ("weekly.csv", "summary.csv"):
+                    assert _finite_cells((out_dir / name).read_text(encoding="utf-8")), name
+            elif command == "sweep":
+                assert _finite_cells(out.getvalue())
+        else:
+            assert code in (1, 2)
+            message = out.getvalue() + err.getvalue()
+            assert any(name in message for name in (*paths, "week ")), message
+
+
 def _loaded(load, path):
     """Labels, shape and value bytes of a weekly file, or its error message."""
     try:
@@ -927,11 +968,6 @@ def _loaded(load, path):
     if isinstance(result, cases.CaseSeries):
         result = result.labels, np.column_stack((result.total, result.counts))
     return result[0], result[1].shape, result[1].tobytes()
-
-
-def _quoted(text: str) -> str:
-    return "\n".join(",".join(f'"{cell}"' for cell in line.split(",")) if line else line
-                      for line in text.split("\n"))
 
 
 @settings(max_examples=200, deadline=None)

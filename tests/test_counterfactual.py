@@ -1,9 +1,12 @@
 import math
 
+import numpy as np
 import pytest
+from test_acceptance import PUBLISHED_S_CT_TOTAL, PUBLISHED_WEEKLY_S_APP, PUBLISHED_WEEKLY_S_CT
 
 from traceavert.cases import CaseSeries
 from traceavert.counterfactual import averted_app, averted_ct, reconstruct, rt_series
+from traceavert.taf import CASE_TYPES
 
 # full-precision results on the bundled dataset with default parameters,
 # frozen from an independent reimplementation
@@ -273,3 +276,44 @@ def test_documented_averted_factor_band(series, lambdas, params):
     ct = averted_ct(series, lambdas, params)
     app = averted_app(series, lambdas, params)
     assert 12 <= ct.s_total / app.s_total <= 22
+
+
+class TestPublishedColumnsFromConstantDeltas:
+    """A diagnostic of criterion 4: the recurrence and the data reproduce both
+    published averted-case columns, given constant per-type TAF differences
+    (fallback minus actual).  So the app gap lies in how ``averted_app`` derives
+    its two differences, not in the replay."""
+
+    @staticmethod
+    def _worst_week(s_weekly, published):
+        """The largest relative deviation, over the weeks with a published value above 0."""
+        published = np.asarray(published, dtype=float)
+        shown = published > 0
+        return np.abs(s_weekly[..., shown] / published[shown] - 1.0).max(axis=-1)
+
+    def test_one_ct_delta_fits_the_published_column(self, series, lambdas, params):
+        low, high = 0.0, 1.0  # the total grows with the difference: bisect on it
+        for _ in range(50):
+            middle = (low + high) / 2
+            total = reconstruct(series, lambdas, {"ct": middle}, "ct", params).s_total
+            low, high = (middle, high) if total < PUBLISHED_S_CT_TOTAL else (low, middle)
+        assert low == pytest.approx(0.24612, abs=1e-5)
+        s_weekly = reconstruct(series, lambdas, {"ct": low}, "ct", params).s_weekly
+        assert self._worst_week(s_weekly, PUBLISHED_WEEKLY_S_CT) < 0.01
+
+    def test_two_app_deltas_fit_the_published_column(self, series, lambdas, params):
+        # the worst weekly deviation on a 0.001 grid, replayed as reconstruct does
+        plus, minus = np.meshgrid(np.arange(100, 201) / 1000, np.arange(200, 301) / 1000,
+                                  indexing="ij")
+        c, counts = series.total, series.counts[:-1]
+        volume = counts @ [lambdas[name] for name in CASE_TYPES]
+        gap = (plus[..., None] * counts[:, CASE_TYPES.index("app_plus")]
+               + minus[..., None] * counts[:, CASE_TYPES.index("app_minus")])
+        growth = np.cumprod(1.0 + gap / volume, axis=-1)
+        s_weekly = c * np.concatenate((np.ones(plus.shape + (1,)), growth), axis=-1) - c
+        worst = self._worst_week(s_weekly, PUBLISHED_WEEKLY_S_APP)
+        best = np.unravel_index(worst.argmin(), worst.shape)
+        delta = {"app_plus": plus[best], "app_minus": minus[best]}
+        assert delta == pytest.approx({"app_plus": 0.137, "app_minus": 0.246})
+        s_weekly = reconstruct(series, lambdas, delta, "app", params).s_weekly
+        assert self._worst_week(s_weekly, PUBLISHED_WEEKLY_S_APP) < 0.01

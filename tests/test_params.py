@@ -179,6 +179,19 @@ class TestConfigFiles:
         with pytest.raises(ValueError, match=r"model\.conf:1"):
             params_from_config(path)
 
+    @pytest.mark.parametrize("bom, end", [("\ufeff", "\n"), ("", "\r\n"), ("", "\r")],
+                             ids=["byte_order_mark", "crlf", "cr"])
+    def test_read_as_data_files_are(self, tmp_path, bom, end):
+        # a byte-order mark is dropped; any line end counts lines as a text file does
+        plain, variant = tmp_path / "plain.conf", tmp_path / "variant.conf"
+        lines = ["# scenario", "u_app = 0.30", "", "t_ct = 2"]
+        plain.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        variant.write_bytes((bom + end.join(lines) + end + "nope = 1" + end).encode())
+        with pytest.raises(ValueError, match=r"variant\.conf:5: unknown parameter 'nope'$"):
+            params_from_config(variant)
+        variant.write_bytes((bom + end.join(lines) + end).encode())
+        assert params_from_config(variant) == params_from_config(plain) != default_params()
+
     def test_config_composite_recompute_from_file(self, tmp_path):
         path = tmp_path / "model.conf"
         path.write_text("a_sym = 0.6\n")
