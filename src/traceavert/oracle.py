@@ -9,11 +9,11 @@ the rest realize all of ``i_c_inf``.  The tertiary attack fraction of the
 tree is realized tertiary transmission divided by the no-intervention
 potential ``_R0``.
 
-The per-case-type entry point reproduces the situation of each of the six
-case types, drawing the index quarantine day from the same detection-window
-mixture the analytic layer integrates over.  The estimates agree with the
-analytic constants within a few standard errors at the defaults and nearby
-delays, but not at longer warning delays: see the strict xfails of
+The one entry point, ``empirical_case_type_taf``, reproduces the situation of
+each of the six case types, drawing the index quarantine day from the same
+detection-window mixture the analytic layer integrates over.  The estimates
+agree with the analytic constants within a few standard errors at the defaults
+and nearby delays, but not at longer warning delays: see the strict xfails of
 ``tests/test_oracle.py::TestAwayFromDefaults``.  The module imports nothing
 from the analytic layer: it reads only the published ``i_w`` and derives the
 channel delays, warn fractions and the ``i_c`` curve from the model
@@ -36,14 +36,11 @@ from .params import ModelParams, _is_integer, check
 __all__ = [
     "SimConfig",
     "SimOutcome",
-    "simulate_trees",
     "empirical_case_type_taf",
 ]
 
 #: the six case types, in the analytic layer's reporting order
 CASE_TYPES: tuple[str, ...] = ("miss", "sym", "pers", "ct", "app_minus", "app_plus")
-
-_CHANNELS = (None, "ct", "app")
 
 #: i_w on profile days 1..14, the only profile value the trees read
 _I_W = np.array(WEIBULL_PROFILE)
@@ -73,8 +70,8 @@ _MAX_TREES = np.iinfo(np.intp).max // 8
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation knobs shared by both entry points, integers but not bools. Trees
-    run over the profile's 14 days; only the benchmark reads ``horizon``."""
+    """Simulation knobs, integers but not bools. Trees run over the profile's
+    14 days; only the benchmark reads ``horizon``."""
 
     trees: int = 100_000
     seed: int = 0
@@ -98,16 +95,6 @@ class SimOutcome:
 
     empirical_taf: float
     standard_error: float
-
-
-def _channels(p: ModelParams) -> dict[str | None, tuple[int, float]]:
-    """Warning delay, clipped at ``_LAST_DAY``, and warn fraction (adherence
-    times reach) of each channel; ``None`` warns nobody. ``params.check``
-    raises one ``ValueError`` naming every field of ``p`` out of ``validate``'s
-    range or, for the published ``i_w``, out of the delay domain."""
-    check(p, _I_W)
-    return {None: (0, 0.0), "ct": (min(p.t_ct, _LAST_DAY), p.a_ct * p.f_ct),
-            "app": (min(p.t_app, _LAST_DAY), p.a_app * p.f_app)}
 
 
 def _run_trees(
@@ -219,32 +206,6 @@ def _detection_window_mixture(
     return (min(latency + window + 1, _LAST_DAY + width) - x).astype(float)
 
 
-def simulate_trees(
-    cfg: SimConfig,
-    p: ModelParams,
-    channel: str | None = None,
-    quarantine_day: int | None = None,
-) -> SimOutcome:
-    """Simulate trees warned through ``channel`` (``"ct"``, ``"app"`` or
-    ``None`` for no warning) whose index is quarantined on ``quarantine_day``
-    (``None``: never).
-
-    Raises
-    ------
-    ValueError
-        If ``channel`` is unknown, ``quarantine_day`` is neither ``None``
-        nor an integer >= 0, or ``p`` fails ``params.check``.
-    """
-    if channel not in _CHANNELS:
-        raise ValueError(f"unknown warning channel {channel!r}; expected one of {_CHANNELS!r}")
-    if quarantine_day is not None and (not _is_integer(quarantine_day) or quarantine_day < 0):
-        raise ValueError(f"quarantine_day must be None or an integer >= 0, got {quarantine_day!r}")
-    rng = np.random.default_rng(cfg.seed)
-    quarantine = np.inf if quarantine_day is None else float(min(quarantine_day, _LAST_DAY))
-    delay, fraction = _channels(p)[channel]
-    return _summarize(_run_trees(rng, cfg.trees, quarantine, float(delay), fraction, p))
-
-
 def empirical_case_type_taf(case_type: str, cfg: SimConfig, p: ModelParams) -> SimOutcome:
     """Empirical TAF of one case type, mirroring the analytic constants: the
     case type fixes how the index is detected and warned.
@@ -253,18 +214,22 @@ def empirical_case_type_taf(case_type: str, cfg: SimConfig, p: ModelParams) -> S
     ------
     ValueError
         If ``case_type`` is not one of the six model types, or ``p`` fails
-        ``params.check``.
+        ``params.check``, which names every field of ``p`` out of
+        ``validate``'s range or, for the published ``i_w``, out of the delay
+        domain.
     """
     if case_type not in CASE_TYPES:
         raise ValueError(
             f"unknown case type {case_type!r}; expected one of {CASE_TYPES!r}"
         )
+    check(p, _I_W)
     rng = np.random.default_rng(cfg.seed)
     n = cfg.trees
-    channels = _channels(p)
-    (ct_delay, ct_fraction), (app_delay, app_fraction) = channels["ct"], channels["app"]
+    # each channel's warning delay, clipped at _LAST_DAY, and adherence x reach
+    ct_delay, ct_fraction = float(min(p.t_ct, _LAST_DAY)), p.a_ct * p.f_ct
+    app_delay, app_fraction = float(min(p.t_app, _LAST_DAY)), p.a_app * p.f_app
     span = p.t_sym + p.t_plan
-    latency, fraction = float(ct_delay), ct_fraction
+    latency, fraction = ct_delay, ct_fraction
     if case_type == "miss":
         quarantine, fraction = np.inf, 0.0
     elif case_type == "sym":
@@ -280,11 +245,8 @@ def empirical_case_type_taf(case_type: str, cfg: SimConfig, p: ModelParams) -> S
         quarantine = _detection_window_mixture(rng, n, *windows[case_type])
         if case_type.startswith("app"):
             via_app = rng.random(n) < p.u_app
-            latency = np.where(via_app, float(app_delay), latency)
+            latency = np.where(via_app, app_delay, latency)
             fraction = np.where(via_app, app_fraction, ct_fraction)
-    return _summarize(_run_trees(rng, n, quarantine, latency, fraction, p))
-
-
-def _summarize(ratios: np.ndarray) -> SimOutcome:
+    ratios = _run_trees(rng, n, quarantine, latency, fraction, p)
     return SimOutcome(empirical_taf=float(ratios.mean()),
-                      standard_error=float(ratios.std(ddof=1) / np.sqrt(ratios.size)))
+                      standard_error=float(ratios.std(ddof=1) / np.sqrt(n)))

@@ -1100,3 +1100,63 @@ def test_param_argv_ends_in_an_exit_code_that_names_its_cause(case):
         if message.startswith("usage:"):
             message = message.partition(": error: ")[2]
         assert any(name in message for name in names), message
+
+
+# --------------------------------------------------------------------------
+# any simulate argv ends in exit 0, 1 or 2, and a failure names its cause
+
+#: mostly valid tree counts, and small ones; the invalid ones are all rejected
+#: before any allocation, and no count lies between the two, where it would
+#: take gigabytes
+_TREES = st.one_of(*[st.integers(2, 300).map(str)] * 8, st.sampled_from(
+    ("0", "1", "-3", "2.5", "x", str(np.iinfo(np.intp).max // 8 + 1))))
+_SEED = st.one_of(*[st.integers(0, 2**64).map(str)] * 4, st.sampled_from(("-1", "1.5", "x")))
+_CASE_TYPE = st.sampled_from(CASE_TYPES + ("all", "bogus"))
+
+
+@st.composite
+def _simulate_argv(draw):
+    """A ``simulate`` argv of ``--trees``, ``--seed``, ``--case-type`` and
+    ``--param`` items, perhaps malformed, and the parameter keys it names;
+    ``--trees`` is always given, as its default is 100,000 trees."""
+    argv, keys = ["simulate", "--trees", draw(_TREES)], []
+    for flag, values in (("--seed", _SEED), ("--case-type", _CASE_TYPE)):
+        if draw(st.booleans()):
+            argv += [flag, draw(values)]
+    for _ in range(draw(st.integers(0, 3))):
+        text = f"{draw(_KEY)}={draw(_VALUE)}"
+        keys.append(text.partition("=")[0].strip())  # the key as the CLI reads it
+        argv += ["--param", text]
+    argv += draw(st.sampled_from(([],) * 12 + (["--trees"], ["--seed"], ["--bogus"])))
+    return argv, keys
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_simulate_argv())
+def test_simulate_argv_ends_in_finite_rows_or_a_named_error(case):
+    argv, keys = case
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            code = cli.main(argv)  # a traceback fails the test here
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err.getvalue() == ""
+        lines = out.getvalue().splitlines()
+        assert lines[0] == "case_type,trees,empirical_taf,standard_error,analytic_taf,delta"
+        kind = argv[argv.index("--case-type") + 1] if "--case-type" in argv else "all"
+        assert [line.split(",")[0] for line in lines[1:]] == (
+            list(CASE_TYPES) if kind == "all" else [kind])
+        assert _finite_cells(out.getvalue())
+    else:  # the message, past argparse's usage text, names a field or flag typed
+        flags = [arg for arg in argv if arg.startswith("--")]
+        names = [key for key in keys if key] + flags + [
+            flag[2:] for flag in flags if flag in ("--trees", "--seed")]
+        message = out.getvalue() + err.getvalue()
+        if message.startswith("usage:"):
+            message = message.partition(": error: ")[2]
+        assert any(name in message for name in names), message

@@ -9,7 +9,7 @@ import pytest
 
 from traceavert import oracle
 from traceavert.infectivity import InfectivityProfile
-from traceavert.oracle import SimConfig, empirical_case_type_taf, simulate_trees
+from traceavert.oracle import SimConfig, empirical_case_type_taf
 from traceavert.params import apply_overrides
 from traceavert.taf import CASE_TYPES, LambdaTable
 
@@ -56,43 +56,45 @@ class TestSimConfig:
 
 
 class TestSimulateTrees:
+    """The two case types whose trees share one quarantine day: ``miss``, whose
+    index is never quarantined and warns nobody, and ``sym``, whose index is
+    quarantined on day t_sym + t_plan (7 at the defaults) and whose contacts
+    are warned by tracing."""
+
     def test_determinism(self, params):
         cfg = SimConfig(trees=5_000, seed=11)
-        first = simulate_trees(cfg, params, "ct", 7)
-        second = simulate_trees(cfg, params, "ct", 7)
+        first = empirical_case_type_taf("sym", cfg, params)
+        second = empirical_case_type_taf("sym", cfg, params)
         assert first == second
-
-    def test_unknown_channel_rejected(self, params):
-        with pytest.raises(ValueError, match="channel 'mail'"):
-            simulate_trees(SimConfig(trees=10), params, "mail")
 
     def test_no_intervention_matches_missed_constant(self, params, lambdas):
         cfg = SimConfig(trees=20_000, seed=0)
-        outcome = simulate_trees(cfg, params)
+        outcome = empirical_case_type_taf("miss", cfg, params)
         assert abs(_zscore(outcome, lambdas["miss"])) < 2
 
     def test_full_potential_without_any_adherence(self, params):
         p = apply_overrides(params, {"a_sym": "0"})
         cfg = SimConfig(trees=20_000, seed=0)
-        outcome = simulate_trees(cfg, p)
+        outcome = empirical_case_type_taf("miss", cfg, p)
         # the day-by-day profile carries 0.99 of the infection potential, so
         # a fully unimpeded tree realizes 0.99 of it at both generations
         assert abs(_zscore(outcome, 0.99**2)) < 2
 
     def test_ct_channel_quarantine_day7_matches_analytic(self, params, table):
+        assert params.t_sym + params.t_plan == 7
         analytic = table.lambda_ct_row[6]
-        outcome = simulate_trees(SimConfig(trees=20_000, seed=0), params, "ct", 7)
+        outcome = empirical_case_type_taf("sym", SimConfig(trees=20_000, seed=0), params)
         assert abs(_zscore(outcome, analytic)) < 2
 
     def test_outcome_accounting(self, params):
         cfg = SimConfig(trees=2_000, seed=5)
-        outcome = simulate_trees(cfg, params)
+        outcome = empirical_case_type_taf("miss", cfg, params)
         assert 0.0 <= outcome.empirical_taf <= 1.0
         assert outcome.standard_error > 0.0
 
     def test_standard_error_shrinks_with_more_trees(self, params):
         ses = [
-            simulate_trees(SimConfig(trees=n, seed=3), params).standard_error
+            empirical_case_type_taf("miss", SimConfig(trees=n, seed=3), params).standard_error
             for n in (1_000, 10_000, 100_000)
         ]
         for coarse, fine in zip(ses, ses[1:]):
@@ -103,24 +105,11 @@ class TestSimulateTrees:
         tafs = []
         for t_ct in ("1", "5"):
             p = apply_overrides(params, {"t_ct": t_ct})
-            tafs.append(simulate_trees(SimConfig(trees=20_000, seed=9), p, "ct", 7))
+            tafs.append(empirical_case_type_taf("sym", SimConfig(trees=20_000, seed=9), p))
         gap = tafs[1].empirical_taf - tafs[0].empirical_taf
         noise = 2 * math.hypot(tafs[0].standard_error, tafs[1].standard_error)
         assert gap > -noise
         assert gap > 0  # the true effect is far larger than the noise here
-
-
-class TestQuarantineDay:
-    @pytest.mark.parametrize("channel", [None, "ct", "app"])
-    def test_day_past_the_float_range_acts_as_day_27(self, channel, params):
-        cfg = SimConfig(trees=50)
-        assert simulate_trees(cfg, params, channel, 10**400) == \
-            simulate_trees(cfg, params, channel, 27)
-
-    @pytest.mark.parametrize("day", [-5, 2.5, 7.0, True])
-    def test_bad_day_is_named(self, day, params):
-        with pytest.raises(ValueError, match="quarantine_day"):
-            simulate_trees(SimConfig(trees=10), params, "ct", day)
 
 
 class TestCaseTypeTaf:
@@ -203,9 +192,6 @@ class TestCaseTypeTaf:
         for case_type, expected in pinned.items():
             outcome = empirical_case_type_taf(case_type, cfg, params)
             assert (outcome.empirical_taf, outcome.standard_error) == expected, case_type
-        outcome = simulate_trees(cfg, params, "ct", 3)
-        assert (outcome.empirical_taf, outcome.standard_error) == (
-            0.15209479999999997, 0.0014697809175749648)
 
 
 #: why the analytic constants run high away from the defaults: (a) the warned
@@ -249,10 +235,7 @@ class TestBlocks:
         cfg = SimConfig(trees=50, seed=13)
 
         def outcomes():
-            by_type = [empirical_case_type_taf(kind, cfg, p) for kind in CASE_TYPES]
-            by_channel = [simulate_trees(cfg, p, channel, day)
-                          for channel in (None, "ct", "app") for day in (None, 0, 3, 20)]
-            return by_type + by_channel
+            return [empirical_case_type_taf(kind, cfg, p) for kind in CASE_TYPES]
 
         monkeypatch.setattr(oracle, "_BLOCK", cfg.trees)
         single_block = outcomes()
@@ -295,13 +278,6 @@ class TestChannelRejections:
         p = _with(params, field, value)
         with pytest.raises(ValueError, match=field):
             empirical_case_type_taf(case_type, SimConfig(trees=10), p)
-
-    @pytest.mark.parametrize("field, value", _BAD_CHANNEL_FIELDS)
-    def test_simulate_trees_rejects_bad_field_of_its_channel(self, field, value, params):
-        p = _with(params, field, value)
-        with pytest.raises(ValueError, match=field):
-            simulate_trees(SimConfig(trees=10), p, field.split("_")[1])
-
 
     def test_derived_adherence_is_reported_by_the_field_set(self, params):
         p = dataclasses.replace(params, f_sym=1.0, a_ct_plus=1.5)

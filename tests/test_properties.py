@@ -14,7 +14,7 @@ from traceavert.cases import (
     validate_series,
 )
 from traceavert.counterfactual import averted_app, averted_ct, rt_series
-from traceavert.oracle import SimConfig, SimOutcome, empirical_case_type_taf, simulate_trees
+from traceavert.oracle import SimConfig, SimOutcome, empirical_case_type_taf
 from traceavert.params import (
     ModelParams,
     apply_overrides,
@@ -348,14 +348,7 @@ def _dense_outcome(target, n, seed, p, profile):
     latency = np.full(n, float(ct_delay))
     fraction = np.full(n, ct_fraction)
     self_report_day = p.t_sym + p.t_plan
-    if isinstance(target, tuple):  # simulate_trees(channel, quarantine day)
-        channel, day = target
-        quarantine = np.full(n, np.inf if day is None else float(day))
-        if channel is None:
-            latency, fraction = np.zeros(n), np.zeros(n)
-        elif channel == "app":
-            latency, fraction = np.full(n, float(app_delay)), np.full(n, app_fraction)
-    elif target == "miss":
+    if target == "miss":
         quarantine, fraction = np.full(n, np.inf), np.zeros(n)
     elif target == "sym":
         quarantine = np.full(n, float(self_report_day))
@@ -379,11 +372,6 @@ def _dense_outcome(target, n, seed, p, profile):
 
 _unit = st.one_of(st.sampled_from((0.0, 1.0)), st.floats(min_value=0.0, max_value=1.0))
 
-#: every case type, then simulate_trees at each (channel, index quarantine day)
-_ORACLE_TARGETS = CASE_TYPES + tuple(
-    (channel, day) for channel in (None, "ct", "app") for day in (None, 0, 3, 20)
-)
-
 
 @settings(max_examples=40, deadline=None)
 @given(
@@ -402,10 +390,6 @@ def test_oracle_matches_dense_grid_draws(seed, trees, fractions, t_ct, t_app, t_
         "t_ct": t_ct, "t_app": t_app, "t_plan": t_plan,
     })
     profile = InfectivityProfile.from_params(p)
-    for target in _ORACLE_TARGETS:
-        if isinstance(target, tuple):
-            channel, day = target
-            outcome = simulate_trees(SimConfig(trees=trees, seed=seed), p, channel, day)
-        else:
-            outcome = empirical_case_type_taf(target, SimConfig(trees=trees, seed=seed), p)
+    for target in CASE_TYPES:
+        outcome = empirical_case_type_taf(target, SimConfig(trees=trees, seed=seed), p)
         assert outcome == _dense_outcome(target, trees, seed, p, profile), target
