@@ -40,13 +40,8 @@ from .params import ModelParams, ValidationReport, _read
 from .taf import CASE_TYPES
 
 __all__ = [
-    "CaseSeries",
-    "build_series_from_raw",
-    "load_fixture",
-    "load_presplit_csv",
-    "load_raw_csv",
-    "load_hospitalizations_csv",
-    "validate_series",
+    "CaseSeries", "build_series_from_raw", "load_fixture", "load_presplit_csv", "load_raw_csv",
+    "load_hospitalizations_csv", "rt_series", "validate_series",
 ]
 
 #: offsets (inclusive) of the hospitalization window used to estimate weekly
@@ -71,6 +66,9 @@ _COUNT_NAMES = ("c_total",) + tuple(f"c_{name}" for name in CASE_TYPES)
 
 #: packaged default dataset (pre-split format)
 _FIXTURE_RESOURCE = "weekly_cases.csv"
+
+#: weekly growth is rescaled to a 4-day generation interval to give Rt
+_RT_EXPONENT = 4.0 / 7.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,12 +99,38 @@ class CaseSeries:
         return len(self.labels)
 
     @functools.cached_property
-    def _observed_rt(self) -> np.ndarray:
-        """``counterfactual.rt_series(total)``, computed on first use and kept:
-        both reconstructions and the weekly report read it."""
-        from .counterfactual import rt_series  # counterfactual imports this module
+    def observed_rt(self) -> np.ndarray:
+        """The observed weekly Rt, ``rt_series(total)``, computed on first use and
+        kept for both reconstructions and the weekly report.  A ``ValueError``
+        names the first week whose total is not positive (NaN included)."""
+        c = self.total
+        if not (c > 0.0).all():
+            w = int((c > 0.0).argmin())
+            raise ValueError(f"week {self.labels[w]}: nonpositive case total "
+                             f"{c[w]:.1f} breaks the growth recurrence")
+        return rt_series(c)
 
-        return rt_series(self.total)
+
+def rt_series(totals) -> np.ndarray:
+    """Weekly reproduction numbers from consecutive case totals.
+
+    The weekly growth factor is rescaled to the generation interval:
+    ``rt(w) = (c(w+1) / c(w)) ** (4/7)``, one entry fewer than the input.
+    An object array applies Python's float ``**`` to each ratio; ``np.power``
+    can differ from it in the last digit.
+
+    Raises
+    ------
+    ValueError
+        If any total involved in a ratio is not positive.
+    """
+    c = np.asarray(totals, dtype=float)
+    nonpositive = np.flatnonzero((c[:-1] <= 0.0) | (c[1:] <= 0.0))
+    if nonpositive.size:
+        w = nonpositive[0]
+        raise ValueError(f"week index {w}: reproduction number undefined for nonpositive "
+                         f"case totals ({float(c[w])!r} -> {float(c[w + 1])!r})")
+    return ((c[1:] / c[:-1]).astype(object) ** _RT_EXPONENT).astype(float)
 
 
 def _week_mondays(labels: Sequence[str]) -> np.ndarray:

@@ -191,7 +191,7 @@ def _run_estimate(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     counts = (series.total, ct.c_not_weekly, ct.s_weekly, app.c_not_weekly, app.s_weekly)
-    rts = (series._observed_rt, ct.rt_weekly, app.rt_weekly)
+    rts = (series.observed_rt, ct.rt_weekly, app.rt_weekly)
     with (out_dir / "weekly.csv").open("w", encoding="utf-8") as handle:
         handle.write("week,c,c_not_ct,s_ct,c_not_app,s_app,rt,rt_not_ct,rt_not_app\n")
         handle.writelines(_weekly_rows(series.labels, counts, rts))

@@ -37,14 +37,11 @@ from typing import Mapping
 
 import numpy as np
 
-from .cases import CaseSeries
+from .cases import CaseSeries, rt_series
 from .params import ModelParams
 from .taf import CASE_TYPES
 
 __all__ = ["CounterfactualResult", "reconstruct", "averted_ct", "averted_app", "rt_series"]
-
-#: weekly growth is rescaled to a 4-day generation interval to give Rt
-_RT_EXPONENT = 4.0 / 7.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,12 +90,7 @@ def reconstruct(
     """
     if len(series) < 2:
         raise ValueError("counterfactual reconstruction needs at least 2 weeks")
-    c = series.total
-    nonpositive = np.flatnonzero(~(c > 0.0))  # NaN too
-    if nonpositive.size:
-        w = nonpositive[0]
-        raise ValueError(f"week {series.labels[w]}: nonpositive case total "
-                         f"{c[w]:.1f} breaks the growth recurrence")
+    c, observed_rt = series.total, series.observed_rt
     counts = series.counts[:-1]
     volume = _weighted(counts, lambdas)
     nonpositive = np.flatnonzero(~(volume > 0.0))
@@ -119,7 +111,7 @@ def reconstruct(
     # built-in sums over Python floats: numpy's pairwise sums round differently
     s_total = sum(s_weekly.tolist())
     rt_not = rt_series(c_not)
-    rt_reduction_avg = sum((rt_not - series._observed_rt).tolist()) / rt_not.size
+    rt_reduction_avg = sum((rt_not - observed_rt).tolist()) / rt_not.size
     if not (math.isfinite(s_total) and math.isfinite(rt_reduction_avg)):
         raise ValueError(f"{intervention} counterfactual overflows: its totals are not finite")
     return CounterfactualResult(
@@ -155,25 +147,3 @@ def averted_app(series: CaseSeries, lambdas: dict[str, float], p: ModelParams) -
     fallback = p.e_app * lambdas["miss"] + (1.0 - p.e_app) * lambdas["ct"]
     delta = {name: fallback - lambdas[name] for name in ("app_minus", "app_plus")}
     return reconstruct(series, lambdas, delta, "app", p)
-
-
-def rt_series(totals) -> np.ndarray:
-    """Weekly reproduction numbers from consecutive case totals.
-
-    The weekly growth factor is rescaled to the generation interval:
-    ``rt(w) = (c(w+1) / c(w)) ** (4/7)``, one entry fewer than the input.
-    An object array applies Python's float ``**`` to each ratio; ``np.power``
-    can differ from it in the last digit.
-
-    Raises
-    ------
-    ValueError
-        If any total involved in a ratio is not positive.
-    """
-    c = np.asarray(totals, dtype=float)
-    nonpositive = np.flatnonzero((c[:-1] <= 0.0) | (c[1:] <= 0.0))
-    if nonpositive.size:
-        w = nonpositive[0]
-        raise ValueError(f"week index {w}: reproduction number undefined for nonpositive "
-                         f"case totals ({float(c[w])!r} -> {float(c[w + 1])!r})")
-    return ((c[1:] / c[:-1]).astype(object) ** _RT_EXPONENT).astype(float)

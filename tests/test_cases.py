@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from traceavert import cases
+from traceavert import cases, counterfactual
 from traceavert.cases import (
     CaseSeries,
     _week_mondays,
@@ -177,6 +177,30 @@ class TestCaseSeries:
     def test_shape_mismatch_rejected(self, total, counts):
         with pytest.raises(ValueError, match="count array"):
             CaseSeries(["2020-42"], total, counts)
+
+
+class TestObservedRt:
+    def test_is_rt_series_of_the_totals_computed_once(self):
+        series = load_fixture()
+        rt = series.observed_rt
+        assert rt.tolist() == cases.rt_series(series.total).tolist()
+        assert series.observed_rt is rt
+
+    def test_counterfactual_reexports_rt_series(self):
+        assert counterfactual.rt_series is cases.rt_series
+        assert "rt_series" in counterfactual.__all__
+
+    @pytest.mark.parametrize("totals, week, text", [
+        ((100.0, 0.0, np.nan), "2020-43", "0.0"),
+        ((100.0, np.nan, -1.0), "2020-43", "nan"),
+        ((-1.0, 100.0, 100.0), "2020-42", "-1.0"),
+        ((100.0, 100.0, np.nan), "2020-44", "nan"),
+    ])
+    def test_first_nonpositive_week_is_named(self, totals, week, text):
+        series = CaseSeries(["2020-42", "2020-43", "2020-44"], totals, np.zeros((3, 6)))
+        message = f"week {week}: nonpositive case total {text} breaks the growth recurrence"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            series.observed_rt
 
 
 class TestValidateSeries:

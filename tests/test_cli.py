@@ -136,7 +136,9 @@ class TestEstimate:
             calls.append(totals)
             return rt_series(totals)
 
-        monkeypatch.setattr(counterfactual, "rt_series", counted)
+        # rt_series is defined in cases and imported into counterfactual
+        for module in (cases, counterfactual):
+            monkeypatch.setattr(module, "rt_series", counted)
         assert run_cli(capsys, "estimate", "--out", str(tmp_path))[0] == 0
         observed = load_fixture().total
         assert [np.array_equal(totals, observed) for totals in calls].count(True) == 1
