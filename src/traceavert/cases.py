@@ -40,8 +40,14 @@ from .params import ModelParams, ValidationReport, _read
 from .taf import CASE_TYPES
 
 __all__ = [
-    "CaseSeries", "build_series_from_raw", "load_fixture", "load_presplit_csv", "load_raw_csv",
-    "load_hospitalizations_csv", "rt_series", "validate_series",
+    "CaseSeries",
+    "build_series_from_raw",
+    "load_fixture",
+    "load_presplit_csv",
+    "load_raw_csv",
+    "load_hospitalizations_csv",
+    "rt_series",
+    "validate_series",
 ]
 
 #: offsets (inclusive) of the hospitalization window used to estimate weekly
@@ -102,12 +108,19 @@ class CaseSeries:
     def observed_rt(self) -> np.ndarray:
         """The observed weekly Rt, ``rt_series(total)``, computed on first use and
         kept for both reconstructions and the weekly report.  A ``ValueError``
-        names the first week whose total is not positive (NaN included)."""
+        names the first week whose total is not positive (NaN included), else
+        the first whose growth to the next week is not finite."""
         c = self.total
         if not (c > 0.0).all():
             w = int((c > 0.0).argmin())
             raise ValueError(f"week {self.labels[w]}: nonpositive case total "
                              f"{c[w]:.1f} breaks the growth recurrence")
+        with np.errstate(over="ignore", invalid="ignore"):  # named below
+            finite = np.isfinite(c[1:] / c[:-1])
+        if not finite.all():
+            w = int(finite.argmin())
+            raise ValueError(f"week {self.labels[w]}: case growth to week {self.labels[w + 1]} "
+                             f"is not finite ({float(c[w])!r} -> {float(c[w + 1])!r})")
         return rt_series(c)
 
 
@@ -122,7 +135,8 @@ def rt_series(totals) -> np.ndarray:
     Raises
     ------
     ValueError
-        If any total involved in a ratio is not positive.
+        If any total involved in a ratio is not positive, or a ratio is not
+        finite.
     """
     c = np.asarray(totals, dtype=float)
     nonpositive = np.flatnonzero((c[:-1] <= 0.0) | (c[1:] <= 0.0))
@@ -130,7 +144,14 @@ def rt_series(totals) -> np.ndarray:
         w = nonpositive[0]
         raise ValueError(f"week index {w}: reproduction number undefined for nonpositive "
                          f"case totals ({float(c[w])!r} -> {float(c[w + 1])!r})")
-    return ((c[1:] / c[:-1]).astype(object) ** _RT_EXPONENT).astype(float)
+    with np.errstate(over="ignore", invalid="ignore"):  # named below
+        growth = c[1:] / c[:-1]
+    finite = np.isfinite(growth)
+    if not finite.all():
+        w = int(finite.argmin())
+        raise ValueError(f"week index {w}: reproduction number not finite for case totals "
+                         f"({float(c[w])!r} -> {float(c[w + 1])!r})")
+    return (growth.astype(object) ** _RT_EXPONENT).astype(float)
 
 
 def _week_mondays(labels: Sequence[str]) -> np.ndarray:

@@ -195,11 +195,21 @@ class TestObservedRt:
         ((100.0, np.nan, -1.0), "2020-43", "nan"),
         ((-1.0, 100.0, 100.0), "2020-42", "-1.0"),
         ((100.0, 100.0, np.nan), "2020-44", "nan"),
+        ((1e-300, 1e300, 0.0), "2020-44", "0.0"),  # before any growth past the float range
     ])
     def test_first_nonpositive_week_is_named(self, totals, week, text):
         series = CaseSeries(["2020-42", "2020-43", "2020-44"], totals, np.zeros((3, 6)))
         message = f"week {week}: nonpositive case total {text} breaks the growth recurrence"
         with pytest.raises(ValueError, match=re.escape(message)):
+            series.observed_rt
+
+    @pytest.mark.parametrize("totals, week, text", [
+        ((1.0, 1e-300, 1e300), "2020-43: case growth to week 2020-44", "1e-300 -> 1e+300"),
+        ((np.inf, np.inf, 1.0), "2020-42: case growth to week 2020-43", "inf -> inf"),
+    ])
+    def test_growth_that_is_not_finite_is_named(self, totals, week, text):
+        series = CaseSeries(["2020-42", "2020-43", "2020-44"], totals, np.zeros((3, 6)))
+        with pytest.raises(ValueError, match=re.escape(f"week {week} is not finite ({text})")):
             series.observed_rt
 
 

@@ -744,6 +744,28 @@ class TestOverflow:
         assert err == "error: ct counterfactual overflows: week 2020-43 reaches inf\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, extra", [
+        ("estimate", ["--out", "{out}"]), ("validate", []),
+        ("sweep", ["--sweep", "u_app=0.1", "--out", "{out}"]),
+    ])
+    def test_overflowing_observed_growth_exits_2_naming_the_week(self, tmp_path, capsys,
+                                                                 command, extra):
+        # the observed growth from 1e-300 to 1e300 is past the largest double
+        data = write_presplit(tmp_path / "weekly.csv", [
+            ("2020-42", "1e-300", 0, 0, 0, 0, 0),
+            ("2020-43", "1e300", 0, 0, 0, 0, 0),
+            ("2020-44", "1e300", 0, 0, 0, 0, 0),
+        ])
+        out_dir = tmp_path / "out"
+        argv = [arg.format(out=out_dir) for arg in extra]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, command, "--data", data, *argv)
+        assert (code, out) == (2, "")
+        assert err == ("error: week 2020-42: case growth to week 2020-43 is not finite "
+                       "(1e-300 -> 1e+300)\n")
+        assert not out_dir.exists()
+
     def test_overflow_in_the_recurrence_alone_ends_in_finite_reports(self, tmp_path, capsys):
         # totals of 3.1e307 and 6.2e307: carried · gap overflowed in the week-by-week
         # recurrence, but the multiplier rounds to 1, so c · m is finite
@@ -1041,7 +1063,8 @@ def test_valid_params_end_in_finite_reports_or_a_message(overrides, raw):
 
 
 # --------------------------------------------------------------------------
-# any --param and --sweep argv ends in exit 0, 1 or 2, and a failure names its cause
+# any --param and --sweep argv ends in exit 0, 1 or 2, an estimate that exits 0
+# writes finite reports, and a failure names its cause
 
 _FIELDS = tuple(f.name for f in dataclasses.fields(ModelParams))
 #: mostly parameter names, so that many runs get past the parsing
@@ -1062,9 +1085,10 @@ _VALUE = st.one_of(
 
 @st.composite
 def _param_argv(draw):
-    """A ``lambda-table``, ``validate`` or ``sweep`` argv of ``--param`` and
-    ``--sweep`` items, perhaps malformed, and its keys as the CLI reads them."""
-    command = draw(st.sampled_from(("lambda-table", "validate", "sweep")))
+    """An ``estimate``, ``lambda-table``, ``validate`` or ``sweep`` argv of
+    ``--param`` and ``--sweep`` items, perhaps malformed, and its keys as the CLI
+    reads them; an ``estimate`` argv has no ``--out``."""
+    command = draw(st.sampled_from(("estimate", "lambda-table", "validate", "sweep")))
     argv, keys = [command], []
 
     def item(values):
@@ -1086,13 +1110,19 @@ def _param_argv(draw):
 def test_param_argv_ends_in_an_exit_code_that_names_its_cause(case):
     argv, keys = case
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            warnings.catch_warnings():
+    with tempfile.TemporaryDirectory() as work, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err), warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
+        out_dir = Path(work) / "out"
+        reports = ["--out", str(out_dir)] if argv[0] == "estimate" else []
         try:
-            code = cli.main(argv)
+            code = cli.main(argv[:1] + reports + argv[1:])  # a traceback fails the test here
         except SystemExit as exc:  # argparse's usage errors
             code = exc.code
+        if reports:
+            assert out_dir.exists() == (code == 0)
+            for name in ("weekly.csv", "summary.csv") if code == 0 else ():
+                assert _finite_cells((out_dir / name).read_text(encoding="utf-8")), name
     assert code in (0, 1, 2)
     if code == 0:
         assert err.getvalue() == ""

@@ -160,6 +160,13 @@ class TestOverflow:
         with pytest.raises(ValueError, match=r"^miss counterfactual overflows: its totals are not finite$"):
             reconstruct(_series(rows), lambdas, {"miss": lambdas["miss"]}, "miss", params)
 
+    def test_counterfactual_growth_past_the_float_range_is_named(self, lambdas, params):
+        # the observed growth, 1e307, is finite; the replay multiplies it by 1 + 100 / λ_ct
+        series = _series([(0.0, 0.0, 0.0, 1e-300, 0.0, 0.0), (1e7, 0.0, 0.0, 0.0, 0.0, 0.0)])
+        with pytest.raises(ValueError, match=r"^week index 0: reproduction number not finite "
+                                             r"for case totals \(1e-300 -> "):
+            reconstruct(series, lambdas, {"ct": 100.0}, "ct", params)
+
 
 class TestAvertedApp:
     def test_total_frozen(self, series, lambdas, params):
@@ -226,6 +233,11 @@ class TestRtSeries:
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError, match="nonpositive"):
             rt_series([100.0, 0.0, 50.0])
+
+    @pytest.mark.parametrize("totals", [[1e-300, 1e300], [1.0, math.inf], [math.inf, math.inf]])
+    def test_ratio_that_is_not_finite_rejected(self, totals):
+        with pytest.raises(ValueError, match=r"^week index 0: reproduction number not finite"):
+            rt_series(totals)
 
 
 class TestRtReduction:
