@@ -83,10 +83,12 @@ def reconstruct(
     Raises
     ------
     ValueError
-        If the series is shorter than 2 weeks, a weekly total or transmission
-        volume is not positive (NaN included), or the replay overflows: some
-        week's ``c(w) · Π_{k<w} (1 + gap(k)/volume(k))`` is not finite (the
-        error names the first such week), or the averted totals are not.
+        If the series is shorter than 2 weeks, ``series.observed_rt`` raises
+        (a total that is not positive, or a growth that is not finite), a
+        transmission volume is not positive (NaN included), or the replay
+        overflows: some week's ``c(w) · Π_{k<w} (1 + gap(k)/volume(k))`` is not
+        finite (the error names the first such week), or the averted totals or
+        a counterfactual growth ratio are not.
     """
     if len(series) < 2:
         raise ValueError("counterfactual reconstruction needs at least 2 weeks")
