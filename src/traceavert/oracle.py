@@ -7,7 +7,10 @@ adherence) it infects a Poisson number of secondaries with mean
 warned and realizes the adhering infectivity ``i_c`` up to the warning day;
 the rest realize all of ``i_c_inf``.  The tertiary attack fraction of the
 tree is realized tertiary transmission divided by the no-intervention
-potential ``_R0``.
+potential ``_R0``.  The trees are drawn by Poisson thinning, not day by day:
+each tree draws one unwarned and one warned Poisson total over the days its
+index is out, and an infection day for each warned secondary only.  These
+draws have the same joint distribution as the per-day ones (``_run_trees``).
 
 The one entry point, ``empirical_case_type_taf``, reproduces the situation of
 each of the six case types, drawing the index quarantine day from the same
@@ -61,7 +64,7 @@ _SATURATION_DAY = 13
 #: value from 27 on acts as 27.
 _LAST_DAY = 2 * _PROFILE_DAYS - 1
 
-#: trees per block in ``_run_trees``: bounds its (trees x days) temporaries
+#: trees per block in ``_run_trees``: bounds its per-warned-secondary temporaries
 _BLOCK = 8192
 
 #: numpy refuses a float array of more elements than this before allocating it
@@ -111,23 +114,19 @@ def _run_trees(
     float shared by every tree or a per-tree array; ``np.inf`` as quarantine
     day means never quarantined.
 
-    Draws are made only on the live (tree, day) cells, where the index is
-    active and ``i_w`` is nonzero, in C order, and binomial draws only on the
-    cells with secondaries. numpy's ``Generator`` returns 0 without reading
-    the bit stream for a zero-mean Poisson draw and a zero-trial binomial
-    draw, so this consumes the same stream, and gives the same values, as
-    drawing on every cell of the trees × days grid.
+    The secondaries are drawn by Poisson thinning. Split by warning, the
+    independent per-day counts ``Poisson(_R0 * i_w(day))`` over the days the
+    index is out are two independent Poisson totals over those days, unwarned
+    and warned, with means ``_R0 * (1 - f) * M`` and ``_R0 * f * M``, where
+    ``f`` is the warn fraction and ``M`` the sum of ``i_w`` over the days.
+    Each warned secondary's infection day is then drawn independently with
+    weights ``i_w`` over those days. An unwarned secondary realizes
+    ``i_c_inf`` whatever its day, so only the warned ones are given a day:
+    one uniform each, mapped through the cumulative ``i_w``.
 
-    The grid is walked in blocks of ``_BLOCK`` trees, twice: first every
-    block's Poisson draws, keeping only the cells with secondaries, then every
-    block's binomial draws. An array draw reads the stream one element at a
-    time, so the blocks see the same draws as one call over all trees. The
-    Poisson means are read from one block's worth of cell means, laid out in
-    C order like the live cells' flat indices. The binomial pass scatters each
-    block's day terms into one reused day-major buffer and adds each tree's 14
-    terms in the order of numpy's pairwise ``sum(axis=1)`` over a row: the
-    first eight in pairs, ``((d1 + d2) + (d3 + d4)) + ((d5 + d6) + (d7 + d8))``,
-    then days 9 to 14 one at a time.
+    The uniforms are drawn walking the trees in blocks of ``_BLOCK``. An
+    array draw reads the stream one element at a time, so every block size
+    reads the same uniforms in the same order.
     """
     days = np.arange(1, _PROFILE_DAYS + 1)
     self_iso_day = min(p.t_sym + p.t_plan, _LAST_DAY)
@@ -135,46 +134,31 @@ def _run_trees(
     # i_c by warning day clipped to 0..13: 0, i_c(1..12), i_c_inf
     i_c = np.concatenate(([0.0], np.cumsum(i_a)[:_SATURATION_DAY]))
     i_c_inf = i_c[_SATURATION_DAY]
+    # i_w summed over days 1..d, for d = 0..14
+    cum_i_w = np.concatenate(([0.0], np.cumsum(_I_W)))
 
     adherent = rng.random(n) < p.a_base
-    # the last day the index is out, cut at the profile's end; a zero-weight
-    # day sorts after it, so one comparison finds the live cells
+    # the last day the index is out, cut at the profile's end
     last_day = np.minimum(quarantine_day, np.where(
-        adherent, min(self_iso_day, _PROFILE_DAYS), _PROFILE_DAYS))
-    live_key = np.where(_I_W != 0.0, days, _PROFILE_DAYS + 1)
-    size = min(n, _BLOCK)
-    means = np.tile(_R0 * _I_W, size)
-    starts = range(0, n, _BLOCK)
-    hits = []  # per block: block-local cells with secondaries, and their counts
-    for start in starts:
-        live = np.flatnonzero(live_key <= last_day[start:start + _BLOCK, None])
-        secondaries = rng.poisson(means[live])
-        hit = np.flatnonzero(secondaries > 0)
-        hits.append((live[hit], secondaries[hit]))
-    del means  # the binomial pass sets the peak of memory
-
-    def per_cell(value, start, rows):
-        """A per-tree value at each cell's tree; a shared value stays a scalar."""
-        return value[start:start + _BLOCK][rows] if np.ndim(value) else value
+        adherent, min(self_iso_day, _PROFILE_DAYS), _PROFILE_DAYS)).astype(np.intp)
+    weight = cum_i_w[last_day]
+    unwarned = rng.poisson(_R0 * (1.0 - warn_fraction) * weight)
+    warned = rng.poisson(_R0 * warn_fraction * weight)
+    # the day a tree's contacts are warned: a secondary infected on day d is
+    # warned this day - d days after its infection
+    warn_day = quarantine_day + warn_latency
 
     ratios = np.empty(n)
-    buffer = np.empty(_PROFILE_DAYS * size)
-    for start, (cell, secondaries) in zip(starts, hits):
-        block = ratios[start:start + _BLOCK]  # a view, written in place
-        rows, cols = np.divmod(cell, _PROFILE_DAYS)
-        warned = rng.binomial(secondaries, per_cell(warn_fraction, start, rows))
-        warning_day = (per_cell(quarantine_day, start, rows)
-                       + per_cell(warn_latency, start, rows) - (cols + 1))
-        day = np.clip(warning_day, 0, _SATURATION_DAY).astype(np.intp)
-        terms = buffer[:_PROFILE_DAYS * block.size]
-        terms.fill(0.0)
-        terms[cols * block.size + rows] = warned * i_c[day] + (secondaries - warned) * i_c_inf
-        by_day = terms.reshape(_PROFILE_DAYS, block.size)
-        total = (((by_day[0] + by_day[1]) + (by_day[2] + by_day[3]))
-                 + ((by_day[4] + by_day[5]) + (by_day[6] + by_day[7])))
-        for later in by_day[8:]:
-            total += later
-        block[:] = total / _R0
+    for start in range(0, n, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        size = len(warned[block])
+        tree = np.repeat(np.arange(size), warned[block])
+        day = np.searchsorted(cum_i_w, rng.random(tree.size) * weight[block][tree], side="right")
+        day = np.minimum(day, last_day[block][tree])  # u * M can round up to M
+        tree_warn_day = warn_day[block][tree] if np.ndim(warn_day) else warn_day
+        terms = i_c[np.clip(tree_warn_day - day, 0, _SATURATION_DAY).astype(np.intp)]
+        realized = unwarned[block] * i_c_inf + np.bincount(tree, terms, minlength=size)
+        ratios[block] = realized / _R0
     return ratios
 
 

@@ -163,9 +163,19 @@ class TestOverflow:
     def test_counterfactual_growth_past_the_float_range_is_named(self, lambdas, params):
         # the observed growth, 1e307, is finite; the replay multiplies it by 1 + 100 / λ_ct
         series = _series([(0.0, 0.0, 0.0, 1e-300, 0.0, 0.0), (1e7, 0.0, 0.0, 0.0, 0.0, 0.0)])
-        with pytest.raises(ValueError, match=r"^week index 0: reproduction number not finite "
-                                             r"for case totals \(1e-300 -> "):
+        with pytest.raises(ValueError, match=r"^ct counterfactual overflows: growth from week "
+                                             r"2020-40 to 2020-41 is past the float range "
+                                             r"\(1e-300 -> "):
             reconstruct(series, lambdas, {"ct": 100.0}, "ct", params)
+
+    def test_nonpositive_counterfactual_keeps_the_rt_error(self, lambdas, params):
+        # Δ = -λ_ct zeroes the replay from week 1, so the growth from week 1 is 0 / 0;
+        # a nonpositive total is not an overflow
+        series = _series([(0.0, 0.0, 0.0, 1.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+                          (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)])
+        with pytest.raises(ValueError, match=r"^week index 0: reproduction number undefined "
+                                             r"for nonpositive case totals \(1\.0 -> 0\.0\)"):
+            reconstruct(series, lambdas, {"ct": -lambdas["ct"]}, "ct", params)
 
 
 class TestAvertedApp:

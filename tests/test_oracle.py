@@ -147,12 +147,12 @@ class TestCaseTypeTaf:
         # exact outcomes of numpy's seeded Generator stream: any change to which
         # draws the oracle makes, or in what order, moves them
         pinned = {
-            "miss": (0.8872377333333333, 0.007423858800233402),
-            "sym": (0.696736, 0.006426776751254073),
-            "pers": (0.38112586666666665, 0.00552465479125328),
-            "ct": (0.6237358999999999, 0.006280071741664587),
-            "app_minus": (0.25744613333333327, 0.004040001000985111),
-            "app_plus": (0.5957609333333334, 0.006042153077152454),
+            "miss": (0.8838130666666666, 0.0075141666763682245),
+            "sym": (0.6990006666666666, 0.006329731603078536),
+            "pers": (0.38180839999999994, 0.005454351290355144),
+            "ct": (0.6254105666666666, 0.006235005396764641),
+            "app_minus": (0.25905066666666665, 0.004056436830010087),
+            "app_plus": (0.6019597333333333, 0.005985855957823112),
         }
         cfg = SimConfig(trees=5_000, seed=21)
         for case_type, (taf, se) in pinned.items():
@@ -163,12 +163,12 @@ class TestCaseTypeTaf:
         # everyone uses the app, whose warning is slower than at the defaults,
         # and tracing is slower still: pins the via_app latency and fraction mix
         pinned = {
-            "miss": (0.876092, 0.009723672298305825),
-            "sym": (0.7543591666666668, 0.008830246945277604),
-            "pers": (0.43071944444444443, 0.0076311086564202595),
-            "ct": (0.7939517777777777, 0.009235386167955115),
-            "app_minus": (0.42368644444444437, 0.006425880787899506),
-            "app_plus": (0.6541236111111112, 0.008174143071182865),
+            "miss": (0.884498, 0.009622848939609664),
+            "sym": (0.7500217777777777, 0.008757915131352458),
+            "pers": (0.42819911111111103, 0.007521492184651062),
+            "ct": (0.7961237777777779, 0.008959089737668742),
+            "app_minus": (0.42349177777777774, 0.006434633343841617),
+            "app_plus": (0.6566821666666667, 0.00819288742961587),
         }
         p = apply_overrides(params, {"u_app": "1", "t_app": "3", "t_ct": "5"})
         cfg = SimConfig(trees=3_000, seed=21)
@@ -178,15 +178,15 @@ class TestCaseTypeTaf:
 
     def test_output_pinned_across_blocks(self, params):
         # 20,000 trees are two full blocks of the oracle and a partial third, so
-        # these pin how each block's cells map back to their trees
+        # these pin how each block's warned secondaries map back to their trees
         assert 2 * oracle._BLOCK < 20_000 < 3 * oracle._BLOCK
         pinned = {
-            "miss": (0.8731187666666664, 0.003733634424826174),
-            "sym": (0.6938378999999999, 0.0031863914277276157),
-            "pers": (0.3739610333333333, 0.0026989908993931464),
-            "ct": (0.6151759416666666, 0.0031336356218883503),
-            "app_minus": (0.25006509999999993, 0.0019809599096809716),
-            "app_plus": (0.5901047666666667, 0.002986014043219104),
+            "miss": (0.8792053333333333, 0.0036851032194315353),
+            "sym": (0.6966491, 0.0031686988213642155),
+            "pers": (0.3782350333333333, 0.0027064065005908845),
+            "ct": (0.6177659, 0.0031350471258056773),
+            "app_minus": (0.25381846666666663, 0.001995156583744999),
+            "app_plus": (0.5904911, 0.0029667914301945257),
         }
         cfg = SimConfig(trees=20_000, seed=21)
         for case_type, expected in pinned.items():
