@@ -106,25 +106,12 @@ class CaseSeries:
 
     @functools.cached_property
     def observed_rt(self) -> np.ndarray:
-        """The observed weekly Rt, ``rt_series(total)``, computed on first use and
-        kept for both reconstructions and the weekly report.  A ``ValueError``
-        names the first week whose total is not positive (NaN included), else
-        the first whose growth to the next week is not finite."""
-        c = self.total
-        if not (c > 0.0).all():
-            w = int((c > 0.0).argmin())
-            raise ValueError(f"week {self.labels[w]}: nonpositive case total "
-                             f"{c[w]:.1f} breaks the growth recurrence")
-        with np.errstate(over="ignore", invalid="ignore"):  # named below
-            finite = np.isfinite(c[1:] / c[:-1])
-        if not finite.all():
-            w = int(finite.argmin())
-            raise ValueError(f"week {self.labels[w]}: case growth to week {self.labels[w + 1]} "
-                             f"is not finite ({float(c[w])!r} -> {float(c[w + 1])!r})")
-        return rt_series(c)
+        """The observed weekly Rt, ``rt_series(total, labels)``, computed on first
+        use and kept for both reconstructions and the weekly report."""
+        return rt_series(self.total, self.labels)
 
 
-def rt_series(totals) -> np.ndarray:
+def rt_series(totals, labels: Sequence[str]) -> np.ndarray:
     """Weekly reproduction numbers from consecutive case totals.
 
     The weekly growth factor is rescaled to the generation interval:
@@ -135,22 +122,27 @@ def rt_series(totals) -> np.ndarray:
     Raises
     ------
     ValueError
-        If any total involved in a ratio is not positive, or a ratio is not
-        finite.
+        Naming by its label in ``labels`` the first week whose total is not
+        positive (NaN included), else the first whose total is infinite, else
+        the first whose growth to the next week is not finite.
     """
     c = np.asarray(totals, dtype=float)
-    nonpositive = np.flatnonzero((c[:-1] <= 0.0) | (c[1:] <= 0.0))
-    if nonpositive.size:
-        w = nonpositive[0]
-        raise ValueError(f"week index {w}: reproduction number undefined for nonpositive "
-                         f"case totals ({float(c[w])!r} -> {float(c[w + 1])!r})")
-    with np.errstate(over="ignore", invalid="ignore"):  # named below
+    positive = c > 0.0
+    if not positive.all():
+        w = int(positive.argmin())
+        raise ValueError(f"week {labels[w]}: nonpositive case total "
+                         f"{c[w]:.1f} breaks the growth recurrence")
+    infinite = np.isinf(c)
+    if infinite.any():
+        w = int(infinite.argmax())
+        raise ValueError(f"week {labels[w]}: case total {c[w]} is not finite")
+    with np.errstate(over="ignore"):  # named below
         growth = c[1:] / c[:-1]
     finite = np.isfinite(growth)
     if not finite.all():
         w = int(finite.argmin())
-        raise ValueError(f"week index {w}: reproduction number not finite for case totals "
-                         f"({float(c[w])!r} -> {float(c[w + 1])!r})")
+        raise ValueError(f"week {labels[w]}: case growth to week {labels[w + 1]} "
+                         f"is not finite ({float(c[w])!r} -> {float(c[w + 1])!r})")
     return (growth.astype(object) ** _RT_EXPONENT).astype(float)
 
 

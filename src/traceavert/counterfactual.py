@@ -84,12 +84,14 @@ def reconstruct(
     ------
     ValueError
         If the series is shorter than 2 weeks, ``series.observed_rt`` raises
-        (a total that is not positive, or a growth that is not finite), a
-        transmission volume is not positive (NaN included), or the replay
-        overflows: some week's ``c(w) · Π_{k<w} (1 + gap(k)/volume(k))`` is not
-        finite (the error names the first such week), a counterfactual growth
-        ratio is not (the error names its two weeks), or the averted totals are
-        not.
+        one of ``rt_series``'s three errors (a total that is not positive, an
+        infinite total, a growth that is not finite, each naming its week by
+        label), a transmission volume is not positive (NaN included), the
+        replay overflows (some week's ``c(w) · Π_{k<w} (1 + gap(k)/volume(k))``
+        is not finite; the error names the first such week), ``rt_series``
+        raises on the counterfactual series (its error, prefixed with the
+        channel: ``ct counterfactual: week ...``), or the averted totals are
+        not finite.
     """
     if len(series) < 2:
         raise ValueError("counterfactual reconstruction needs at least 2 weeks")
@@ -114,18 +116,9 @@ def reconstruct(
     # built-in sums over Python floats: numpy's pairwise sums round differently
     s_total = sum(s_weekly.tolist())
     try:
-        rt_not = rt_series(c_not)
-    except ValueError:
-        # rt_series names only a week index: name the channel and the weeks of a
-        # growth past the float range, which only the replay can cause
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            finite = np.isfinite(c_not[1:] / c_not[:-1])
-        if (c_not <= 0.0).any() or finite.all():
-            raise
-        w = int(finite.argmin())
-        raise ValueError(f"{intervention} counterfactual overflows: growth from week "
-                         f"{series.labels[w]} to {series.labels[w + 1]} is past the float "
-                         f"range ({float(c_not[w])!r} -> {float(c_not[w + 1])!r})") from None
+        rt_not = rt_series(c_not, series.labels)
+    except ValueError as exc:
+        raise ValueError(f"{intervention} counterfactual: {exc}") from None
     rt_reduction_avg = sum((rt_not - observed_rt).tolist()) / rt_not.size
     if not (math.isfinite(s_total) and math.isfinite(rt_reduction_avg)):
         raise ValueError(f"{intervention} counterfactual overflows: its totals are not finite")

@@ -183,7 +183,7 @@ class TestObservedRt:
     def test_is_rt_series_of_the_totals_computed_once(self):
         series = load_fixture()
         rt = series.observed_rt
-        assert rt.tolist() == cases.rt_series(series.total).tolist()
+        assert rt.tolist() == cases.rt_series(series.total, series.labels).tolist()
         assert series.observed_rt is rt
 
     def test_counterfactual_reexports_rt_series(self):
@@ -205,12 +205,27 @@ class TestObservedRt:
 
     @pytest.mark.parametrize("totals, week, text", [
         ((1.0, 1e-300, 1e300), "2020-43: case growth to week 2020-44", "1e-300 -> 1e+300"),
-        ((np.inf, np.inf, 1.0), "2020-42: case growth to week 2020-43", "inf -> inf"),
     ])
     def test_growth_that_is_not_finite_is_named(self, totals, week, text):
         series = CaseSeries(["2020-42", "2020-43", "2020-44"], totals, np.zeros((3, 6)))
         with pytest.raises(ValueError, match=re.escape(f"week {week} is not finite ({text})")):
             series.observed_rt
+
+    @pytest.mark.parametrize("totals, week", [
+        ((np.inf, np.inf, 1.0), "2020-42"),
+        ((1.0, 1e-300, np.inf), "2020-44"),  # before any growth past the float range
+        ((np.inf, 5.0, 6.0), "2020-42"),  # the growth from it, 0, is finite
+    ])
+    def test_infinite_total_is_named(self, totals, week):
+        series = CaseSeries(["2020-42", "2020-43", "2020-44"], totals, np.ones((3, 6)))
+        with pytest.raises(ValueError, match=f"^week {week}: case total inf is not finite$"):
+            series.observed_rt
+
+    def test_infinite_total_is_named_before_the_replay(self, lambdas, params):
+        # the observed week is named, not a counterfactual that reaches inf
+        series = CaseSeries(["2020-42", "2020-43", "2020-44"], (np.inf, 5.0, 6.0), np.ones((3, 6)))
+        with pytest.raises(ValueError, match="^week 2020-42: case total inf is not finite$"):
+            counterfactual.averted_ct(series, lambdas, params)
 
 
 class TestValidateSeries:

@@ -132,9 +132,9 @@ class TestEstimate:
         calls = []
         rt_series = counterfactual.rt_series
 
-        def counted(totals):
+        def counted(totals, labels):
             calls.append(totals)
-            return rt_series(totals)
+            return rt_series(totals, labels)
 
         # rt_series is defined in cases and imported into counterfactual
         for module in (cases, counterfactual):

@@ -134,8 +134,8 @@ class TestAvertedCt:
 
     def test_result_carries_counterfactual_rt(self, series, lambdas, params):
         result = averted_ct(series, lambdas, params)
-        assert result.rt_weekly.tolist() == rt_series(result.c_not_weekly).tolist()
-        gaps = (result.rt_weekly - rt_series(series.total)).tolist()
+        assert result.rt_weekly.tolist() == rt_series(result.c_not_weekly, series.labels).tolist()
+        gaps = (result.rt_weekly - series.observed_rt).tolist()
         assert result.rt_reduction_avg == sum(gaps) / len(gaps)
 
 
@@ -163,18 +163,16 @@ class TestOverflow:
     def test_counterfactual_growth_past_the_float_range_is_named(self, lambdas, params):
         # the observed growth, 1e307, is finite; the replay multiplies it by 1 + 100 / λ_ct
         series = _series([(0.0, 0.0, 0.0, 1e-300, 0.0, 0.0), (1e7, 0.0, 0.0, 0.0, 0.0, 0.0)])
-        with pytest.raises(ValueError, match=r"^ct counterfactual overflows: growth from week "
-                                             r"2020-40 to 2020-41 is past the float range "
-                                             r"\(1e-300 -> "):
+        with pytest.raises(ValueError, match=r"^ct counterfactual: week 2020-40: case growth to "
+                                             r"week 2020-41 is not finite \(1e-300 -> "):
             reconstruct(series, lambdas, {"ct": 100.0}, "ct", params)
 
     def test_nonpositive_counterfactual_keeps_the_rt_error(self, lambdas, params):
-        # Δ = -λ_ct zeroes the replay from week 1, so the growth from week 1 is 0 / 0;
-        # a nonpositive total is not an overflow
+        # Δ = -λ_ct zeroes the replay from week 1; a nonpositive total is not an overflow
         series = _series([(0.0, 0.0, 0.0, 1.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0, 0.0, 0.0),
                           (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)])
-        with pytest.raises(ValueError, match=r"^week index 0: reproduction number undefined "
-                                             r"for nonpositive case totals \(1\.0 -> 0\.0\)"):
+        with pytest.raises(ValueError, match=r"^ct counterfactual: week 2020-41: nonpositive case "
+                                             r"total 0\.0 breaks the growth recurrence$"):
             reconstruct(series, lambdas, {"ct": -lambdas["ct"]}, "ct", params)
 
 
@@ -224,37 +222,48 @@ class TestSeverity:
 
 
 class TestRtSeries:
+    LABELS = ("2020-40", "2020-41", "2020-42")
+
     def test_constant_series(self):
-        assert rt_series([100.0, 100.0, 100.0]) == pytest.approx([1.0, 1.0])
+        assert rt_series([100.0, 100.0, 100.0], self.LABELS) == pytest.approx([1.0, 1.0])
 
     def test_doubling(self):
-        got = rt_series([100.0, 200.0])
+        got = rt_series([100.0, 200.0], self.LABELS)
         assert got == pytest.approx([2 ** (4 / 7)])
         assert got[0] == pytest.approx(1.486, abs=0.001)
 
     def test_fixture_first_transition(self, series):
-        rt = rt_series(series.total)
+        rt = rt_series(series.total, series.labels)
         assert rt[0] == pytest.approx((145302 / 134772) ** (4 / 7))
         assert rt[0] == pytest.approx(1.044, abs=0.001)
 
     def test_length(self, series):
-        assert len(rt_series(series.total)) == len(series) - 1
+        assert len(rt_series(series.total, series.labels)) == len(series) - 1
 
     def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError, match="nonpositive"):
-            rt_series([100.0, 0.0, 50.0])
+        with pytest.raises(ValueError, match=r"^week 2020-41: nonpositive case total 0\.0 "):
+            rt_series([100.0, 0.0, 50.0], self.LABELS)
 
-    @pytest.mark.parametrize("totals", [[1e-300, 1e300], [1.0, math.inf], [math.inf, math.inf]])
+    NOT_FINITE = {
+        (1e-300, 1e300): "week 2020-40: case growth to week 2020-41 is not finite "
+                         "(1e-300 -> 1e+300)",
+        # an infinite total is named before any growth from or to it
+        (1.0, math.inf): "week 2020-41: case total inf is not finite",
+        (math.inf, math.inf): "week 2020-40: case total inf is not finite",
+    }
+
+    @pytest.mark.parametrize("totals", list(NOT_FINITE))
     def test_ratio_that_is_not_finite_rejected(self, totals):
-        with pytest.raises(ValueError, match=r"^week index 0: reproduction number not finite"):
-            rt_series(totals)
+        with pytest.raises(ValueError) as info:
+            rt_series(totals, self.LABELS)
+        assert str(info.value) == self.NOT_FINITE[totals]
 
 
 class TestRtReduction:
     def test_identical_series_zero(self, lambdas, params):
         series = _series([(100.0,) + (0.0,) * 5, (110.0,) + (0.0,) * 5, (99.0,) + (0.0,) * 5])
         result = reconstruct(series, lambdas, {"ct": 1.0}, "ct", params)
-        assert result.rt_weekly.tolist() == rt_series(series.total).tolist()
+        assert result.rt_weekly.tolist() == rt_series(series.total, series.labels).tolist()
         assert result.rt_reduction_avg == 0.0
 
     def test_fixture_ct(self, series, lambdas, params):

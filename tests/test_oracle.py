@@ -1,16 +1,19 @@
 import ast
 import dataclasses
+import itertools
 import math
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import Phase, Verbosity, given, settings
+from hypothesis import strategies as st
 
 from traceavert import oracle
-from traceavert.infectivity import InfectivityProfile
+from traceavert.infectivity import WEIBULL_PROFILE, InfectivityProfile
 from traceavert.oracle import SimConfig, empirical_case_type_taf
-from traceavert.params import apply_overrides
+from traceavert.params import ModelParams, apply_overrides, check
 from traceavert.taf import CASE_TYPES, LambdaTable
 
 
@@ -214,10 +217,10 @@ class TestAwayFromDefaults:
 
     @pytest.mark.parametrize("overrides", [
         {"t_ct": 2, "t_app": 3},
-        _known_gap({"t_ct": 4}, f"app_minus z = -16.9: {_MECHANISMS}"),
-        _known_gap({"t_app": 8}, f"app_plus z = -9.9: {_MECHANISMS}"),
+        _known_gap({"t_ct": 4}, f"app_minus z = -17.9, pers z = -10.8: {_MECHANISMS}"),
+        _known_gap({"t_app": 8}, f"app_plus z = -8.0, app_minus z = -6.5: {_MECHANISMS}"),
         _known_gap({"t_sym": 3, "t_plan": 1, "t_ct": 4, "t_app": 4, "t_pers": 1},
-                   f"pers z = -46.7: {_MECHANISMS}"),
+                   f"pers z = -45.9, the worst of five types past 4.5: {_MECHANISMS}"),
     ], ids=["t_ct=2,t_app=3", "t_ct=4", "t_app=8", "t_sym=3,t_plan=1,t_ct=4,t_app=4"])
     def test_every_constant_within_4_5_se(self, params, overrides):
         p = apply_overrides(params, overrides)
@@ -226,6 +229,101 @@ class TestAwayFromDefaults:
         z = {kind: _zscore(empirical_case_type_taf(kind, cfg, p), analytic[kind])
              for kind in CASE_TYPES}
         assert max(map(abs, z.values())) < 4.5, z
+
+
+def _expected_taf(case_type, p):
+    """The exact expectation of a tree's ratio in ``empirical_case_type_taf``.
+
+    The oracle's discrete draws become weighted sums: the detection-window day
+    (weights i_w), the index's adherence (``a_base``) and, for the app types,
+    the channel (``u_app``). The Poisson counts enter linearly, so a tree
+    quarantined on day q, warned with latency L and warn fraction f has the
+    mean ratio Σ_{d <= last day out} i_w(d)·[(1 - f)·i_c_inf + f·i_c(clip(q + L - d, 0, 13))].
+    Like the oracle it reads only the published i_w and the parameters.
+    """
+    i_w = dict(enumerate(WEIBULL_PROFILE, start=1))
+    self_iso = p.t_sym + p.t_plan
+    i_a = [w if d <= self_iso else w * (1.0 - p.a_base) for d, w in i_w.items()]
+    # i_c on warning days 0..13; from day 13 on it is i_c_inf
+    i_c = list(itertools.accumulate(i_a, initial=0.0))[:14]
+
+    def tree(q, latency, fraction):
+        mean = 0.0
+        for share, out in ((p.a_base, min(self_iso, 14)), (1.0 - p.a_base, 14)):
+            mean += share * sum(i_w[d] * ((1.0 - fraction) * i_c[13]
+                                          + fraction * i_c[min(max(q + latency - d, 0), 13)])
+                                for d in range(1, min(q, out) + 1))
+        return mean
+
+    if case_type == "miss":  # never quarantined, warns nobody
+        return tree(math.inf, 0, 0.0)
+    # (share, latency, warn fraction) of each warning channel
+    channels = [(1.0, p.t_ct, p.a_ct * p.f_ct)]
+    if case_type.startswith("app"):
+        channels = [(p.u_app, p.t_app, p.a_app * p.f_app), (1.0 - p.u_app, *channels[0][1:])]
+    if case_type == "sym":
+        quarantine = [(1.0, self_iso)]
+    else:
+        latency, window, backdate = {
+            "pers": (p.t_pers, self_iso, 0), "ct": (p.t_ct, self_iso, 0),
+            "app_plus": (p.t_sym - 1, p.t_app + p.t_plan + 1, 0),
+            "app_minus": (p.t_app, p.t_plan, p.t_sym)}[case_type]
+        weights = [i_w.get(backdate + x, 0.0) for x in range(1, window + 1)]
+        quarantine = [(w / sum(weights), latency + window + 1 - x)
+                      for x, w in enumerate(weights, start=1)]
+    return sum(day_share * share * tree(q, latency, fraction)
+               for day_share, q in quarantine for share, latency, fraction in channels)
+
+
+_fraction = st.floats(min_value=0.05, max_value=0.95)
+
+#: parameter sets that pass ``params.check``, delays up to 12 days
+_validated_sets = st.builds(
+    ModelParams, t_ct=st.integers(1, 12), t_app=st.integers(1, 12), t_sym=st.integers(1, 12),
+    t_plan=st.integers(1, 6), t_pers=st.integers(0, 4),
+    a_sym=_fraction, f_ct=_fraction, u_app=_fraction,
+).filter(lambda p: p.t_sym + p.t_plan >= 3)
+
+
+class TestExactExpectation:
+    """The oracle and the analytic constants against the exact expectation of
+    the oracle's tree model, ``_expected_taf``."""
+
+    @pytest.mark.parametrize("overrides", [
+        {}, {"t_ct": 2, "t_app": 3}, {"t_ct": 4}, {"t_app": 8},
+        {"t_sym": 3, "t_plan": 1, "t_ct": 4, "t_app": 4, "t_pers": 1},
+    ], ids=["defaults", "t_ct=2,t_app=3", "t_ct=4", "t_app=8", "t_sym=3,t_plan=1,t_ct=4,t_app=4"])
+    def test_oracle_samples_the_model(self, params, overrides):
+        p = apply_overrides(params, overrides)
+        cfg = SimConfig(trees=200_000, seed=0)
+        z = {kind: _zscore(empirical_case_type_taf(kind, cfg, p), _expected_taf(kind, p))
+             for kind in CASE_TYPES}
+        assert max(map(abs, z.values())) < 4.5, z
+
+    def test_zero_standard_error_set(self, params):
+        # every pers index quarantines on day 1 or 2, before the first infectious
+        # day 3: the oracle's mean and standard error are exactly 0, which a
+        # z-test cannot divide by
+        p = apply_overrides(params, {"t_pers": 0, "t_sym": 3, "t_plan": 1})
+        outcome = empirical_case_type_taf("pers", SimConfig(trees=20_000, seed=0), p)
+        assert (outcome.empirical_taf, outcome.standard_error) == (0.0, 0.0)
+        assert _expected_taf("pers", p) == 0.0
+        assert LambdaTable.build(p, InfectivityProfile.from_params(p)).per_type["pers"] == 0.0
+
+    @pytest.mark.parametrize("case_type", [CASE_TYPES[0]] + [
+        pytest.param(kind, marks=pytest.mark.xfail(
+            strict=True, reason=f"ROADMAP.md item 2: {_MECHANISMS}"))
+        for kind in CASE_TYPES[1:]])
+    # quiet and unshrunk, so that a strict xfail stops at its first failing set;
+    # the assertion names that set
+    @settings(max_examples=150, deadline=None, verbosity=Verbosity.quiet,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(p=_validated_sets)
+    def test_constant_is_the_expectation(self, case_type, p):
+        check(p, WEIBULL_PROFILE)
+        analytic = LambdaTable.build(p, InfectivityProfile.from_params(p)).per_type[case_type]
+        expected = _expected_taf(case_type, p)
+        assert abs(analytic - expected) <= 1e-12, (analytic, expected, p)
 
 
 class TestBlocks:

@@ -45,8 +45,8 @@ def test_homogeneity_scales_averted_and_fixes_rt(k, series, lambdas, params):
     scaled_app = averted_app(scaled, lambdas, params)
     assert scaled_ct.s_total == pytest.approx(k * base_ct.s_total, rel=1e-9)
     assert scaled_app.s_total == pytest.approx(k * base_app.s_total, rel=1e-9)
-    assert rt_series(scaled.total) == pytest.approx(
-        rt_series(series.total), rel=1e-9
+    assert rt_series(scaled.total, scaled.labels) == pytest.approx(
+        rt_series(series.total, series.labels), rel=1e-9
     )
     assert scaled_ct.rt_reduction_avg == pytest.approx(
         base_ct.rt_reduction_avg, rel=1e-6, abs=1e-12
