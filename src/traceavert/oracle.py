@@ -22,9 +22,14 @@ from the analytic layer: it reads only the published ``i_w`` and derives the
 channel delays, warn fractions and the ``i_c`` curve from the model
 parameters itself, so a fault in the analytic code cannot hide on both sides
 of the cross-check.
-Values every tree shares (a fixed quarantine day, a channel's latency and
-warn fraction) stay scalars; only the drawn detection day and the app or
-tracing choice are per-tree arrays.
+
+Values every tree shares (a fixed quarantine day, the warning channel of the
+types without the app) stay scalars. The drawn quarantine day, the last day
+out and the app or tracing choice are per-tree int8 arrays; the choice
+indexes two-entry tables of channel latency and warn fraction. The only
+per-tree floats are the ratios and one Poisson mean at a time, so two case
+types run at once (``cli`` runs them on one thread per core, each with its
+own seeded generator) in the memory that one took with float per-tree days.
 """
 from __future__ import annotations
 
@@ -103,16 +108,18 @@ class SimOutcome:
 def _run_trees(
     rng: np.random.Generator,
     n: int,
-    quarantine_day: float | np.ndarray,
-    warn_latency: float | np.ndarray,
-    warn_fraction: float | np.ndarray,
+    quarantine_day: int | np.ndarray,
+    channel: int | np.ndarray,
+    latency: np.ndarray,
+    warn_fraction: np.ndarray,
     p: ModelParams,
 ) -> np.ndarray:
     """Per-tree realized/potential tertiary ratios.
 
-    ``quarantine_day``, ``warn_latency`` and ``warn_fraction`` are each a
-    float shared by every tree or a per-tree array; ``np.inf`` as quarantine
-    day means never quarantined.
+    ``quarantine_day`` and ``channel`` are each an int shared by every tree or
+    a per-tree int8 array: the day the index is quarantined, at most
+    ``_LAST_DAY + 15``, and the channel that warns its contacts, an index into
+    the two-entry ``latency`` and ``warn_fraction`` tables.
 
     The secondaries are drawn by Poisson thinning. Split by warning, the
     independent per-day counts ``Poisson(_R0 * i_w(day))`` over the days the
@@ -126,7 +133,9 @@ def _run_trees(
 
     The uniforms are drawn walking the trees in blocks of ``_BLOCK``. An
     array draw reads the stream one element at a time, so every block size
-    reads the same uniforms in the same order.
+    reads the same uniforms in the same order. ``M`` and the warning day are
+    rebuilt per block from the int8 day arrays, so the only float arrays of
+    ``n`` trees are the ratios and one Poisson mean at a time.
     """
     days = np.arange(1, _PROFILE_DAYS + 1)
     self_iso_day = min(p.t_sym + p.t_plan, _LAST_DAY)
@@ -137,28 +146,29 @@ def _run_trees(
     # i_w summed over days 1..d, for d = 0..14
     cum_i_w = np.concatenate(([0.0], np.cumsum(_I_W)))
 
-    adherent = rng.random(n) < p.a_base
-    # the last day the index is out, cut at the profile's end
-    last_day = np.minimum(quarantine_day, np.where(
-        adherent, min(self_iso_day, _PROFILE_DAYS), _PROFILE_DAYS)).astype(np.intp)
-    weight = cum_i_w[last_day]
-    unwarned = rng.poisson(_R0 * (1.0 - warn_fraction) * weight)
-    warned = rng.poisson(_R0 * warn_fraction * weight)
-    # the day a tree's contacts are warned: a secondary infected on day d is
-    # warned this day - d days after its infection
-    warn_day = quarantine_day + warn_latency
+    # the last day the index is out, cut at the profile's end: an index drawn
+    # to follow base adherence self-isolates
+    last_day = np.minimum(quarantine_day, np.where(rng.random(n) < p.a_base,
+                                                   np.int8(min(self_iso_day, _PROFILE_DAYS)),
+                                                   np.int8(_PROFILE_DAYS)))
+    # each tree's unwarned term, until its block adds the warned ones
+    ratios = rng.poisson((_R0 * (1.0 - warn_fraction))[channel] * cum_i_w[last_day]) * i_c_inf
+    warned = rng.poisson((_R0 * warn_fraction)[channel] * cum_i_w[last_day])
 
-    ratios = np.empty(n)
+    quarantine_day = np.broadcast_to(quarantine_day, n)
+    channel = np.broadcast_to(channel, n)
     for start in range(0, n, _BLOCK):
         block = slice(start, start + _BLOCK)
         size = len(warned[block])
         tree = np.repeat(np.arange(size), warned[block])
-        day = np.searchsorted(cum_i_w, rng.random(tree.size) * weight[block][tree], side="right")
-        day = np.minimum(day, last_day[block][tree])  # u * M can round up to M
-        tree_warn_day = warn_day[block][tree] if np.ndim(warn_day) else warn_day
-        terms = i_c[np.clip(tree_warn_day - day, 0, _SATURATION_DAY).astype(np.intp)]
-        realized = unwarned[block] * i_c_inf + np.bincount(tree, terms, minlength=size)
-        ratios[block] = realized / _R0
+        tree_last_day = last_day[block][tree]
+        day = np.searchsorted(cum_i_w, rng.random(tree.size) * cum_i_w[tree_last_day], side="right")
+        day = np.minimum(day, tree_last_day)  # u * M can round up to M
+        # the day a tree's contacts are warned: a secondary infected on day d is
+        # warned this day - d days after its infection; int8, as it is at most 69
+        warn_day = quarantine_day[block] + latency[channel[block]]
+        terms = i_c[np.clip(warn_day[tree] - day, 0, _SATURATION_DAY)]
+        ratios[block] = (ratios[block] + np.bincount(tree, terms, minlength=size)) / _R0
     return ratios
 
 
@@ -169,7 +179,7 @@ def _detection_window_mixture(
     window: int,
     backdate: int,
 ) -> np.ndarray:
-    """Per-tree quarantine days for an index detected inside a window.
+    """Per-tree int8 quarantine days for an index detected inside a window.
 
     The index's own infection day within the ``window``-day detection window
     (shifted ``backdate`` days into its infector's profile) is drawn with
@@ -186,8 +196,9 @@ def _detection_window_mixture(
     width = min(window, padded.size)
     weights = padded.take(np.arange(backdate + 1, backdate + width + 1), mode="clip")
     x = rng.choice(np.arange(1, width + 1), size=n, p=weights / weights.sum())
-    # x <= width, so a quarantine day cut here still lies at or past _LAST_DAY
-    return (min(latency + window + 1, _LAST_DAY + width) - x).astype(float)
+    # x <= width, so a quarantine day cut here still lies at or past _LAST_DAY,
+    # and is at most _LAST_DAY + 15
+    return (min(latency + window + 1, _LAST_DAY + width) - x).astype(np.int8)
 
 
 def empirical_case_type_taf(case_type: str, cfg: SimConfig, p: ModelParams) -> SimOutcome:
@@ -209,15 +220,17 @@ def empirical_case_type_taf(case_type: str, cfg: SimConfig, p: ModelParams) -> S
     check(p, _I_W)
     rng = np.random.default_rng(cfg.seed)
     n = cfg.trees
-    # each channel's warning delay, clipped at _LAST_DAY, and adherence x reach
-    ct_delay, ct_fraction = float(min(p.t_ct, _LAST_DAY)), p.a_ct * p.f_ct
-    app_delay, app_fraction = float(min(p.t_app, _LAST_DAY)), p.a_app * p.f_app
+    # each channel's warning delay, clipped at _LAST_DAY, and adherence x reach,
+    # indexed by channel: 0 manual tracing, 1 the app
+    latency = np.array([min(p.t_ct, _LAST_DAY), min(p.t_app, _LAST_DAY)], dtype=np.int8)
+    fraction = np.array([p.a_ct * p.f_ct, p.a_app * p.f_app])
     span = p.t_sym + p.t_plan
-    latency, fraction = ct_delay, ct_fraction
+    channel = 0
     if case_type == "miss":
-        quarantine, fraction = np.inf, 0.0
+        # a quarantine day from _LAST_DAY on is never: the index is out all 14 days
+        quarantine, fraction = _LAST_DAY, np.zeros(2)
     elif case_type == "sym":
-        quarantine = float(min(span, _LAST_DAY))
+        quarantine = min(span, _LAST_DAY)
     else:
         # (latency, window, backdate) of each detected type's detection window
         windows = {
@@ -228,9 +241,7 @@ def empirical_case_type_taf(case_type: str, cfg: SimConfig, p: ModelParams) -> S
         }
         quarantine = _detection_window_mixture(rng, n, *windows[case_type])
         if case_type.startswith("app"):
-            via_app = rng.random(n) < p.u_app
-            latency = np.where(via_app, app_delay, latency)
-            fraction = np.where(via_app, app_fraction, ct_fraction)
-    ratios = _run_trees(rng, n, quarantine, latency, fraction, p)
+            channel = (rng.random(n) < p.u_app).view(np.int8)
+    ratios = _run_trees(rng, n, quarantine, channel, latency, fraction, p)
     return SimOutcome(empirical_taf=float(ratios.mean()),
                       standard_error=float(ratios.std(ddof=1) / np.sqrt(n)))

@@ -11,7 +11,9 @@ import dataclasses
 import datetime as dt
 import io
 import math
+import sys
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 
@@ -369,6 +371,103 @@ class TestSimulate:
         first = run_cli(capsys, *argv)
         second = run_cli(capsys, *argv)
         assert first == second
+
+
+class TestSimulateThreads:
+    """``simulate`` runs its case types on one thread per usable core."""
+
+    @staticmethod
+    def cores(monkeypatch, count):
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(count)),
+                            raising=False)
+
+    @pytest.mark.parametrize("params", [
+        (), ("--param", "u_app=1", "--param", "t_app=3", "--param", "t_ct=5"),
+    ], ids=["defaults", "app-heavy"])
+    def test_core_count_changes_no_byte(self, capsys, monkeypatch, params):
+        runs = []
+        for count in (1, 6):
+            self.cores(monkeypatch, count)
+            runs.append(run_cli(capsys, "simulate", "--trees", "3000", *params))
+        assert runs[0][0] == 0
+        assert runs[0] == runs[1]
+
+    def test_one_core_starts_no_thread(self, capsys, monkeypatch):
+        simulate, threads = cli.oracle.empirical_case_type_taf, set()
+
+        def recorded(*args):
+            threads.add(threading.current_thread())
+            return simulate(*args)
+
+        monkeypatch.setattr(cli.oracle, "empirical_case_type_taf", recorded)
+        self.cores(monkeypatch, 1)
+        assert run_cli(capsys, "simulate", "--trees", "200")[0] == 0
+        assert threads == {threading.main_thread()}
+
+    def test_two_cores_run_two_case_types_at_once(self, capsys, monkeypatch):
+        # miss and sym each wait for the other: run one after the other, the
+        # barrier breaks and the run ends in a BrokenBarrierError
+        simulate, barrier = cli.oracle.empirical_case_type_taf, threading.Barrier(2, timeout=30)
+
+        def meeting(kind, *args):
+            if kind in ("miss", "sym"):
+                barrier.wait()
+            return simulate(kind, *args)
+
+        monkeypatch.setattr(cli.oracle, "empirical_case_type_taf", meeting)
+        self.cores(monkeypatch, 2)
+        assert run_cli(capsys, "simulate", "--trees", "200")[0] == 0
+
+    @pytest.mark.parametrize("count", [1, 6])
+    def test_out_of_memory_in_one_case_type_exits_2(self, capsys, monkeypatch, count):
+        simulate = cli.oracle.empirical_case_type_taf
+
+        def app_plus_exhausted(kind, *args):
+            if kind == "app_plus":
+                raise MemoryError("Unable to allocate 7.45 GiB")
+            return simulate(kind, *args)
+
+        monkeypatch.setattr(cli.oracle, "empirical_case_type_taf", app_plus_exhausted)
+        self.cores(monkeypatch, count)
+        code, out, err = run_cli(capsys, "simulate", "--trees", "3000")
+        assert (code, out) == (2, "")
+        assert err == "error: --trees 3000: not enough memory to simulate 3000 trees\n"
+
+    def test_first_failing_case_type_in_order_raises(self, capsys, monkeypatch):
+        # sym fails while miss still runs; miss comes first, so its error is named
+        sym_failed = threading.Event()
+
+        def failing(kind, *args):
+            if kind == "miss":
+                assert sym_failed.wait(timeout=30)
+            elif kind == "sym":
+                sym_failed.set()
+            raise ValueError(f"{kind} failed")
+
+        monkeypatch.setattr(cli.oracle, "empirical_case_type_taf", failing)
+        self.cores(monkeypatch, 6)
+        assert run_cli(capsys, "simulate", "--trees", "200") == (2, "", "error: miss failed\n")
+
+    def test_each_case_type_runs_once_under_frequent_switches(self, monkeypatch):
+        # six threads on fewer cores, switching every microsecond: a case type
+        # taken twice from the shared queue, or a lost result, breaks the run
+        calls = []
+
+        def recorded(kind, cfg, p):
+            calls.append(kind)
+            return kind
+
+        monkeypatch.setattr(cli.oracle, "empirical_case_type_taf", recorded)
+        self.cores(monkeypatch, 6)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(200):
+                calls.clear()
+                assert cli._simulate(CASE_TYPES, None, None) == list(CASE_TYPES)
+                assert sorted(calls) == sorted(CASE_TYPES)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 # --------------------------------------------------------------------------

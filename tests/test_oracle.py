@@ -351,6 +351,20 @@ class TestBlocks:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
+    @pytest.mark.parametrize("case_type", CASE_TYPES)
+    def test_peak_memory_per_case_type(self, case_type, params):
+        # int8 days and channels, and ratios that hold the unwarned term: about
+        # three float arrays of 100,000 trees (2.3 MiB) at once. simulate runs
+        # two case types at once on two cores, within the peak RSS of one at a
+        # time with the float per-tree arrays (4.2-7.5 MiB per type)
+        tracemalloc.start()
+        try:
+            empirical_case_type_taf(case_type, SimConfig(trees=100_000, seed=0), params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * 2**20
+
 
 _BAD_CHANNEL_FIELDS = [
     ("f_ct", 1.5), ("a_ct", -0.1), ("t_ct", -1),

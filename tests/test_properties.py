@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_oracle import _expected_taf
 
 from traceavert.cases import (
     CaseSeries,
@@ -14,7 +15,7 @@ from traceavert.cases import (
     validate_series,
 )
 from traceavert.counterfactual import averted_app, averted_ct, rt_series
-from traceavert.oracle import SimConfig, SimOutcome, empirical_case_type_taf
+from traceavert.oracle import SimConfig, empirical_case_type_taf
 from traceavert.params import (
     ModelParams,
     apply_overrides,
@@ -314,67 +315,11 @@ def test_presplit_loader_matches_row_by_row_parse(rows, tmp_path_factory):
     assert series.counts.tolist() == expected
 
 
-# Dense transcription of the Monte-Carlo oracle's model: Poisson and binomial
-# draws on every cell of the trees x days grid, the profile's i_c under the boundary
-# rules and the channels from the analytic layer. The oracle draws the same trees
-# by Poisson thinning, from another stream, so the two agree in distribution.
-
-
-def _dense_trees(rng, n, r0, quarantine_day, warn_latency, warn_fraction, p, profile):
-    days = np.arange(1, profile.i_w.size + 1)
-    adherent = rng.random(n) < p.a_base
-    active = (days[None, :] <= quarantine_day[:, None]) & (
-        (days[None, :] <= p.t_sym + p.t_plan) | ~adherent[:, None]
-    )
-    secondaries = rng.poisson(r0 * profile.i_w[None, :] * active)
-    warned = rng.binomial(secondaries, warn_fraction[:, None])
-    warning_day = quarantine_day[:, None] + warn_latency[:, None] - days[None, :]
-    # i_c by warning day: 0 before day 1, i_c_inf from day 13 on (and never warned)
-    i_c = np.where(warning_day >= 13, profile.i_c_inf, np.where(
-        warning_day >= 1, profile.i_c[np.clip(warning_day, 1, 13).astype(int) - 1], 0.0))
-    realized = (warned * i_c + (secondaries - warned) * profile.i_c_inf).sum(axis=1)
-    return realized / r0
-
-
-def _dense_window(rng, n, latency, window, backdate, profile):
-    weights = np.array([_i_w(profile, x + backdate) for x in range(1, window + 1)])
-    x = rng.choice(np.arange(1, window + 1), size=n, p=weights / weights.sum())
-    return (latency + window + 1 - x).astype(float)
-
-
-def _dense_outcome(target, n, seed, p, profile):
-    rng = np.random.default_rng(seed)
-    (ct_delay, ct_fraction), (app_delay, app_fraction) = _warn_channels(p)
-    latency = np.full(n, float(ct_delay))
-    fraction = np.full(n, ct_fraction)
-    self_report_day = p.t_sym + p.t_plan
-    if target == "miss":
-        quarantine, fraction = np.full(n, np.inf), np.zeros(n)
-    elif target == "sym":
-        quarantine = np.full(n, float(self_report_day))
-    elif target in ("ct", "pers"):
-        delay = p.t_ct if target == "ct" else p.t_pers
-        quarantine = _dense_window(rng, n, delay, self_report_day, 0, profile)
-    else:
-        if target == "app_plus":
-            quarantine = _dense_window(rng, n, p.t_sym - 1, p.t_app + p.t_plan + 1, 0, profile)
-        else:
-            quarantine = _dense_window(rng, n, p.t_app, p.t_plan, p.t_sym, profile)
-        via_app = rng.random(n) < p.u_app
-        latency = np.where(via_app, float(app_delay), float(ct_delay))
-        fraction = np.where(via_app, app_fraction, ct_fraction)
-    ratios = _dense_trees(rng, n, 3.0, quarantine, latency, fraction, p, profile)
-    return SimOutcome(
-        empirical_taf=float(ratios.mean()),
-        standard_error=float(ratios.std(ddof=1) / np.sqrt(n)),
-    )
-
-
-#: parameter sets the oracle and the dense draws are compared on: the defaults,
-#: an app-heavy set, the sets of test_oracle.py::TestAwayFromDefaults, detection
-#: windows on both sides of the oracle's 16-day cut, no adherence, and warnings
-#: by the app alone
-_DENSE_SETS = [
+#: parameter sets the oracle is checked on against the exact expectation of its
+#: model: the defaults, an app-heavy set, the sets of
+#: test_oracle.py::TestAwayFromDefaults, detection windows on both sides of the
+#: oracle's 16-day cut, no adherence, and warnings by the app alone
+_FIXED_SETS = [
     {},
     {"u_app": 1, "t_app": 3, "t_ct": 5},
     {"t_ct": 2, "t_app": 3},
@@ -388,16 +333,15 @@ _DENSE_SETS = [
 ]
 
 
-def test_oracle_matches_dense_grid_draws(params):
-    trees = 20_000
-    z = {}
-    for index, overrides in enumerate(_DENSE_SETS):
+def test_oracle_matches_the_exact_expectation_on_fixed_sets(params):
+    # one-sample |z| < 4.5, written as a gap within 4.5 standard errors so that
+    # a set with no transmission (mean and standard error 0) passes
+    outside = []
+    for index, overrides in enumerate(_FIXED_SETS):
         p = apply_overrides(params, overrides)
-        profile = InfectivityProfile.from_params(p)
         for target in CASE_TYPES:
-            drawn = empirical_case_type_taf(target, SimConfig(trees=trees, seed=2 * index), p)
-            dense = _dense_outcome(target, trees, 2 * index + 1, p, profile)
-            gap = drawn.empirical_taf - dense.empirical_taf
-            z[index, target] = gap / np.hypot(drawn.standard_error, dense.standard_error)
-    worst = max(z, key=lambda key: abs(z[key]))
-    assert abs(z[worst]) < 4.5, (_DENSE_SETS[worst[0]], worst[1], z[worst])
+            drawn = empirical_case_type_taf(target, SimConfig(trees=20_000, seed=index), p)
+            gap = drawn.empirical_taf - _expected_taf(target, p)
+            if abs(gap) > 4.5 * drawn.standard_error:
+                outside.append((overrides, target, gap, drawn.standard_error))
+    assert not outside
