@@ -62,7 +62,11 @@ class TestSimulateTrees:
     """The two case types whose trees share one quarantine day: ``miss``, whose
     index is never quarantined and warns nobody, and ``sym``, whose index is
     quarantined on day t_sym + t_plan (7 at the defaults) and whose contacts
-    are warned by tracing."""
+    are warned by tracing.
+
+    The checks against a target hold |z| < 4.5 at 200,000 trees: a 2-SE band
+    at one seed fails in a few percent of seeds, so it pins one realization
+    of the stream rather than the model."""
 
     def test_determinism(self, params):
         cfg = SimConfig(trees=5_000, seed=11)
@@ -71,23 +75,23 @@ class TestSimulateTrees:
         assert first == second
 
     def test_no_intervention_matches_missed_constant(self, params, lambdas):
-        cfg = SimConfig(trees=20_000, seed=0)
+        cfg = SimConfig(trees=200_000, seed=0)
         outcome = empirical_case_type_taf("miss", cfg, params)
-        assert abs(_zscore(outcome, lambdas["miss"])) < 2
+        assert abs(_zscore(outcome, lambdas["miss"])) < 4.5
 
     def test_full_potential_without_any_adherence(self, params):
         p = apply_overrides(params, {"a_sym": "0"})
-        cfg = SimConfig(trees=20_000, seed=0)
+        cfg = SimConfig(trees=200_000, seed=0)
         outcome = empirical_case_type_taf("miss", cfg, p)
         # the day-by-day profile carries 0.99 of the infection potential, so
         # a fully unimpeded tree realizes 0.99 of it at both generations
-        assert abs(_zscore(outcome, 0.99**2)) < 2
+        assert abs(_zscore(outcome, 0.99**2)) < 4.5
 
     def test_ct_channel_quarantine_day7_matches_analytic(self, params, table):
         assert params.t_sym + params.t_plan == 7
         analytic = table.lambda_ct_row[6]
-        outcome = empirical_case_type_taf("sym", SimConfig(trees=20_000, seed=0), params)
-        assert abs(_zscore(outcome, analytic)) < 2
+        outcome = empirical_case_type_taf("sym", SimConfig(trees=200_000, seed=0), params)
+        assert abs(_zscore(outcome, analytic)) < 4.5
 
     def test_outcome_accounting(self, params):
         cfg = SimConfig(trees=2_000, seed=5)
@@ -120,11 +124,12 @@ class TestCaseTypeTaf:
         with pytest.raises(ValueError, match="case type"):
             empirical_case_type_taf("mystery", SimConfig(trees=10), params)
 
+    # |z| < 4.5 at 200,000 trees, as in TestSimulateTrees
     @pytest.mark.parametrize("case_type", CASE_TYPES)
     def test_matches_analytic_within_2se(self, case_type, params, lambdas):
-        cfg = SimConfig(trees=20_000, seed=5)
+        cfg = SimConfig(trees=200_000, seed=5)
         outcome = empirical_case_type_taf(case_type, cfg, params)
-        assert abs(_zscore(outcome, lambdas[case_type])) < 2
+        assert abs(_zscore(outcome, lambdas[case_type])) < 4.5
 
     def test_personal_warning_beats_tracing_call(self, params):
         cfg = SimConfig(trees=20_000, seed=0)
