@@ -7,10 +7,12 @@ adherence) it infects a Poisson number of secondaries with mean
 warned and realizes the adhering infectivity ``i_c`` up to the warning day;
 the rest realize all of ``i_c_inf``.  The tertiary attack fraction of the
 tree is realized tertiary transmission divided by the no-intervention
-potential ``_R0``.  The trees are drawn by Poisson thinning, not day by day:
-each tree draws one unwarned and one warned Poisson total over the days its
-index is out, and an infection day for each warned secondary only.  These
-draws have the same joint distribution as the per-day ones (``_run_trees``).
+potential ``_R0``.  The trees are drawn by Poisson thinning and splitting,
+not day by day: the trees that share a warning channel and a last day out
+draw one unwarned and one warned Poisson total between them, each secondary
+lands on one of those trees uniformly, and only a warned secondary is given
+an infection day.  These draws have the same joint distribution as the
+per-day ones (``_run_trees``).
 
 The one entry point, ``empirical_case_type_taf``, reproduces the situation of
 each of the six case types, drawing the index quarantine day from the same
@@ -25,11 +27,12 @@ of the cross-check.
 
 Values every tree shares (a fixed quarantine day, the warning channel of the
 types without the app) stay scalars. The drawn quarantine day, the last day
-out and the app or tracing choice are per-tree int8 arrays; the choice
-indexes two-entry tables of channel latency and warn fraction. The only
-per-tree floats are the ratios and one Poisson mean at a time, so two case
-types run at once (``cli`` runs them on one thread per core, each with its
-own seeded generator) in the memory that one took with float per-tree days.
+out, its group and the app or tracing choice are per-tree int8 arrays; the
+choice indexes two-entry tables of channel latency and warn fraction. The
+only per-tree floats are the ratios, and the only per-tree indices those of
+one group at a time, so two case types run at once (``cli`` runs them on one
+thread per core, each with its own seeded generator) in the memory that one
+took with float per-tree days.
 """
 from __future__ import annotations
 
@@ -69,7 +72,7 @@ _SATURATION_DAY = 13
 #: value from 27 on acts as 27.
 _LAST_DAY = 2 * _PROFILE_DAYS - 1
 
-#: trees per block in ``_run_trees``: bounds its per-warned-secondary temporaries
+#: secondaries per block in ``_run_trees``: bounds its per-secondary temporaries
 _BLOCK = 8192
 
 #: numpy refuses a float array of more elements than this before allocating it
@@ -121,28 +124,34 @@ def _run_trees(
     ``_LAST_DAY + 15``, and the channel that warns its contacts, an index into
     the two-entry ``latency`` and ``warn_fraction`` tables.
 
-    The secondaries are drawn by Poisson thinning. Split by warning, the
-    independent per-day counts ``Poisson(_R0 * i_w(day))`` over the days the
-    index is out are two independent Poisson totals over those days, unwarned
+    The secondaries are drawn by Poisson thinning and splitting. Split by
+    warning, the independent per-day counts ``Poisson(_R0 * i_w(day))`` over
+    the days the index is out are two independent Poisson totals, unwarned
     and warned, with means ``_R0 * (1 - f) * M`` and ``_R0 * f * M``, where
     ``f`` is the warn fraction and ``M`` the sum of ``i_w`` over the days.
-    Each warned secondary's infection day is then drawn independently with
-    weights ``i_w`` over those days. An unwarned secondary realizes
-    ``i_c_inf`` whatever its day, so only the warned ones are given a day:
-    one uniform each, mapped through the cumulative ``i_w``.
+    The ``m`` trees of one channel and one last day out share these means, so
+    they draw one unwarned and one warned total with ``m`` times the means,
+    and each secondary lands on one of the ``m`` trees uniformly: the same
+    joint law as ``m`` independent totals each. A uniform ``u`` picks the
+    tree ``floor(u * m)``, below ``m`` as ``u <= 1 - 2**-53`` and
+    ``(1 - 2**-53) * m`` rounds below ``m``. A warned secondary's infection
+    day is drawn with a second uniform, weights ``i_w`` over the days the
+    index is out; an unwarned one realizes ``i_c_inf`` whatever its day.
 
-    The uniforms are drawn walking the trees in blocks of ``_BLOCK``. An
-    array draw reads the stream one element at a time, so every block size
-    reads the same uniforms in the same order. ``M`` and the warning day are
-    rebuilt per block from the int8 day arrays, so the only float arrays of
-    ``n`` trees are the ratios and one Poisson mean at a time.
+    The totals are drawn first, in group order; then, group by group, one
+    uniform per unwarned secondary and two per warned one (tree, then day),
+    walking the secondaries in blocks of ``_BLOCK``. An array draw reads the
+    stream one element at a time, and ``np.add.at`` adds each term to its
+    tree in draw order, so every block size reads the same uniforms and
+    rounds the same sums. The only arrays of ``n`` trees are the ratios and
+    the int8 days and groups; the tree indices are one group's.
     """
     days = np.arange(1, _PROFILE_DAYS + 1)
     self_iso_day = min(p.t_sym + p.t_plan, _LAST_DAY)
     i_a = np.where(days <= self_iso_day, _I_W, _I_W * (1.0 - p.a_base))
-    # i_c by warning day clipped to 0..13: 0, i_c(1..12), i_c_inf
-    i_c = np.concatenate(([0.0], np.cumsum(i_a)[:_SATURATION_DAY]))
-    i_c_inf = i_c[_SATURATION_DAY]
+    # a tertiary term of the ratio by warning day clipped to 0..13:
+    # 0, i_c(1..12), i_c_inf, each over the potential _R0
+    i_c = np.concatenate(([0.0], np.cumsum(i_a)[:_SATURATION_DAY])) / _R0
     # i_w summed over days 1..d, for d = 0..14
     cum_i_w = np.concatenate(([0.0], np.cumsum(_I_W)))
 
@@ -151,24 +160,32 @@ def _run_trees(
     last_day = np.minimum(quarantine_day, np.where(rng.random(n) < p.a_base,
                                                    np.int8(min(self_iso_day, _PROFILE_DAYS)),
                                                    np.int8(_PROFILE_DAYS)))
-    # each tree's unwarned term, until its block adds the warned ones
-    ratios = rng.poisson((_R0 * (1.0 - warn_fraction))[channel] * cum_i_w[last_day]) * i_c_inf
-    warned = rng.poisson((_R0 * warn_fraction)[channel] * cum_i_w[last_day])
+    # the trees of group channel * 15 + last day, 0..29, are iid
+    group = last_day + np.int8(cum_i_w.size) * channel
+    sizes = np.bincount(group, minlength=latency.size * cum_i_w.size).reshape(latency.size, -1)
+    # each group's unwarned and warned total, by channel, last day and warning
+    share = np.stack([1.0 - warn_fraction, warn_fraction], axis=1)
+    totals = rng.poisson(_R0 * (sizes * cum_i_w)[:, :, None] * share[:, None, :]).reshape(-1, 2)
 
+    ratios = np.zeros(n)
     quarantine_day = np.broadcast_to(quarantine_day, n)
-    channel = np.broadcast_to(channel, n)
-    for start in range(0, n, _BLOCK):
-        block = slice(start, start + _BLOCK)
-        size = len(warned[block])
-        tree = np.repeat(np.arange(size), warned[block])
-        tree_last_day = last_day[block][tree]
-        day = np.searchsorted(cum_i_w, rng.random(tree.size) * cum_i_w[tree_last_day], side="right")
-        day = np.minimum(day, tree_last_day)  # u * M can round up to M
-        # the day a tree's contacts are warned: a secondary infected on day d is
-        # warned this day - d days after its infection; int8, as it is at most 69
-        warn_day = quarantine_day[block] + latency[channel[block]]
-        terms = i_c[np.clip(warn_day[tree] - day, 0, _SATURATION_DAY)]
-        ratios[block] = (ratios[block] + np.bincount(tree, terms, minlength=size)) / _R0
+    for g in np.flatnonzero(totals.any(axis=1)):
+        trees = np.flatnonzero(group == g)
+        m, (unwarned, warned) = trees.size, totals[g]
+        channel_g, last = divmod(int(g), cum_i_w.size)
+        for start in range(0, unwarned, _BLOCK):
+            u = rng.random(min(_BLOCK, unwarned - start))
+            np.add.at(ratios, trees[(u * m).astype(np.intp)], i_c[_SATURATION_DAY])
+        for start in range(0, warned, _BLOCK):
+            u = rng.random((min(_BLOCK, warned - start), 2))
+            tree = trees[(u[:, 0] * m).astype(np.intp)]
+            day = np.searchsorted(cum_i_w, u[:, 1] * cum_i_w[last], side="right")
+            day = np.minimum(day, last)  # u * M can round up to M
+            # the day the tree's contacts are warned: a secondary infected on
+            # day d is warned this day - d days after its infection; int8, as
+            # it is at most 69
+            warn_day = quarantine_day[tree] + latency[channel_g]
+            np.add.at(ratios, tree, i_c[np.clip(warn_day - day, 0, _SATURATION_DAY)])
     return ratios
 
 

@@ -119,6 +119,54 @@ class TestSimulateTrees:
         assert gap > 0  # the true effect is far larger than the noise here
 
 
+class TestSplitting:
+    """A group's Poisson totals spread over its trees give each tree the count
+    it would draw alone. With no base adherence every secondary that realizes
+    ``i_c_inf`` adds ``i_c_inf / R0`` to its tree's ratio, so the count is read
+    back from the ratio; it must be Poisson with the per-tree mean R0 * M:
+    its mean, variance (an index of dispersion of 1) and share of zeros."""
+
+    @pytest.mark.parametrize("case_type, overrides, days_out", [
+        # never quarantined and never warned: one group of trees out 14 days
+        ("miss", {"a_sym": "0"}, 14),
+        # quarantined on day 7 and warned 13 days later: a warned secondary
+        # infected while its index is out (days 1..7) is warned 13 or more
+        # days after its infection and realizes i_c_inf too
+        ("sym", {"a_sym": "0", "t_ct": "13"}, 7),
+    ], ids=["miss", "sym-warned"])
+    # 200,000 trees in one group, and 1,000 groups of 2 trees, in which a
+    # total off by one tree's mean shows
+    @pytest.mark.parametrize("trees, seeds", [(200_000, 1), (2, 1_000)], ids=["one-group", "pairs"])
+    def test_tree_counts_are_poisson(self, monkeypatch, params, case_type, overrides, days_out,
+                                     trees, seeds):
+        p = apply_overrides(params, overrides)
+        assert p.a_base == 0.0 and p.t_sym + p.t_plan == 7
+        ratios = []
+        run_trees = oracle._run_trees
+
+        def recorded(*args):
+            ratios.append(run_trees(*args))
+            return ratios[-1]
+
+        monkeypatch.setattr(oracle, "_run_trees", recorded)
+        for seed in range(seeds):
+            empirical_case_type_taf(case_type, SimConfig(trees=trees, seed=seed), p)
+        # i_c saturates on day 13, and with no base adherence i_a is i_w
+        i_c_inf = math.fsum(WEIBULL_PROFILE[:13])
+        units = np.concatenate(ratios) * oracle._R0 / i_c_inf
+        counts = np.rint(units)
+        # every secondary realizes i_c_inf: none is warned within 13 days of its infection
+        assert np.abs(units - counts).max() < 1e-9
+        n = counts.size
+        mean = oracle._R0 * math.fsum(WEIBULL_PROFILE[:days_out])
+        zero = math.exp(-mean)
+        z = {"mean": (counts.mean() - mean) / math.sqrt(mean / n),
+             # the sample variance of Poisson counts has variance (mean + 2 mean^2) / n
+             "variance": (counts.var(ddof=1) - mean) / math.sqrt((mean + 2 * mean**2) / n),
+             "zeros": (np.mean(counts == 0) - zero) / math.sqrt(zero * (1 - zero) / n)}
+        assert max(map(abs, z.values())) < 4.5, z
+
+
 class TestCaseTypeTaf:
     def test_unknown_case_type_rejected(self, params):
         with pytest.raises(ValueError, match="case type"):
@@ -155,12 +203,12 @@ class TestCaseTypeTaf:
         # exact outcomes of numpy's seeded Generator stream: any change to which
         # draws the oracle makes, or in what order, moves them
         pinned = {
-            "miss": (0.8838130666666666, 0.0075141666763682245),
-            "sym": (0.6990006666666666, 0.006329731603078536),
-            "pers": (0.38180839999999994, 0.005454351290355144),
-            "ct": (0.6254105666666666, 0.006235005396764641),
-            "app_minus": (0.25905066666666665, 0.004056436830010087),
-            "app_plus": (0.6019597333333333, 0.005985855957823112),
+            "miss": (0.8701144000000001, 0.007348588027532522),
+            "sym": (0.6954571999999999, 0.006449891871375849),
+            "pers": (0.3739381333333333, 0.005341169792814722),
+            "ct": (0.6145396666666667, 0.006238042584223824),
+            "app_minus": (0.2509945333333333, 0.003871048668976228),
+            "app_plus": (0.5862765333333333, 0.006004891722004979),
         }
         cfg = SimConfig(trees=5_000, seed=21)
         for case_type, (taf, se) in pinned.items():
@@ -171,12 +219,12 @@ class TestCaseTypeTaf:
         # everyone uses the app, whose warning is slower than at the defaults,
         # and tracing is slower still: pins the via_app latency and fraction mix
         pinned = {
-            "miss": (0.884498, 0.009622848939609664),
-            "sym": (0.7500217777777777, 0.008757915131352458),
-            "pers": (0.42819911111111103, 0.007521492184651062),
-            "ct": (0.7961237777777779, 0.008959089737668742),
-            "app_minus": (0.42349177777777774, 0.006434633343841617),
-            "app_plus": (0.6566821666666667, 0.00819288742961587),
+            "miss": (0.8756768888888888, 0.00979460356722871),
+            "sym": (0.7472618333333333, 0.008678511761896953),
+            "pers": (0.42589827777777783, 0.007745310894917469),
+            "ct": (0.7889436111111111, 0.009158566199269285),
+            "app_minus": (0.41165244444444443, 0.006375883578183483),
+            "app_plus": (0.6465127777777778, 0.008040535764584814),
         }
         p = apply_overrides(params, {"u_app": "1", "t_app": "3", "t_ct": "5"})
         cfg = SimConfig(trees=3_000, seed=21)
@@ -185,16 +233,17 @@ class TestCaseTypeTaf:
             assert (outcome.empirical_taf, outcome.standard_error) == expected, case_type
 
     def test_output_pinned_across_blocks(self, params):
-        # 20,000 trees are two full blocks of the oracle and a partial third, so
-        # these pin how each block's warned secondaries map back to their trees
-        assert 2 * oracle._BLOCK < 20_000 < 3 * oracle._BLOCK
+        # a tree has about 3 secondaries, so the 20,000 trees of a case type draw
+        # several blocks of secondaries: these pin how each block's uniforms
+        # place its secondaries on their trees and days
+        assert 20_000 * oracle._R0 * oracle._I_W.sum() > 5 * oracle._BLOCK
         pinned = {
-            "miss": (0.8792053333333333, 0.0036851032194315353),
-            "sym": (0.6966491, 0.0031686988213642155),
-            "pers": (0.3782350333333333, 0.0027064065005908845),
-            "ct": (0.6177659, 0.0031350471258056773),
-            "app_minus": (0.25381846666666663, 0.001995156583744999),
-            "app_plus": (0.5904911, 0.0029667914301945257),
+            "miss": (0.8726673333333332, 0.003729010814688069),
+            "sym": (0.6926223666666665, 0.003157209814502096),
+            "pers": (0.3735365, 0.002661935445636627),
+            "ct": (0.6126209916666666, 0.0031003412966756597),
+            "app_minus": (0.2519180666666666, 0.001988529738605122),
+            "app_plus": (0.5910103333333333, 0.0029644304302747257),
         }
         cfg = SimConfig(trees=20_000, seed=21)
         for case_type, expected in pinned.items():
@@ -222,10 +271,10 @@ class TestAwayFromDefaults:
 
     @pytest.mark.parametrize("overrides", [
         {"t_ct": 2, "t_app": 3},
-        _known_gap({"t_ct": 4}, f"app_minus z = -17.9, pers z = -10.8: {_MECHANISMS}"),
-        _known_gap({"t_app": 8}, f"app_plus z = -8.0, app_minus z = -6.5: {_MECHANISMS}"),
+        _known_gap({"t_ct": 4}, f"app_minus z = -18.3, pers z = -11.8: {_MECHANISMS}"),
+        _known_gap({"t_app": 8}, f"app_plus z = -9.6, app_minus z = -7.9: {_MECHANISMS}"),
         _known_gap({"t_sym": 3, "t_plan": 1, "t_ct": 4, "t_app": 4, "t_pers": 1},
-                   f"pers z = -45.9, the worst of five types past 4.5: {_MECHANISMS}"),
+                   f"pers z = -46.6, the worst of five types past 4.5: {_MECHANISMS}"),
     ], ids=["t_ct=2,t_app=3", "t_ct=4", "t_app=8", "t_sym=3,t_plan=1,t_ct=4,t_app=4"])
     def test_every_constant_within_4_5_se(self, params, overrides):
         p = apply_overrides(params, overrides)
@@ -358,10 +407,10 @@ class TestBlocks:
 
     @pytest.mark.parametrize("case_type", CASE_TYPES)
     def test_peak_memory_per_case_type(self, case_type, params):
-        # int8 days and channels, and ratios that hold the unwarned term: about
-        # three float arrays of 100,000 trees (2.3 MiB) at once. simulate runs
-        # two case types at once on two cores, within the peak RSS of one at a
-        # time with the float per-tree arrays (4.2-7.5 MiB per type)
+        # int8 days, channels and groups, the float ratios and one group's tree
+        # indices: about three 8-byte arrays of 100,000 trees (2.3 MiB) at once.
+        # simulate runs two case types at once on two cores, within the peak RSS
+        # of one at a time with the float per-tree arrays (4.2-7.5 MiB per type)
         tracemalloc.start()
         try:
             empirical_case_type_taf(case_type, SimConfig(trees=100_000, seed=0), params)
