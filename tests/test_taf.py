@@ -4,6 +4,7 @@ import math
 import re
 
 import pytest
+from test_oracle import _expected_taf
 
 from traceavert.infectivity import InfectivityProfile
 from traceavert.oracle import SimConfig, empirical_case_type_taf
@@ -282,8 +283,9 @@ class TestDomain:
         """The domain is what the README states, and every set in it builds
         finite constants; i_w is nonzero on days 3 to 13 and on no other day.
         The oracle accepts the same sets and rejects the rest with the same text.
-        A tree's ratio has no upper bound, so its mean needs enough trees to sit
-        below 1 where the TAF does."""
+        A tree's ratio has no upper bound, so the oracle's mean is held to its
+        exact expectation, which lies in [0, 1): |z| < 4.5, or equality where
+        the standard error is 0 (the pers sets that quarantine before day 3)."""
         cfg = SimConfig(trees=1000)
         for t_sym, t_plan, t_ct, t_app in itertools.product(range(16), range(5), range(2),
                                                             range(2)):
@@ -304,8 +306,14 @@ class TestDomain:
                 assert inside, delays
                 assert all(0.0 <= value < 1.0 for value in table.per_type.values()), delays
                 for kind in CASE_TYPES:
-                    assert 0.0 <= empirical_case_type_taf(kind, cfg, p).empirical_taf <= 1.0, (
-                        delays, kind)
+                    expected = _expected_taf(kind, p)
+                    assert 0.0 <= expected < 1.0, (delays, kind)
+                    outcome = empirical_case_type_taf(kind, cfg, p)
+                    if outcome.standard_error == 0.0:
+                        assert outcome.empirical_taf == expected, (delays, kind)
+                    else:
+                        z = (outcome.empirical_taf - expected) / outcome.standard_error
+                        assert abs(z) < 4.5, (delays, kind, z)
 
     @pytest.mark.parametrize("field", ["t_plan", "t_ct", "t_app", "t_pers"])
     @pytest.mark.parametrize("t_sym", [5, 12])
