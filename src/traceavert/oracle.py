@@ -7,32 +7,31 @@ adherence) it infects a Poisson number of secondaries with mean
 warned and realizes the adhering infectivity ``i_c`` up to the warning day;
 the rest realize all of ``i_c_inf``.  The tertiary attack fraction of the
 tree is realized tertiary transmission divided by the no-intervention
-potential ``_R0``.  The trees are drawn by Poisson thinning and splitting,
-not day by day: the trees that share a warning channel and a last day out
-draw one unwarned and one warned Poisson total between them, each secondary
-lands on one of those trees uniformly, and only a warned secondary is given
-an infection day.  These draws have the same joint distribution as the
-per-day ones (``_run_trees``).
+potential ``_R0``.
+
+A tree's state is its quarantine day, its warning channel and whether its
+index follows base adherence: at most 16 x 2 x 2 values, and the trees are
+iid.  So the trees are drawn by state, not one by one: one multinomial gives
+how many trees fall in each state, the trees of a state draw one unwarned and
+one warned Poisson total between them, each secondary lands on one of those
+trees uniformly, and only a warned secondary is given an infection day.
+These draws have the same joint distribution as per-tree, per-day ones
+(``_run_trees``).
 
 The one entry point, ``empirical_case_type_taf``, reproduces the situation of
-each of the six case types, drawing the index quarantine day from the same
-detection-window mixture the analytic layer integrates over.  The estimates
-agree with the analytic constants within a few standard errors at the defaults
-and nearby delays, but not at longer warning delays: see the strict xfails of
+each of the six case types, weighting the index quarantine day over the same
+detection window the analytic layer integrates over.  The estimates agree
+with the analytic constants within a few standard errors at the defaults and
+nearby delays, but not at longer warning delays: see the strict xfails of
 ``tests/test_oracle.py::TestAwayFromDefaults``.  The module imports nothing
 from the analytic layer: it reads only the published ``i_w`` and derives the
 channel delays, warn fractions and the ``i_c`` curve from the model
 parameters itself, so a fault in the analytic code cannot hide on both sides
 of the cross-check.
 
-Values every tree shares (a fixed quarantine day, the warning channel of the
-types without the app) stay scalars. The drawn quarantine day, the last day
-out, its group and the app or tracing choice are per-tree int8 arrays; the
-choice indexes two-entry tables of channel latency and warn fraction. The
-only per-tree floats are the ratios, and the only per-tree indices those of
-one group at a time, so two case types run at once (``cli`` runs them on one
-thread per core, each with its own seeded generator) in the memory that one
-took with float per-tree days.
+The only array of ``n`` trees is the float ratios; the rest is per state or
+per block of secondaries, so two case types run at once (``cli`` runs them on
+one thread per core, each with its own seeded generator).
 """
 from __future__ import annotations
 
@@ -111,40 +110,42 @@ class SimOutcome:
 def _run_trees(
     rng: np.random.Generator,
     n: int,
-    quarantine_day: int | np.ndarray,
-    channel: int | np.ndarray,
-    latency: np.ndarray,
-    warn_fraction: np.ndarray,
+    quarantine_days: np.ndarray,
+    state_weights: np.ndarray,
+    latency: tuple[int, int],
+    warn_fraction: tuple[float, float],
     p: ModelParams,
 ) -> np.ndarray:
     """Per-tree realized/potential tertiary ratios.
 
-    ``quarantine_day`` and ``channel`` are each an int shared by every tree or
-    a per-tree int8 array: the day the index is quarantined, at most
-    ``_LAST_DAY + 15``, and the channel that warns its contacts, an index into
-    the two-entry ``latency`` and ``warn_fraction`` tables.
+    ``state_weights[i, c, a]`` is the probability of a tree's state: its index
+    is quarantined on ``quarantine_days[i]``, at most ``_LAST_DAY + 15``; its
+    contacts are warned by channel ``c``, an index into the two-entry
+    ``latency`` and ``warn_fraction`` tables (0 tracing, 1 the app); and its
+    index follows base adherence if ``a`` is 1.  The trees are iid, so the
+    number of trees in each state is one multinomial draw of ``n``.
 
     The secondaries are drawn by Poisson thinning and splitting. Split by
     warning, the independent per-day counts ``Poisson(_R0 * i_w(day))`` over
     the days the index is out are two independent Poisson totals, unwarned
     and warned, with means ``_R0 * (1 - f) * M`` and ``_R0 * f * M``, where
     ``f`` is the warn fraction and ``M`` the sum of ``i_w`` over the days.
-    The ``m`` trees of one channel and one last day out share these means, so
-    they draw one unwarned and one warned total with ``m`` times the means,
-    and each secondary lands on one of the ``m`` trees uniformly: the same
-    joint law as ``m`` independent totals each. A uniform ``u`` picks the
-    tree ``floor(u * m)``, below ``m`` as ``u <= 1 - 2**-53`` and
+    The ``m`` trees of one state share these means, so they draw one
+    unwarned and one warned total with ``m`` times the means, and each
+    secondary lands on one of the ``m`` trees uniformly: the same joint law
+    as ``m`` independent totals each. A uniform ``u`` picks the tree
+    ``floor(u * m)``, below ``m`` as ``u <= 1 - 2**-53`` and
     ``(1 - 2**-53) * m`` rounds below ``m``. A warned secondary's infection
     day is drawn with a second uniform, weights ``i_w`` over the days the
     index is out; an unwarned one realizes ``i_c_inf`` whatever its day.
 
-    The totals are drawn first, in group order; then, group by group, one
-    uniform per unwarned secondary and two per warned one (tree, then day),
-    walking the secondaries in blocks of ``_BLOCK``. An array draw reads the
-    stream one element at a time, and ``np.add.at`` adds each term to its
-    tree in draw order, so every block size reads the same uniforms and
-    rounds the same sums. The only arrays of ``n`` trees are the ratios and
-    the int8 days and groups; the tree indices are one group's.
+    The multinomial is drawn first. Then the states with trees are walked in
+    C order, each state's trees one run of the ratios after the last state's:
+    its unwarned and warned totals, then one uniform per unwarned secondary
+    and two per warned one (tree, then day), in blocks of ``_BLOCK``. An
+    array draw reads the stream one element at a time, and ``np.add.at``
+    adds each term to its tree in draw order, so every block size reads the
+    same uniforms and rounds the same sums.
     """
     days = np.arange(1, _PROFILE_DAYS + 1)
     self_iso_day = min(p.t_sym + p.t_plan, _LAST_DAY)
@@ -154,68 +155,33 @@ def _run_trees(
     i_c = np.concatenate(([0.0], np.cumsum(i_a)[:_SATURATION_DAY])) / _R0
     # i_w summed over days 1..d, for d = 0..14
     cum_i_w = np.concatenate(([0.0], np.cumsum(_I_W)))
-
-    # the last day the index is out, cut at the profile's end: an index drawn
-    # to follow base adherence self-isolates
-    last_day = np.minimum(quarantine_day, np.where(rng.random(n) < p.a_base,
-                                                   np.int8(min(self_iso_day, _PROFILE_DAYS)),
-                                                   np.int8(_PROFILE_DAYS)))
-    # the trees of group channel * 15 + last day, 0..29, are iid
-    group = last_day + np.int8(cum_i_w.size) * channel
-    sizes = np.bincount(group, minlength=latency.size * cum_i_w.size).reshape(latency.size, -1)
-    # each group's unwarned and warned total, by channel, last day and warning
-    share = np.stack([1.0 - warn_fraction, warn_fraction], axis=1)
-    totals = rng.poisson(_R0 * (sizes * cum_i_w)[:, :, None] * share[:, None, :]).reshape(-1, 2)
+    # the last profile day out of an index that does not and one that does
+    # follow base adherence, which self-isolates
+    days_out = (_PROFILE_DAYS, min(self_iso_day, _PROFILE_DAYS))
 
     ratios = np.zeros(n)
-    quarantine_day = np.broadcast_to(quarantine_day, n)
-    for g in np.flatnonzero(totals.any(axis=1)):
-        trees = np.flatnonzero(group == g)
-        m, (unwarned, warned) = trees.size, totals[g]
-        channel_g, last = divmod(int(g), cum_i_w.size)
+    counts = rng.multinomial(n, state_weights.ravel()).reshape(state_weights.shape)
+    first = 0
+    for i, channel, adheres in np.argwhere(counts):
+        m = int(counts[i, channel, adheres])
+        quarantine = int(quarantine_days[i])
+        last = min(quarantine, days_out[adheres])
+        mean, f = _R0 * m * cum_i_w[last], warn_fraction[channel]
+        unwarned, warned = rng.poisson((mean * (1.0 - f), mean * f))
         for start in range(0, unwarned, _BLOCK):
             u = rng.random(min(_BLOCK, unwarned - start))
-            np.add.at(ratios, trees[(u * m).astype(np.intp)], i_c[_SATURATION_DAY])
+            np.add.at(ratios, first + (u * m).astype(np.intp), i_c[_SATURATION_DAY])
         for start in range(0, warned, _BLOCK):
             u = rng.random((min(_BLOCK, warned - start), 2))
-            tree = trees[(u[:, 0] * m).astype(np.intp)]
             day = np.searchsorted(cum_i_w, u[:, 1] * cum_i_w[last], side="right")
             day = np.minimum(day, last)  # u * M can round up to M
-            # the day the tree's contacts are warned: a secondary infected on
-            # day d is warned this day - d days after its infection; int8, as
-            # it is at most 69
-            warn_day = quarantine_day[tree] + latency[channel_g]
-            np.add.at(ratios, tree, i_c[np.clip(warn_day - day, 0, _SATURATION_DAY)])
+            # a secondary infected on day d is warned quarantine + latency - d
+            # days after its infection
+            warn_delay = quarantine + latency[channel] - day
+            np.add.at(ratios, first + (u[:, 0] * m).astype(np.intp),
+                      i_c[np.clip(warn_delay, 0, _SATURATION_DAY)])
+        first += m
     return ratios
-
-
-def _detection_window_mixture(
-    rng: np.random.Generator,
-    n: int,
-    latency: int,
-    window: int,
-    backdate: int,
-) -> np.ndarray:
-    """Per-tree int8 quarantine days for an index detected inside a window.
-
-    The index's own infection day within the ``window``-day detection window
-    (shifted ``backdate`` days into its infector's profile) is drawn with
-    infectivity weights; detection then lags the window end by ``latency``
-    days, so the quarantine day is ``latency + window + 1 - x``. The delay
-    domain of ``params.check`` puts an infectious day in every window.
-    """
-    # i_w on days 0..15, zero at both ends, so clipping gives 0 outside days 1..14
-    padded = np.concatenate(([0.0], _I_W, [0.0]))
-    # Window days past 14 read the zero day 15. numpy's pairwise sum adds 16 or
-    # more entries in 8 lanes, so the entries past the 16th add +0.0 to lanes
-    # holding the same terms: cut at 16 days, the window has the same total,
-    # cumulative weights and draws.
-    width = min(window, padded.size)
-    weights = padded.take(np.arange(backdate + 1, backdate + width + 1), mode="clip")
-    x = rng.choice(np.arange(1, width + 1), size=n, p=weights / weights.sum())
-    # x <= width, so a quarantine day cut here still lies at or past _LAST_DAY,
-    # and is at most _LAST_DAY + 15
-    return (min(latency + window + 1, _LAST_DAY + width) - x).astype(np.int8)
 
 
 def empirical_case_type_taf(case_type: str, cfg: SimConfig, p: ModelParams) -> SimOutcome:
@@ -235,30 +201,41 @@ def empirical_case_type_taf(case_type: str, cfg: SimConfig, p: ModelParams) -> S
             f"unknown case type {case_type!r}; expected one of {CASE_TYPES!r}"
         )
     check(p, _I_W)
-    rng = np.random.default_rng(cfg.seed)
-    n = cfg.trees
     # each channel's warning delay, clipped at _LAST_DAY, and adherence x reach,
     # indexed by channel: 0 manual tracing, 1 the app
-    latency = np.array([min(p.t_ct, _LAST_DAY), min(p.t_app, _LAST_DAY)], dtype=np.int8)
-    fraction = np.array([p.a_ct * p.f_ct, p.a_app * p.f_app])
+    latency = (min(p.t_ct, _LAST_DAY), min(p.t_app, _LAST_DAY))
+    fraction = (p.a_ct * p.f_ct, p.a_app * p.f_app)
     span = p.t_sym + p.t_plan
-    channel = 0
     if case_type == "miss":
         # a quarantine day from _LAST_DAY on is never: the index is out all 14 days
-        quarantine, fraction = _LAST_DAY, np.zeros(2)
+        quarantine, weights, fraction = np.array([_LAST_DAY]), np.ones(1), (0.0, 0.0)
     elif case_type == "sym":
-        quarantine = min(span, _LAST_DAY)
+        quarantine, weights = np.array([min(span, _LAST_DAY)]), np.ones(1)
     else:
-        # (latency, window, backdate) of each detected type's detection window
-        windows = {
+        # (lead, window, backdate) of each detected type's detection window
+        lead, window, backdate = {
             "pers": (p.t_pers, span, 0),
             "ct": (p.t_ct, span, 0),
             "app_plus": (p.t_sym - 1, p.t_app + p.t_plan + 1, 0),
             "app_minus": (p.t_app, p.t_plan, p.t_sym),
-        }
-        quarantine = _detection_window_mixture(rng, n, *windows[case_type])
-        if case_type.startswith("app"):
-            channel = (rng.random(n) < p.u_app).view(np.int8)
-    ratios = _run_trees(rng, n, quarantine, channel, latency, fraction, p)
+        }[case_type]
+        # The index's own infection day x in the window (shifted backdate days
+        # into its infector's profile) has weight i_w(backdate + x); detection
+        # lags the window end by lead days, so the index is quarantined on day
+        # lead + window + 1 - x. The delay domain of params.check puts an
+        # infectious day in every window. i_w is padded to days 0..15, so
+        # clipping gives 0 outside days 1..14 and window days past the 16th,
+        # cut here, weigh 0; a quarantine day cut at _LAST_DAY + width still
+        # lies at or past _LAST_DAY, and is at most _LAST_DAY + 15.
+        padded = np.concatenate(([0.0], _I_W, [0.0]))
+        width = min(window, padded.size)
+        x = np.arange(1, width + 1)
+        weights = padded.take(backdate + x, mode="clip")
+        quarantine = min(lead + window + 1, _LAST_DAY + width) - x
+    channel = (1.0 - p.u_app, p.u_app) if case_type.startswith("app") else (1.0, 0.0)
+    states = np.multiply.outer(np.multiply.outer(weights / weights.sum(), channel),
+                               (1.0 - p.a_base, p.a_base))
+    rng = np.random.default_rng(cfg.seed)
+    ratios = _run_trees(rng, cfg.trees, quarantine, states, latency, fraction, p)
     return SimOutcome(empirical_taf=float(ratios.mean()),
-                      standard_error=float(ratios.std(ddof=1) / np.sqrt(n)))
+                      standard_error=float(ratios.std(ddof=1) / np.sqrt(cfg.trees)))

@@ -120,27 +120,33 @@ class TestSimulateTrees:
 
 
 class TestSplitting:
-    """A group's Poisson totals spread over its trees give each tree the count
-    it would draw alone. With no base adherence every secondary that realizes
-    ``i_c_inf`` adds ``i_c_inf / R0`` to its tree's ratio, so the count is read
-    back from the ratio; it must be Poisson with the per-tree mean R0 * M:
-    its mean, variance (an index of dispersion of 1) and share of zeros."""
+    """A state's Poisson totals spread over its trees give each tree the count
+    it would draw alone. No secondary below is warned within 13 days of its
+    infection, so each adds ``i_c_inf / R0`` to its tree's ratio and the count
+    is read back from the ratio. The index's base adherence sets the days it
+    is out, so the count is a mixture of Poissons with the per-tree means
+    R0 * M: its mean, variance and share of zeros must be the mixture's."""
 
     @pytest.mark.parametrize("case_type, overrides, days_out", [
-        # never quarantined and never warned: one group of trees out 14 days
-        ("miss", {"a_sym": "0"}, 14),
+        # never quarantined and never warned, no adherence: one state, trees
+        # out 14 days
+        ("miss", {"a_sym": "0"}, (14, 7)),
         # quarantined on day 7 and warned 13 days later: a warned secondary
         # infected while its index is out (days 1..7) is warned 13 or more
         # days after its infection and realizes i_c_inf too
-        ("sym", {"a_sym": "0", "t_ct": "13"}, 7),
-    ], ids=["miss", "sym-warned"])
-    # 200,000 trees in one group, and 1,000 groups of 2 trees, in which a
-    # total off by one tree's mean shows
+        ("sym", {"a_sym": "0", "t_ct": "13"}, (7, 7)),
+        # two states: an index that follows base adherence self-isolates after
+        # day 7, the others are out 14 days; a run of trees misplaced between
+        # the states shows in the variance and the zeros
+        ("miss", {}, (14, 7)),
+    ], ids=["miss", "sym-warned", "miss-adherence"])
+    # 200,000 trees in one run, and 1,000 runs of 2 trees, in which a total
+    # off by one tree's mean shows
     @pytest.mark.parametrize("trees, seeds", [(200_000, 1), (2, 1_000)], ids=["one-group", "pairs"])
     def test_tree_counts_are_poisson(self, monkeypatch, params, case_type, overrides, days_out,
                                      trees, seeds):
         p = apply_overrides(params, overrides)
-        assert p.a_base == 0.0 and p.t_sym + p.t_plan == 7
+        assert p.t_sym + p.t_plan == 7
         ratios = []
         run_trees = oracle._run_trees
 
@@ -151,19 +157,31 @@ class TestSplitting:
         monkeypatch.setattr(oracle, "_run_trees", recorded)
         for seed in range(seeds):
             empirical_case_type_taf(case_type, SimConfig(trees=trees, seed=seed), p)
-        # i_c saturates on day 13, and with no base adherence i_a is i_w
-        i_c_inf = math.fsum(WEIBULL_PROFILE[:13])
+        # i_c saturates on day 13; i_a is i_w less the share a_base that has
+        # self-isolated after day 7
+        i_c_inf = math.fsum(w * (1.0 - p.a_base if day > 7 else 1.0)
+                            for day, w in enumerate(WEIBULL_PROFILE[:13], start=1))
         units = np.concatenate(ratios) * oracle._R0 / i_c_inf
         counts = np.rint(units)
         # every secondary realizes i_c_inf: none is warned within 13 days of its infection
         assert np.abs(units - counts).max() < 1e-9
         n = counts.size
-        mean = oracle._R0 * math.fsum(WEIBULL_PROFILE[:days_out])
-        zero = math.exp(-mean)
-        z = {"mean": (counts.mean() - mean) / math.sqrt(mean / n),
-             # the sample variance of Poisson counts has variance (mean + 2 mean^2) / n
-             "variance": (counts.var(ddof=1) - mean) / math.sqrt((mean + 2 * mean**2) / n),
-             "zeros": (np.mean(counts == 0) - zero) / math.sqrt(zero * (1 - zero) / n)}
+        # the mixture's probabilities of 0..59 secondaries, over the index's
+        # adherence (no, yes); past 59 they are below 1e-40
+        k = np.arange(60)
+
+        def poisson(days):
+            mean = oracle._R0 * math.fsum(WEIBULL_PROFILE[:days])
+            return math.exp(-mean) * np.cumprod(np.concatenate(([1.0], mean / k[1:])))
+
+        pmf = (1.0 - p.a_base) * poisson(days_out[0]) + p.a_base * poisson(days_out[1])
+        mean = k @ pmf
+        variance = (k - mean) ** 2 @ pmf
+        # the sample variance has variance (mu_4 - variance^2) / n
+        mu_4 = (k - mean) ** 4 @ pmf
+        z = {"mean": (counts.mean() - mean) / math.sqrt(variance / n),
+             "variance": (counts.var(ddof=1) - variance) / math.sqrt((mu_4 - variance**2) / n),
+             "zeros": (np.mean(counts == 0) - pmf[0]) / math.sqrt(pmf[0] * (1 - pmf[0]) / n)}
         assert max(map(abs, z.values())) < 4.5, z
 
 
@@ -203,12 +221,12 @@ class TestCaseTypeTaf:
         # exact outcomes of numpy's seeded Generator stream: any change to which
         # draws the oracle makes, or in what order, moves them
         pinned = {
-            "miss": (0.8701144000000001, 0.007348588027532522),
-            "sym": (0.6954571999999999, 0.006449891871375849),
-            "pers": (0.3739381333333333, 0.005341169792814722),
-            "ct": (0.6145396666666667, 0.006238042584223824),
-            "app_minus": (0.2509945333333333, 0.003871048668976228),
-            "app_plus": (0.5862765333333333, 0.006004891722004979),
+            "miss": (0.8594668, 0.007420786280443781),
+            "sym": (0.6877508, 0.00641318108814315),
+            "pers": (0.37358346666666664, 0.005375350761189847),
+            "ct": (0.6117670000000001, 0.006286620765836109),
+            "app_minus": (0.2588965333333333, 0.003966462380919448),
+            "app_plus": (0.5979734666666665, 0.0060692643372436605),
         }
         cfg = SimConfig(trees=5_000, seed=21)
         for case_type, (taf, se) in pinned.items():
@@ -219,12 +237,12 @@ class TestCaseTypeTaf:
         # everyone uses the app, whose warning is slower than at the defaults,
         # and tracing is slower still: pins the via_app latency and fraction mix
         pinned = {
-            "miss": (0.8756768888888888, 0.00979460356722871),
-            "sym": (0.7472618333333333, 0.008678511761896953),
-            "pers": (0.42589827777777783, 0.007745310894917469),
-            "ct": (0.7889436111111111, 0.009158566199269285),
-            "app_minus": (0.41165244444444443, 0.006375883578183483),
-            "app_plus": (0.6465127777777778, 0.008040535764584814),
+            "miss": (0.8563742222222223, 0.009562393709530779),
+            "sym": (0.7435427222222222, 0.008747038663947089),
+            "pers": (0.41921427777777776, 0.007646723158573203),
+            "ct": (0.7960171111111111, 0.009130738197379204),
+            "app_minus": (0.41222577777777786, 0.006434918680576437),
+            "app_plus": (0.6463564999999999, 0.008384939937459174),
         }
         p = apply_overrides(params, {"u_app": "1", "t_app": "3", "t_ct": "5"})
         cfg = SimConfig(trees=3_000, seed=21)
@@ -238,12 +256,12 @@ class TestCaseTypeTaf:
         # place its secondaries on their trees and days
         assert 20_000 * oracle._R0 * oracle._I_W.sum() > 5 * oracle._BLOCK
         pinned = {
-            "miss": (0.8726673333333332, 0.003729010814688069),
-            "sym": (0.6926223666666665, 0.003157209814502096),
-            "pers": (0.3735365, 0.002661935445636627),
-            "ct": (0.6126209916666666, 0.0031003412966756597),
-            "app_minus": (0.2519180666666666, 0.001988529738605122),
-            "app_plus": (0.5910103333333333, 0.0029644304302747257),
+            "miss": (0.8707370666666666, 0.0037232347850953648),
+            "sym": (0.6875015, 0.0031556111271247357),
+            "pers": (0.3819369333333333, 0.0027186186101969844),
+            "ct": (0.6153375166666666, 0.0031492620276903044),
+            "app_minus": (0.2502335, 0.0019703206532201223),
+            "app_plus": (0.5914237, 0.002967472033489125),
         }
         cfg = SimConfig(trees=20_000, seed=21)
         for case_type, expected in pinned.items():
@@ -271,10 +289,10 @@ class TestAwayFromDefaults:
 
     @pytest.mark.parametrize("overrides", [
         {"t_ct": 2, "t_app": 3},
-        _known_gap({"t_ct": 4}, f"app_minus z = -18.3, pers z = -11.8: {_MECHANISMS}"),
-        _known_gap({"t_app": 8}, f"app_plus z = -9.6, app_minus z = -7.9: {_MECHANISMS}"),
+        _known_gap({"t_ct": 4}, f"app_minus z = -18.1, pers z = -11.6: {_MECHANISMS}"),
+        _known_gap({"t_app": 8}, f"app_plus z = -9.1, app_minus z = -7.8: {_MECHANISMS}"),
         _known_gap({"t_sym": 3, "t_plan": 1, "t_ct": 4, "t_app": 4, "t_pers": 1},
-                   f"pers z = -46.6, the worst of five types past 4.5: {_MECHANISMS}"),
+                   f"pers z = -45.9, the worst of five types past 4.5: {_MECHANISMS}"),
     ], ids=["t_ct=2,t_app=3", "t_ct=4", "t_app=8", "t_sym=3,t_plan=1,t_ct=4,t_app=4"])
     def test_every_constant_within_4_5_se(self, params, overrides):
         p = apply_overrides(params, overrides)
@@ -407,10 +425,11 @@ class TestBlocks:
 
     @pytest.mark.parametrize("case_type", CASE_TYPES)
     def test_peak_memory_per_case_type(self, case_type, params):
-        # int8 days, channels and groups, the float ratios and one group's tree
-        # indices: about three 8-byte arrays of 100,000 trees (2.3 MiB) at once.
-        # simulate runs two case types at once on two cores, within the peak RSS
-        # of one at a time with the float per-tree arrays (4.2-7.5 MiB per type)
+        # the float ratios, the only array of 100,000 trees, and the temporaries
+        # of the standard error: about two 8-byte arrays of 100,000 trees (1.5
+        # MiB) at once, 2.3 MiB on a process's first call. simulate runs two
+        # case types at once on two cores, within the peak RSS of one at a time
+        # with the float per-tree arrays (4.2-7.5 MiB per type)
         tracemalloc.start()
         try:
             empirical_case_type_taf(case_type, SimConfig(trees=100_000, seed=0), params)
