@@ -13,7 +13,7 @@ Weekly inputs come in two shapes:
 
 Either way the result is a :class:`CaseSeries`: the week labels, a vector of
 weekly totals and a (weeks x 6) count matrix whose columns follow
-:data:`~traceavert.taf.CASE_TYPES`: ``miss`` (never detected, the residual),
+:data:`~traceavert.params.CASE_TYPES`: ``miss`` (never detected, the residual),
 ``sym`` (self-reported after symptoms), ``pers`` (personally informed by
 their index before the tracing call), ``ct`` (found by a manual-tracing
 call), ``app_minus`` / ``app_plus`` (app-warned, without / with symptoms at
@@ -36,8 +36,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .params import ModelParams, ValidationReport, _read
-from .taf import CASE_TYPES
+from .params import CASE_TYPES, ModelParams, ValidationReport, _read
 
 __all__ = [
     "CaseSeries",
@@ -82,7 +81,7 @@ class CaseSeries:
     """A weekly series: ISO week labels, weekly totals and per-type counts.
 
     ``total`` has one entry per week; ``counts`` is a (weeks x 6) array whose
-    columns follow :data:`~traceavert.taf.CASE_TYPES`.  Both are converted to
+    columns follow :data:`~traceavert.params.CASE_TYPES`.  Both are converted to
     float arrays.  Counts are real-valued: they come out of proportional
     splits and a hospitalization-based total estimate, and rounding them
     before the counterfactual recurrence would compound error across weeks.
@@ -227,9 +226,9 @@ def build_series_from_raw(
 # ----------------------------------------------------------------------------
 # CSV ingestion. All formats: header row required, UTF-8 (``params._read`` drops
 # a leading byte-order mark), comma separator. Blank lines are skipped; errors
-# name the file line a row starts on. A weekly file is accepted when it passes
-# its checks as a whole; a rejected file is read again row by row to name its
-# first error.
+# name the file line a row starts on. A quote-free weekly file is split and
+# accepted when it passes its checks as a whole; a rejected one, and any other
+# weekly file, is read once row by row, which names its first error.
 
 
 def _rows(path: Path, text: str, expected: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
@@ -298,25 +297,20 @@ def _load_weekly(
 ) -> tuple[tuple[str, ...], np.ndarray]:
     """Week labels and the float (weeks x numbers) array of a weekly file.
 
-    ``_split`` reads a quote-free file, ``_rows`` any other, and the file is
-    accepted if every label is valid, every number finite and no row breaks the
-    rule (``rejects`` flags the rows that do).  A rejected file is read again row
-    by row and its first error in file order is raised: in a row the label, then
-    the numbers left to right, then the rule (``reason`` words a break).
+    ``_split`` reads a quote-free file, which is accepted if every label is
+    valid, every number finite and no row breaks the rule (``rejects`` flags the
+    rows that do).  A rejected quote-free file, and any other, is read once row by
+    row (``_rows``) and its first error in file order is raised: in a row the
+    label, then the numbers left to right, then the rule (``reason`` words a
+    break).
     """
     text = _read(path)
     split = _split(text, columns)
-    if split is None:
-        try:  # one csv pass; a malformed row or an unreadable number is named below
-            rows = [row for _, row in _rows(path, text, columns)]
-            values = np.array([float(cell) for row in rows for cell in row[1:]])
-            split = [row[0] for row in rows], values.reshape(len(rows), len(columns) - 1)
-        except ValueError:
-            pass
+    rows = []
     with np.errstate(invalid="ignore", over="ignore"):  # at non-finite or huge numbers
         if split is not None:
             labels, values = split
-            if (labels and (_week_mondays(labels) >= 0).all()
+            if ((_week_mondays(labels) >= 0).all()
                     and np.isfinite(values).all() and not rejects(values).any()):
                 return tuple(labels), values
         for lineno, row in _rows(path, text, columns):
@@ -327,7 +321,11 @@ def _load_weekly(
                                for name, cell in zip(columns[1:], row[1:])])
             if rejects(parsed[None])[0]:
                 raise ValueError(f"{path}:{lineno}: {reason(row, parsed)}")
-    raise ValueError(f"{path}: no data rows")
+            rows.append((row[0], parsed))
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    labels, values = zip(*rows)
+    return labels, np.array(values)
 
 
 def _residual(values: np.ndarray) -> np.ndarray:

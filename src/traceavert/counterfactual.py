@@ -38,10 +38,9 @@ from typing import Mapping
 import numpy as np
 
 from .cases import CaseSeries, rt_series
-from .params import ModelParams
-from .taf import CASE_TYPES
+from .params import CASE_TYPES, ModelParams
 
-__all__ = ["CounterfactualResult", "reconstruct", "averted_ct", "averted_app", "rt_series"]
+__all__ = ["CounterfactualResult", "reconstruct", "averted_ct", "averted_app"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,7 +49,6 @@ class CounterfactualResult:
     (``rt_weekly``, the counterfactual Rt series, is one entry shorter) and the
     averted total ``s_total`` times each infection-to-outcome rate."""
 
-    intervention: str
     c_not_weekly: np.ndarray
     s_weekly: np.ndarray
     s_total: float
@@ -123,7 +121,6 @@ def reconstruct(
     if not (math.isfinite(s_total) and math.isfinite(rt_reduction_avg)):
         raise ValueError(f"{intervention} counterfactual overflows: its totals are not finite")
     return CounterfactualResult(
-        intervention=intervention,
         c_not_weekly=c_not,
         s_weekly=s_weekly,
         s_total=s_total,

@@ -41,7 +41,7 @@ _DAYS = np.arange(1, len(WEIBULL_PROFILE) + 1)
 _SATURATION_DAY = 13
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InfectivityProfile:
     """The three daily curves plus the saturation value of ``i_c``.
 

@@ -41,16 +41,13 @@ from typing import ClassVar
 import numpy as np
 
 from .infectivity import WEIBULL_PROFILE
-from .params import ModelParams, _is_integer, check
+from .params import CASE_TYPES, ModelParams, _is_integer, check
 
 __all__ = [
     "SimConfig",
     "SimOutcome",
     "empirical_case_type_taf",
 ]
-
-#: the six case types, in the analytic layer's reporting order
-CASE_TYPES: tuple[str, ...] = ("miss", "sym", "pers", "ct", "app_minus", "app_plus")
 
 #: i_w on profile days 1..14, the only profile value the trees read
 _I_W = np.array(WEIBULL_PROFILE)

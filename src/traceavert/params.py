@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 __all__ = [
+    "CASE_TYPES",
     "ModelParams",
     "ValidationReport",
     "default_params",
@@ -28,6 +29,9 @@ __all__ = [
     "check",
     "params_from_config",
 ]
+
+#: the six exclusive surveillance case types, in reporting order
+CASE_TYPES: tuple[str, ...] = ("miss", "sym", "pers", "ct", "app_minus", "app_plus")
 
 _DELAY_FIELDS = ("t_sym", "t_plan", "t_ct", "t_app", "t_pers")
 

@@ -43,15 +43,12 @@ from typing import Mapping
 import numpy as np
 
 from .infectivity import InfectivityProfile
-from .params import ModelParams, check, default_params
+from .params import CASE_TYPES, ModelParams, check, default_params
 
 __all__ = [
     "LambdaTable", "CASE_TYPES", "VARIANTS", "REFERENCE_LAMBDA_PAIR_ROW",
     "REFERENCE_LAMBDA_CT_ROW", "REFERENCE_LAMBDA_APP_ROW", "REFERENCE_CASE_TYPE_TAF",
 ]
-
-#: the six exclusive surveillance case types, in reporting order
-CASE_TYPES: tuple[str, ...] = ("miss", "sym", "pers", "ct", "app_minus", "app_plus")
 
 #: the two circulating argument pairings for the warned term of a channel row:
 #: ``"table"`` reads ``pair`` at span ``delay + x``, ``"text"`` at ``2 * delay + x``

@@ -19,7 +19,8 @@ from pathlib import Path
 import pytest
 
 from traceavert import cases, cli, oracle
-from traceavert.counterfactual import averted_app, averted_ct, rt_series
+from traceavert.cases import rt_series
+from traceavert.counterfactual import averted_app, averted_ct
 from traceavert.params import apply_overrides
 from traceavert.taf import _VARIANT, _Days
 

@@ -4,9 +4,11 @@ import datetime as dt
 import io
 import os
 import re
+from importlib import resources
 
 import numpy as np
 import pytest
+from test_loader_corpus import _quoted
 
 from traceavert import cases, counterfactual
 from traceavert.cases import (
@@ -188,7 +190,6 @@ class TestObservedRt:
 
     def test_counterfactual_reexports_rt_series(self):
         assert counterfactual.rt_series is cases.rt_series
-        assert "rt_series" in counterfactual.__all__
 
     @pytest.mark.parametrize("totals, week, text", [
         ((100.0, 0.0, np.nan), "2020-43", "0.0"),
@@ -454,7 +455,7 @@ class TestCsvLoaders:
         if isinstance(expected, str):
             with pytest.raises(ValueError, match=rf"{expected}$"):
                 load_presplit_csv(path)
-            assert row_passes == [1, 1]  # read again to name the first error
+            assert row_passes == [1]  # the one pass names the first error
         else:
             assert load_presplit_csv(path).labels == expected
             assert row_passes == [1]
@@ -466,7 +467,35 @@ class TestCsvLoaders:
         path.write_bytes(text.encode())
         with pytest.raises(ValueError, match=rf"weekly.csv:2: {_nul_error(text, label)}$"):
             load_presplit_csv(path)
-        assert row_passes == [1, 1]  # read again to name the first error
+        assert row_passes == [1]  # the one pass names the first error
+
+    @pytest.mark.parametrize("rewrite", [
+        _quoted,
+        # the week column moved to the end of every line
+        lambda text: "\n".join(",".join(line.split(",")[1:] + line.split(",")[:1]) if line else line
+                               for line in text.split("\n")),
+    ], ids=["quoted", "reordered"])
+    def test_declined_valid_file_is_read_row_by_row_once(self, tmp_path, row_passes, rewrite):
+        plain = load_fixture()
+        bundled = resources.files("traceavert").joinpath("data", "weekly_cases.csv")
+        path = tmp_path / "weekly.csv"
+        path.write_text(rewrite(bundled.read_text(encoding="utf-8")), encoding="utf-8")
+        series = load_presplit_csv(path)
+        assert row_passes == [1]  # and none for the plain file
+        assert series.labels == plain.labels
+        assert series.total.tobytes() == plain.total.tobytes()
+        assert series.counts.tobytes() == plain.counts.tobytes()
+
+    def test_declined_file_names_its_first_error_after_one_pass(self, tmp_path, row_passes):
+        path = tmp_path / "weekly.csv"
+        path.write_text(_quoted(HEADER + "2020-42,100,1,1,1,1,1\n"
+                                "bogus,100,1,1,1,1,1\n"
+                                "2020-44,100,1,1,1,1,1\n"
+                                "2020-45,100,1,1,1,1\n"))
+        with pytest.raises(ValueError, match=r"weekly.csv:3: invalid ISO week label 'bogus' "
+                                             r"\(expected YYYY-WW\)$"):
+            load_presplit_csv(path)
+        assert row_passes == [1]
 
     def test_byte_order_mark_is_dropped(self, tmp_path):
         bom = "\ufeff"

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from test_acceptance import PUBLISHED_S_CT_TOTAL, PUBLISHED_WEEKLY_S_APP, PUBLISHED_WEEKLY_S_CT
 
-from traceavert.cases import CaseSeries
-from traceavert.counterfactual import averted_app, averted_ct, reconstruct, rt_series
+from traceavert.cases import CaseSeries, rt_series
+from traceavert.counterfactual import averted_app, averted_ct, reconstruct
 from traceavert.taf import CASE_TYPES
 
 # full-precision results on the bundled dataset with default parameters,
@@ -190,10 +190,6 @@ class TestAvertedApp:
         series = _flat_series(5, (80.0, 15.0, 3.0, 2.0, 0.0, 0.0))
         result = averted_app(series, lambdas, params)
         assert all(s == pytest.approx(0.0, abs=1e-12) for s in result.s_weekly)
-
-    def test_intervention_labels(self, series, lambdas, params):
-        assert averted_ct(series, lambdas, params).intervention == "ct"
-        assert averted_app(series, lambdas, params).intervention == "app"
 
 
 class TestSeverity:

@@ -40,3 +40,10 @@ def test_zero_base_adherence_leaves_profile_untouched(params):
 def test_profile_arrays_are_read_only(profile):
     with pytest.raises(ValueError):
         profile.i_w[0] = 1.0
+
+
+def test_profiles_compare_and_hash_without_reading_their_arrays(params):
+    first, second = InfectivityProfile.from_params(params), InfectivityProfile.from_params(params)
+    assert (first == second) is False
+    assert (first == first) is True
+    assert len({first, second, first}) == 2

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import Phase, Verbosity, given, settings
 from hypothesis import strategies as st
 
-from traceavert import oracle
+from traceavert import cases, counterfactual, oracle
 from traceavert.infectivity import WEIBULL_PROFILE, InfectivityProfile
 from traceavert.oracle import SimConfig, empirical_case_type_taf
 from traceavert.params import ModelParams, apply_overrides, check
@@ -486,20 +486,32 @@ class TestHugeDelays:
             empirical_case_type_taf("app_minus", SimConfig(trees=10), p)
 
 
+def _imported_names(module) -> set:
+    """Every module and name the source of ``module`` imports, split at dots."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.update((node.module or "").split("."))
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                imported.update(alias.name.split("."))
+    return imported
+
+
 class TestIndependence:
     def test_imports_nothing_from_the_analytic_layer(self):
-        tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
-        imported = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                imported.update((node.module or "").split("."))
-                imported.update(alias.name for alias in node.names)
-            elif isinstance(node, ast.Import):
-                for alias in node.names:
-                    imported.update(alias.name.split("."))
+        imported = _imported_names(oracle)
         assert "taf" not in imported
         assert "InfectivityProfile" not in imported  # only the published i_w
         assert "infectivity" in imported  # the walk does see the module's imports
 
+    @pytest.mark.parametrize("module", [cases, counterfactual], ids=lambda module: module.__name__)
+    def test_ingestion_and_replay_do_not_import_the_analytic_layer(self, module):
+        imported = _imported_names(module)
+        assert "taf" not in imported
+        assert "params" in imported  # the walk does see the module's imports
+
     def test_case_types_match_analytic_layer(self):
-        assert oracle.CASE_TYPES == CASE_TYPES
+        assert oracle.CASE_TYPES is CASE_TYPES

@@ -6,15 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_loader_corpus import _quoted
 from test_oracle import _expected_taf
 
 from traceavert.cases import (
     CaseSeries,
     build_series_from_raw,
     load_presplit_csv,
+    rt_series,
     validate_series,
 )
-from traceavert.counterfactual import averted_app, averted_ct, rt_series
+from traceavert.counterfactual import averted_app, averted_ct
 from traceavert.oracle import SimConfig, empirical_case_type_taf
 from traceavert.params import (
     ModelParams,
@@ -307,12 +309,19 @@ def test_presplit_loader_matches_row_by_row_parse(rows, tmp_path_factory):
         total = _left_to_right(typed) + slack
         lines.append(",".join([f"{year}-{week:02d}", repr(total), *map(repr, typed)]))
         expected.append([total - _left_to_right(typed), *typed])
-    path = tmp_path_factory.mktemp("presplit") / "weekly.csv"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    series = load_presplit_csv(path)
+    directory = tmp_path_factory.mktemp("presplit")
+    plain, quoted = directory / "weekly.csv", directory / "quoted.csv"
+    plain.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    quoted.write_text(_quoted("\n".join(lines) + "\n"), encoding="utf-8")
+    series = load_presplit_csv(plain)
     assert series.labels == tuple(line.split(",")[0] for line in lines[1:])
     assert series.total.tolist() == [float(line.split(",")[1]) for line in lines[1:]]
     assert series.counts.tolist() == expected
+    # the split reads the plain file and the row-by-row pass the quoted one
+    again = load_presplit_csv(quoted)
+    assert again.labels == series.labels
+    assert again.total.tobytes() == series.total.tobytes()
+    assert again.counts.tobytes() == series.counts.tobytes()
 
 
 #: parameter sets the oracle is checked on against the exact expectation of its
