@@ -30,9 +30,8 @@ import operator
 import re
 from dataclasses import dataclass
 from importlib import resources
-from itertools import repeat
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -226,14 +225,20 @@ def build_series_from_raw(
 # ----------------------------------------------------------------------------
 # CSV ingestion. All formats: header row required, UTF-8 (``params._read`` drops
 # a leading byte-order mark), comma separator. Blank lines are skipped; errors
-# name the file line a row starts on. A quote-free weekly file is split and
-# accepted when it passes its checks as a whole; a rejected one, and any other
-# weekly file, is read once row by row, which names its first error.
+# name the file line a row starts on. The csv module reads each file once; a
+# weekly file is checked as a whole, and only a rejected one is searched for its
+# first error in file order.
 
 
-def _rows(path: Path, text: str, expected: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
-    """Data rows of ``text`` as ``(line, fields)``, the fields in ``expected`` order."""
+def _rows(
+    path: Path, text: str, expected: Sequence[str],
+) -> tuple[list[int], list[str], ValueError | None]:
+    """The data rows of ``text`` up to its first bad row: the line each starts on,
+    their fields in ``expected`` order run together, and the error of that row or
+    ``None``.  A bad header is raised at once."""
     reader = csv.reader(io.StringIO(text, newline=""))
+    lines: list[int] = []
+    cells: list[str] = []
     try:
         header = next(reader, [])
         missing = [name for name in expected if name not in header]
@@ -246,17 +251,19 @@ def _rows(path: Path, text: str, expected: Sequence[str]) -> Iterator[tuple[int,
             raise ValueError(f"{path}: repeated column(s) in header: {', '.join(header)}")
         order = [header.index(name) for name in expected]
         pick = None if order == list(range(len(expected))) else operator.itemgetter(*order)
-        end = reader.line_num
+        width, end = len(header), reader.line_num
         for row in reader:
             # a quoted field can span lines: name the line the row starts on
             lineno, end = end + 1, reader.line_num
-            if len(row) != len(header):
-                if not row:
-                    continue
-                raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            yield lineno, row if pick is None else list(pick(row))
+            if len(row) == width:
+                lines.append(lineno)
+                cells += row if pick is None else pick(row)
+            elif row:  # not a blank line
+                return lines, cells, ValueError(f"{path}:{lineno}: expected {width} fields, "
+                                                f"got {len(row)}")
     except csv.Error as exc:
-        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+        return lines, cells, ValueError(f"{path}:{reader.line_num}: {exc}")
+    return lines, cells, None
 
 
 def _parse_number(path: Path, lineno: int, column: str, text: str) -> float:
@@ -269,26 +276,11 @@ def _parse_number(path: Path, lineno: int, column: str, text: str) -> float:
     return value
 
 
-def _split(text: str, columns: Sequence[str]) -> tuple[list[str], np.ndarray] | None:
-    """Labels and numbers of a quote-free ``text`` with header ``columns``; ``None``
-    if it has no rows, a number float() does not read, or anything the csv module
-    might read otherwise: quotes, NULs, lone CRs, ragged or overlong lines."""
-    text = text.replace("\r\n", "\n")
-    if '"' in text or "\0" in text or "\r" in text:
-        return None
-    header, *lines = text.split("\n")
-    rows = list(filter(None, lines))
-    if (header.split(",") != list(columns)
-            or set(map(str.count, rows, repeat(","))) != {len(columns) - 1}  # no rows too
-            or max(map(len, rows)) > csv.field_size_limit()):
-        return None
-    cells = ",".join(rows).split(",")
-    labels = cells[::len(columns)]
-    del cells[::len(columns)]
+def _number_or_nan(text: str) -> float:
     try:
-        return labels, np.fromiter(map(float, cells), float, len(cells)).reshape(len(rows), -1)
+        return float(text)
     except ValueError:
-        return None
+        return math.nan
 
 
 def _load_weekly(
@@ -297,35 +289,39 @@ def _load_weekly(
 ) -> tuple[tuple[str, ...], np.ndarray]:
     """Week labels and the float (weeks x numbers) array of a weekly file.
 
-    ``_split`` reads a quote-free file, which is accepted if every label is
-    valid, every number finite and no row breaks the rule (``rejects`` flags the
-    rows that do).  A rejected quote-free file, and any other, is read once row by
-    row (``_rows``) and its first error in file order is raised: in a row the
-    label, then the numbers left to right, then the rule (``reason`` words a
-    break).
+    The file is read once (``_rows``) and accepted if every label is valid, every
+    number finite and no row breaks the rule (``rejects`` flags the rows that do).
+    Otherwise the first error in file order is raised: in a row the label, then
+    the numbers left to right, then the rule (``reason`` words a break); an error
+    of the reader itself comes after the rows read before it.
     """
-    text = _read(path)
-    split = _split(text, columns)
-    rows = []
+    lines, cells, error = _rows(path, _read(path), columns)
+    if not lines:
+        raise error or ValueError(f"{path}: no data rows")
+    labels = cells[::len(columns)]
+    del cells[::len(columns)]
+    mondays = _week_mondays(labels)
+    try:
+        values = np.array(cells, dtype=float)  # numpy reads a str cell with float()
+    except ValueError:  # NaN flags each cell that float() does not read
+        values = np.array([_number_or_nan(cell) for cell in cells])
+    values = values.reshape(len(lines), -1)
     with np.errstate(invalid="ignore", over="ignore"):  # at non-finite or huge numbers
-        if split is not None:
-            labels, values = split
-            if ((_week_mondays(labels) >= 0).all()
-                    and np.isfinite(values).all() and not rejects(values).any()):
-                return tuple(labels), values
-        for lineno, row in _rows(path, text, columns):
-            if _week_mondays(row[:1])[0] < 0:
-                raise ValueError(f"{path}:{lineno}: invalid ISO week label {row[0]!r} "
-                                 f"(expected YYYY-WW)")
-            parsed = np.array([_parse_number(path, lineno, name, cell)
-                               for name, cell in zip(columns[1:], row[1:])])
-            if rejects(parsed[None])[0]:
-                raise ValueError(f"{path}:{lineno}: {reason(row, parsed)}")
-            rows.append((row[0], parsed))
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    labels, values = zip(*rows)
-    return labels, np.array(values)
+        if (error is None and (mondays >= 0).all() and np.isfinite(values).all()
+                and not rejects(values).any()):
+            return tuple(labels), values
+        flagged = (mondays < 0) | ~np.isfinite(values).all(axis=1) | rejects(values)
+        if not flagged.any():
+            raise error
+        w = int(flagged.argmax())
+        lineno, width = lines[w], values.shape[1]
+        row = [labels[w], *cells[w * width:(w + 1) * width]]
+        if mondays[w] < 0:
+            raise ValueError(f"{path}:{lineno}: invalid ISO week label {row[0]!r} "
+                             f"(expected YYYY-WW)")
+        for name, cell in zip(columns[1:], row[1:]):
+            _parse_number(path, lineno, name, cell)
+        raise ValueError(f"{path}:{lineno}: {reason(row, values[w])}")
 
 
 def _residual(values: np.ndarray) -> np.ndarray:
@@ -366,7 +362,8 @@ def load_hospitalizations_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]
     days: list[int] = []
     admissions: list[float] = []
     previous: dt.date | None = None
-    for lineno, (date_text, count_text) in _rows(path, _read(path), _HOSP_COLUMNS):
+    lines, cells, error = _rows(path, _read(path), _HOSP_COLUMNS)
+    for lineno, date_text, count_text in zip(lines, cells[::2], cells[1::2]):
         try:
             if not _ISO_DATE.fullmatch(date_text):
                 raise ValueError
@@ -381,6 +378,8 @@ def load_hospitalizations_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]
         previous = day
         days.append(day.toordinal())
         admissions.append(count)
+    if error is not None:
+        raise error
     if not days:
         raise ValueError(f"{path}: no data rows")
     return np.array(days, dtype=np.int64), np.array(admissions, dtype=float)

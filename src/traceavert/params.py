@@ -211,9 +211,8 @@ def check(p: ModelParams, i_w: Iterable[float]) -> None:
 
 
 def _read(path: Path) -> str:
-    """The whole of a UTF-8 config or data file; read once, so that a pipe can be
-    parsed twice.  A leading byte-order mark is dropped, and a byte that is not
-    UTF-8 is a ``ValueError`` naming ``path``."""
+    """The whole of a UTF-8 config or data file.  A leading byte-order mark is
+    dropped, and a byte that is not UTF-8 is a ``ValueError`` naming ``path``."""
     try:
         with path.open("r", encoding="utf-8", newline="") as handle:
             # drop a byte-order mark, as utf-8-sig would without its 0.4-ms import

@@ -414,7 +414,7 @@ class TestCsvLoaders:
             load_presplit_csv(path)
 
     def test_line_over_the_field_limit_with_fields_within_it_loads(self, tmp_path):
-        # the line is too long for the one-pass split, but no field is too long for csv
+        # csv limits the length of a field, not of a line
         path = tmp_path / "weekly.csv"
         path.write_text(HEADER + "2020-42," + "0" * (csv.field_size_limit() - 3) + "100,1,1,1,1,1\n")
         assert load_presplit_csv(path).total.tolist() == [100.0]
@@ -429,15 +429,14 @@ class TestCsvLoaders:
         with pytest.raises(ValueError, match=r"input.csv: no data rows$"):
             load(path)
 
-    def test_quote_free_file_is_split_in_one_pass(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cases, "_rows", None)  # the row-by-row pass would fail
+    def test_crlf_blank_line_and_no_final_newline_load(self, tmp_path):
         path = tmp_path / "weekly.csv"
         path.write_bytes((HEADER + "2020-42,100,1,1,1,1,1\r\n\n2020-43,90,1,1,1,1,1").encode())
         assert load_presplit_csv(path).labels == ("2020-42", "2020-43")
 
     @pytest.fixture
     def row_passes(self, monkeypatch) -> list:
-        """One entry per call of the row-by-row pass."""
+        """One entry per csv read of a file (a call of ``_rows``)."""
         calls = []
         rows = cases._rows
         monkeypatch.setattr(cases, "_rows", lambda *args: calls.append(1) or rows(*args))
@@ -475,20 +474,22 @@ class TestCsvLoaders:
         lambda text: "\n".join(",".join(line.split(",")[1:] + line.split(",")[:1]) if line else line
                                for line in text.split("\n")),
     ], ids=["quoted", "reordered"])
-    def test_declined_valid_file_is_read_row_by_row_once(self, tmp_path, row_passes, rewrite):
+    def test_quoted_or_reordered_file_loads_in_one_pass(self, tmp_path, row_passes, rewrite):
         plain = load_fixture()
         bundled = resources.files("traceavert").joinpath("data", "weekly_cases.csv")
         path = tmp_path / "weekly.csv"
         path.write_text(rewrite(bundled.read_text(encoding="utf-8")), encoding="utf-8")
         series = load_presplit_csv(path)
-        assert row_passes == [1]  # and none for the plain file
+        assert row_passes == [1, 1]  # one for the plain file, one for the rewritten
         assert series.labels == plain.labels
         assert series.total.tobytes() == plain.total.tobytes()
         assert series.counts.tobytes() == plain.counts.tobytes()
 
-    def test_declined_file_names_its_first_error_after_one_pass(self, tmp_path, row_passes):
+    @pytest.mark.parametrize("rewrite", [lambda text: text, _quoted], ids=["plain", "quoted"])
+    def test_file_names_its_first_error_after_one_pass(self, tmp_path, row_passes, rewrite):
+        # the ragged row on line 5 ends the read; the label on line 3 is named
         path = tmp_path / "weekly.csv"
-        path.write_text(_quoted(HEADER + "2020-42,100,1,1,1,1,1\n"
+        path.write_text(rewrite(HEADER + "2020-42,100,1,1,1,1,1\n"
                                 "bogus,100,1,1,1,1,1\n"
                                 "2020-44,100,1,1,1,1,1\n"
                                 "2020-45,100,1,1,1,1\n"))
@@ -629,8 +630,9 @@ class TestCsvLoaders:
 
     def test_hospitalizations_bad_date_named(self, tmp_path):
         path = tmp_path / "hosp.csv"
-        path.write_text("date,admissions\nyesterday,5\n")
-        with pytest.raises(ValueError, match="yesterday"):
+        # the ragged row on line 4 ends the read; the date on line 3 is named
+        path.write_text("date,admissions\n2020-10-11,4\nyesterday,5\n2020-10-13,6,7\n")
+        with pytest.raises(ValueError, match=r"hosp.csv:3: invalid date 'yesterday'$"):
             load_hospitalizations_csv(path)
 
 

@@ -4,7 +4,7 @@ import datetime as dt
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from test_loader_corpus import _quoted
 from test_oracle import _expected_taf
@@ -21,6 +21,7 @@ from traceavert.oracle import SimConfig, empirical_case_type_taf
 from traceavert.params import (
     ModelParams,
     apply_overrides,
+    default_params,
     params_from_config,
     validate,
 )
@@ -251,6 +252,28 @@ def test_every_table_uses_the_default_calibration(fractions, delays, params, tab
     assert t.per_type["app_minus"] == days.mix(p, rows, p.t_app, p.t_plan, p.t_sym)
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP.md item 2: the warned term of a channel row "
+                   "reads pair at span x + delay and weighs by i_w, not i_a")
+@settings(deadline=None)
+@example(fractions=tuple(getattr(default_params(), name) for name in _FRACTIONS),
+         delays=tuple(getattr(default_params(), name) for name in _DELAYS))
+@given(
+    fractions=st.tuples(*(_ANY_FRACTION for _ in _FRACTIONS)),
+    delays=st.tuples(*(st.integers(min_value=1, max_value=12) for _ in _DELAYS)),
+)
+def test_no_channel_row_exceeds_the_unwarned_row(fractions, delays, params):
+    """A warning can only shorten a contact's run: on days 1..14 no channel row
+    exceeds the row of a contact nobody warns, icx(x) * i_c_inf."""
+    p = apply_overrides(params, {**dict(zip(_FRACTIONS, fractions)), **dict(zip(_DELAYS, delays))})
+    assume(validate(p).ok and p.t_sym + p.t_plan >= 3)  # days 1-2 carry no infectivity
+    profile = InfectivityProfile.from_params(p)
+    table = LambdaTable.build(p, profile)
+    icx = np.where(np.arange(1, 15) >= 13, profile.i_c_inf, profile.i_c)
+    unwarned = icx * profile.i_c_inf
+    assert (np.array(table.lambda_ct_row) <= unwarned).all()
+    assert (np.array(table.lambda_app_row) <= unwarned).all()
+
+
 # Literal transcription of the product form the counterfactual docstring
 # states, c_not(w) = c(w) · Π_{k<w} (1 + gap(k)/volume(k)), one week and one
 # term at a time; np.cumprod multiplies in the same order, so the array version
@@ -317,7 +340,7 @@ def test_presplit_loader_matches_row_by_row_parse(rows, tmp_path_factory):
     assert series.labels == tuple(line.split(",")[0] for line in lines[1:])
     assert series.total.tolist() == [float(line.split(",")[1]) for line in lines[1:]]
     assert series.counts.tolist() == expected
-    # the split reads the plain file and the row-by-row pass the quoted one
+    # an all-quoted copy reads to the same labels and array bytes
     again = load_presplit_csv(quoted)
     assert again.labels == series.labels
     assert again.total.tobytes() == series.total.tobytes()
