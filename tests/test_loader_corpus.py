@@ -1,5 +1,9 @@
-"""Loader identity corpus: seeded byte mutations of three small weekly files,
-each loaded, with the SHA-256 of every outcome pinned in ``loader_corpus.sha256``.
+"""Loader identity corpus: seeded byte mutations of four small files (three
+weekly files and a daily admissions file), each loaded, with the SHA-256 of
+every outcome pinned in ``loader_corpus.sha256``.  Each base file has a
+one-site family (one mutation) and a two-site family (a second mutation of a
+one-site file), so that a file can hold a bad row ahead of a later ragged or
+unreadable one.
 
 A loader refactor must leave every outcome as it was: the same labels and
 array bytes, or the same error type and message.  When an outcome changes on
@@ -20,7 +24,7 @@ from traceavert import cases
 DIGESTS = Path(__file__).with_name("loader_corpus.sha256")
 #: the name a loader's message shows in place of the file's temporary path
 SHOWN_PATH = "corpus.csv"
-#: files per base file
+#: files per base file and family
 CASES = 200
 #: what a mutation inserts or writes over: NUL, CR, LF, a quote, a byte-order
 #: mark, a byte that is not UTF-8, non-finite and negative numbers, a comma, digits
@@ -52,11 +56,15 @@ _RAW = ("week,sym_positives,ct_found,app_with_symptoms,app_without_symptoms,k_ap
         "2020-15,70,33,7,2,0.75\n"
         "2020-16,64,30,6,1,0.5\n"
         "2020-17,61,28,4,1,0.5\n")
+_HOSP = "date,admissions\n" + "".join(
+    f"2020-03-{day:02d},{count}\n"
+    for day, count in zip(range(2, 16), (3, 5, 4, 8, 7.5, 11, 10, 14, 13, 0, 18, 21, 19.25, 24)))
 #: name: (loader, unmutated file)
 BASES = {
     "presplit": (cases.load_presplit_csv, _PRESPLIT.encode()),
     "quoted": (cases.load_presplit_csv, _quoted(_PRESPLIT).encode()),
     "raw": (cases.load_raw_csv, _RAW.encode()),
+    "hosp": (cases.load_hospitalizations_csv, _HOSP.encode()),
 }
 
 
@@ -92,12 +100,14 @@ def digests(skip_nul: bool = False) -> dict[str, str]:
         path = Path(work) / SHOWN_PATH
         for kind, (load, base) in BASES.items():
             for index in range(CASES):
-                name = f"{kind}-{index:03d}"
-                data = mutated(base, name)
-                if skip_nul and b"\0" in data:
-                    continue
-                path.write_bytes(data)
-                found[name] = hashlib.sha256(outcome(load, path)).hexdigest()
+                name, twice = f"{kind}-{index:03d}", f"{kind}-2-{index:03d}"
+                files = {name: mutated(base, name),
+                         twice: mutated(mutated(base, twice + "a"), twice + "b")}
+                for case, data in files.items():
+                    if skip_nul and b"\0" in data:
+                        continue
+                    path.write_bytes(data)
+                    found[case] = hashlib.sha256(outcome(load, path)).hexdigest()
     return found
 
 
@@ -105,7 +115,7 @@ def test_loader_outcomes_match_the_pinned_digests():
     pinned = dict(line.split() for line in DIGESTS.read_text().splitlines()
                   if line and not line.startswith("#"))
     found = digests(skip_nul=sys.version_info < (3, 11))
-    assert set(found) <= set(pinned) and len(pinned) == len(BASES) * CASES
+    assert set(found) <= set(pinned) and len(pinned) == len(BASES) * 2 * CASES
     changed = sorted(name for name, digest in found.items() if pinned[name] != digest)
     assert not changed, f"{len(changed)} loader outcome(s) changed: {', '.join(changed)}"
 
