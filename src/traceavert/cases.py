@@ -65,6 +65,8 @@ _PRESPLIT_COLUMNS = (
 _HOSP_COLUMNS = ("date", "admissions")
 #: the one admission date form; date.fromisoformat reads more from Python 3.11 on
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+#: how a load error words a bad week label
+_WEEK_LABEL = "ISO week label {!r} (expected YYYY-WW)"
 #: names of the total and the six count columns, as violations print them
 _COUNT_NAMES = ("c_total",) + tuple(f"c_{name}" for name in CASE_TYPES)
 
@@ -225,9 +227,9 @@ def build_series_from_raw(
 # ----------------------------------------------------------------------------
 # CSV ingestion. All formats: header row required, UTF-8 (``params._read`` drops
 # a leading byte-order mark), comma separator. Blank lines are skipped; errors
-# name the file line a row starts on. The csv module reads each file once; a
-# weekly file is checked as a whole, and only a rejected one is searched for its
-# first error in file order.
+# name the file line a row starts on. The csv module reads each file once, and
+# ``_load_table`` checks every file whole, searching a rejected one for its first
+# error in one order.
 
 
 def _rows(
@@ -283,42 +285,51 @@ def _number_or_nan(text: str) -> float:
         return math.nan
 
 
-def _load_weekly(
-    path: Path, columns: Sequence[str], rejects: Callable[[np.ndarray], np.ndarray],
-    reason: Callable[[list[str], np.ndarray], str],
-) -> tuple[tuple[str, ...], np.ndarray]:
-    """Week labels and the float (weeks x numbers) array of a weekly file.
+def _date(text: str) -> int:
+    """Day ordinal of a ``YYYY-MM-DD`` date, or -1 where ``text`` is not one."""
+    try:
+        return dt.date.fromisoformat(text).toordinal() if _ISO_DATE.fullmatch(text) else -1
+    except ValueError:  # no such day, such as 2021-02-30
+        return -1
 
-    The file is read once (``_rows``) and accepted if every label is valid, every
-    number finite and no row breaks the rule (``rejects`` flags the rows that do).
-    Otherwise the first error in file order is raised: in a row the label, then
-    the numbers left to right, then the rule (``reason`` words a break); an error
-    of the reader itself comes after the rows read before it.
+
+def _load_table(
+    path: Path, columns: Sequence[str], day_of: Callable[[list[str]], np.ndarray],
+    label: str, rejects: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    reason: Callable[[list[str], np.ndarray], str],
+) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """Labels, day ordinals and the float (rows x numbers) array of a file whose
+    first column is a label (a week or a date) and the rest numbers.
+
+    Read once (``_rows``), the file is accepted if ``day_of`` gives no label -1,
+    every number is finite and ``rejects(values, days)`` flags no row. Otherwise
+    the first error in file order is raised: in a row the label (worded by
+    ``label``), the numbers left to right, then the rule (worded by ``reason``);
+    a reader error after the rows read before it; "no data rows" last.
     """
     lines, cells, error = _rows(path, _read(path), columns)
     if not lines:
         raise error or ValueError(f"{path}: no data rows")
     labels = cells[::len(columns)]
     del cells[::len(columns)]
-    mondays = _week_mondays(labels)
+    days = day_of(labels)
     try:
         values = np.array(cells, dtype=float)  # numpy reads a str cell with float()
     except ValueError:  # NaN flags each cell that float() does not read
         values = np.array([_number_or_nan(cell) for cell in cells])
     values = values.reshape(len(lines), -1)
     with np.errstate(invalid="ignore", over="ignore"):  # at non-finite or huge numbers
-        if (error is None and (mondays >= 0).all() and np.isfinite(values).all()
-                and not rejects(values).any()):
-            return tuple(labels), values
-        flagged = (mondays < 0) | ~np.isfinite(values).all(axis=1) | rejects(values)
+        if (error is None and (days >= 0).all() and np.isfinite(values).all()
+                and not rejects(values, days).any()):
+            return tuple(labels), days, values
+        flagged = (days < 0) | ~np.isfinite(values).all(axis=1) | rejects(values, days)
         if not flagged.any():
             raise error
         w = int(flagged.argmax())
         lineno, width = lines[w], values.shape[1]
         row = [labels[w], *cells[w * width:(w + 1) * width]]
-        if mondays[w] < 0:
-            raise ValueError(f"{path}:{lineno}: invalid ISO week label {row[0]!r} "
-                             f"(expected YYYY-WW)")
+        if days[w] < 0:
+            raise ValueError(f"{path}:{lineno}: invalid {label.format(row[0])}")
         for name, cell in zip(columns[1:], row[1:]):
             _parse_number(path, lineno, name, cell)
         raise ValueError(f"{path}:{lineno}: {reason(row, values[w])}")
@@ -338,8 +349,9 @@ def load_raw_csv(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
         column = 1 + int(np.argmax(values[:4] < 0))
         return f"column {_RAW_COLUMNS[column]!r}: negative count: {row[column]!r}"
 
-    return _load_weekly(Path(path), _RAW_COLUMNS,
-                        lambda values: (values[:, :4] < 0).any(axis=1), reason)
+    labels, _, values = _load_table(Path(path), _RAW_COLUMNS, _week_mondays, _WEEK_LABEL,
+                                    lambda values, days: (values[:, :4] < 0).any(axis=1), reason)
+    return labels, values
 
 
 def load_presplit_csv(path: str | Path) -> CaseSeries:
@@ -348,8 +360,9 @@ def load_presplit_csv(path: str | Path) -> CaseSeries:
     The first row with an invalid label, a non-finite number or typed counts
     above ``c_total`` is reported with its line, column and text.
     """
-    labels, values = _load_weekly(
-        Path(path), _PRESPLIT_COLUMNS, lambda values: _residual(values) < 0.0,
+    labels, _, values = _load_table(
+        Path(path), _PRESPLIT_COLUMNS, _week_mondays, _WEEK_LABEL,
+        lambda values, days: _residual(values) < 0.0,
         lambda row, values: (f"typed counts exceed c_total "
                              f"(residual missed count {_residual(values[None])[0]:.1f})"))
     return CaseSeries(labels, values[:, 0], np.column_stack((_residual(values), values[:, 1:])))
@@ -358,31 +371,13 @@ def load_presplit_csv(path: str | Path) -> CaseSeries:
 def load_hospitalizations_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Read daily admissions as strictly increasing day ordinals (gaps allowed)
     and a float array of nonnegative counts."""
-    path = Path(path)
-    days: list[int] = []
-    admissions: list[float] = []
-    previous: dt.date | None = None
-    lines, cells, error = _rows(path, _read(path), _HOSP_COLUMNS)
-    for lineno, date_text, count_text in zip(lines, cells[::2], cells[1::2]):
-        try:
-            if not _ISO_DATE.fullmatch(date_text):
-                raise ValueError
-            day = dt.date.fromisoformat(date_text)
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: invalid date {date_text!r}") from None
-        count = _parse_number(path, lineno, "admissions", count_text)
-        if count < 0:
-            raise ValueError(f"{path}:{lineno}: negative admissions {count}")
-        if previous is not None and day <= previous:
-            raise ValueError(f"{path}:{lineno}: dates must be strictly increasing")
-        previous = day
-        days.append(day.toordinal())
-        admissions.append(count)
-    if error is not None:
-        raise error
-    if not days:
-        raise ValueError(f"{path}: no data rows")
-    return np.array(days, dtype=np.int64), np.array(admissions, dtype=float)
+    _, days, values = _load_table(
+        Path(path), _HOSP_COLUMNS,
+        lambda texts: np.fromiter(map(_date, texts), np.int64, len(texts)), "date {!r}",
+        lambda values, days: (values[:, 0] < 0) | (np.diff(days, prepend=days[:1] - 1) <= 0),
+        lambda row, values: (f"negative admissions {float(values[0])}" if values[0] < 0
+                             else "dates must be strictly increasing"))
+    return days, values[:, 0]
 
 
 def load_fixture() -> CaseSeries:
