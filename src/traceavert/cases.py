@@ -180,14 +180,15 @@ def build_series_from_raw(
 
     ``raw`` and ``admissions`` are as :func:`load_raw_csv` and
     :func:`load_hospitalizations_csv` return them.  A week's total is its
-    admissions on days +5..+11 from its Monday, divided by ``ihr``.
+    admissions on days +5..+11 from its Monday, divided by ``ihr``; the
+    admission days must be strictly increasing.
     Manual-tracing positives split ``e_ct`` personal / ``1 - e_ct`` traced;
     symptomless app positives are down-corrected to the ``presym_fraction``
     share that is genuinely pre-symptomatic, the rest joining the symptomatic
     app count; the missed count is the residual against the total.  A
     ``ValueError`` names a non-positive ``ihr``, or the first invalid label,
-    missing window day, or week whose total is not finite or is below its
-    reported positives.
+    admission day not after the day before it, missing window day, or week whose
+    total is not finite or is below its reported positives.
     """
     labels, counts = tuple(raw[0]), np.asarray(raw[1], dtype=float)
     days, values = np.asarray(admissions[0]), np.asarray(admissions[1], dtype=float)
@@ -196,6 +197,13 @@ def build_series_from_raw(
         raise ValueError(f"invalid ISO week label {labels[np.argmax(mondays < 0)]!r}")
     if p.ihr <= 0.0:
         raise ValueError(f"ihr must be > 0 to estimate cases from admissions, got {p.ihr!r}")
+    late = np.diff(days) <= 0
+    if late.any():
+        day = days[1 + int(np.argmax(late))]
+        shown = (dt.date.fromordinal(int(day)).isoformat()
+                 if 0 < day <= dt.date.max.toordinal() else day)
+        raise ValueError(f"admission day {shown} is not after the day before it "
+                         f"(days must be strictly increasing)")
     window = mondays[:, None] + _HOSP_WINDOW_OFFSETS
     uncovered = ~np.isin(window, days)
     if uncovered.any():
@@ -229,7 +237,7 @@ def build_series_from_raw(
 # a leading byte-order mark), comma separator. Blank lines are skipped; errors
 # name the file line a row starts on. The csv module reads each file once, and
 # ``_load_table`` checks every file whole, searching a rejected one for its first
-# error in one order.
+# error in one order. ``build_series_from_raw`` requires strictly increasing days.
 
 
 def _rows(

@@ -81,16 +81,25 @@ def reconstruct(
     Raises
     ------
     ValueError
-        If the series is shorter than 2 weeks, ``series.observed_rt`` raises
-        one of ``rt_series``'s three errors (a total that is not positive, an
-        infinite total, a growth that is not finite, each naming its week by
-        label), a transmission volume is not positive (NaN included), the
+        If ``delta`` names a key that is not a case type or ``lambdas`` lacks
+        one of the six (the error names the keys), the series is shorter than
+        2 weeks, ``series.observed_rt`` raises one of ``rt_series``'s three
+        errors (a total that is not positive, an infinite total, a growth that
+        is not finite, each naming its week by label), a transmission volume is not positive (NaN included), the
         replay overflows (some week's ``c(w) · Π_{k<w} (1 + gap(k)/volume(k))``
         is not finite; the error names the first such week), ``rt_series``
         raises on the counterfactual series (its error, prefixed with the
         channel: ``ct counterfactual: week ...``), or the averted totals are
         not finite.
     """
+    unknown = [name for name in delta if name not in CASE_TYPES]
+    if unknown:
+        raise ValueError(f"{intervention} counterfactual: delta names unknown case type(s) "
+                         f"{', '.join(map(repr, unknown))} (expected {', '.join(CASE_TYPES)})")
+    missing = [name for name in CASE_TYPES if name not in lambdas]
+    if missing:
+        raise ValueError(f"{intervention} counterfactual: lambdas lacks case type(s) "
+                         f"{', '.join(missing)}")
     if len(series) < 2:
         raise ValueError("counterfactual reconstruction needs at least 2 weeks")
     c, observed_rt = series.total, series.observed_rt

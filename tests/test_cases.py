@@ -75,6 +75,22 @@ class TestEstimateTotalCases:
         with pytest.raises(ValueError, match=missing.isoformat()):
             build_series_from_raw(_one_week(), (days[keep], values[keep]), params)
 
+    @pytest.mark.parametrize("order, named", [
+        ([0, 1, 2, 3, 4, 5, 6, 7, 9, 8, 10, 11, 12, 13], "2020-03-10"),
+        (list(range(13, -1, -1)), "2020-03-14"),
+        ([0, 1, 2, 3, 4, 5, 6, 7, 8, 8, 9, 10, 11, 12, 13], "2020-03-10"),
+    ], ids=["swapped", "reversed", "repeated"])
+    def test_admission_days_must_increase(self, params, order, named):
+        # sorted, the week's total is 4242.4; swapped days gave 4393.9 and reversed
+        # ones an IndexError, both without naming the input
+        raw = _one_week(label="2020-10")
+        days, values = dt.date(2020, 3, 2).toordinal() + np.arange(14), np.arange(14.0)
+        total = build_series_from_raw(raw, (days, values), params).total[0]
+        assert total == pytest.approx(4242.4, abs=0.05)
+        with pytest.raises(ValueError, match=rf"^admission day {named} is not after the day before "
+                                             rf"it \(days must be strictly increasing\)$"):
+            build_series_from_raw(raw, (days[order], values[order]), params)
+
     def test_zero_ihr_is_a_named_error(self, params):
         p = dataclasses.replace(params, ihr=0.0)
         with pytest.raises(ValueError, match="ihr"):
@@ -636,9 +652,10 @@ class TestCsvLoaders:
             load_hospitalizations_csv(path)
 
 
-    @pytest.mark.parametrize("text", ["20201012", "2020-W42-1"])
+    @pytest.mark.parametrize("text", ["20201012", "2020-W42-1", "2021-02-30", "0000-01-01"])
     def test_hospitalizations_date_is_yyyy_mm_dd(self, tmp_path, text):
-        # Python 3.11 and later read both compact forms with date.fromisoformat
+        # Python 3.11 and later read both compact forms with date.fromisoformat;
+        # the last two have the form but name no day
         path = tmp_path / "hosp.csv"
         path.write_text(f"date,admissions\n2020-10-11,4\n{text},5\n")
         with pytest.raises(ValueError, match=f"hosp.csv:3: invalid date '{text}'$"):

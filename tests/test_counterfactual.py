@@ -107,6 +107,22 @@ class TestAvertedCt:
         with pytest.raises(ValueError, match="2 weeks"):
             averted_ct(short, lambdas, params)
 
+    @pytest.mark.parametrize("delta, named", [
+        ({"CT": 0.25}, "'CT'"), ({"ct": 0.25, "app": 0.1, 3: 0.0}, "'app', 3"),
+    ], ids=["misspelt", "unknown"])
+    def test_delta_key_that_is_no_case_type_is_named(self, series, lambdas, params, delta, named):
+        # such a key used to weigh 0: {"CT": 0.25} averted nothing, without an error
+        with pytest.raises(ValueError, match=rf"^ct counterfactual: delta names unknown case "
+                                             rf"type\(s\) {named} \(expected miss, sym, "):
+            reconstruct(series, lambdas, delta, "ct", params)
+
+    def test_lambdas_lacking_a_case_type_are_named(self, series, lambdas, params):
+        # a missing type used to weigh 0 in the volume and move the total without an error
+        partial = {name: lambdas[name] for name in CASE_TYPES if name not in ("sym", "app_plus")}
+        with pytest.raises(ValueError, match=r"^ct counterfactual: lambdas lacks case type\(s\) "
+                                             r"sym, app_plus$"):
+            reconstruct(series, partial, {"ct": 0.25}, "ct", params)
+
     def test_zero_total_midseries_rejected(self, lambdas, params):
         series = _series([
             (50.0, 10.0, 2.0, 2.0, 1.0, 1.0),
