@@ -65,6 +65,14 @@ def _weighted(counts: np.ndarray, weights: Mapping[str, float]) -> np.ndarray:
     return np.cumsum(counts * [weights.get(name, 0.0) for name in CASE_TYPES], axis=1)[:, -1]
 
 
+def _require_case_types(lambdas: Mapping[str, float], intervention: str) -> None:
+    """Raise a ``ValueError`` naming every case type ``lambdas`` lacks."""
+    missing = [name for name in CASE_TYPES if name not in lambdas]
+    if missing:
+        raise ValueError(f"{intervention} counterfactual: lambdas lacks case type(s) "
+                         f"{', '.join(missing)}")
+
+
 def reconstruct(
     series: CaseSeries,
     lambdas: Mapping[str, float],
@@ -96,10 +104,7 @@ def reconstruct(
     if unknown:
         raise ValueError(f"{intervention} counterfactual: delta names unknown case type(s) "
                          f"{', '.join(map(repr, unknown))} (expected {', '.join(CASE_TYPES)})")
-    missing = [name for name in CASE_TYPES if name not in lambdas]
-    if missing:
-        raise ValueError(f"{intervention} counterfactual: lambdas lacks case type(s) "
-                         f"{', '.join(missing)}")
+    _require_case_types(lambdas, intervention)
     if len(series) < 2:
         raise ValueError("counterfactual reconstruction needs at least 2 weeks")
     c, observed_rt = series.total, series.observed_rt
@@ -147,7 +152,9 @@ def averted_ct(series: CaseSeries, lambdas: dict[str, float], p: ModelParams) ->
     Only cases found by a tracing call revert: without the call they would
     never have learned of their exposure, i.e. they become missed cases.
     (Personally-informed cases are warned by their index, not by the call.)
+    ``reconstruct``'s errors apply.
     """
+    _require_case_types(lambdas, "ct")
     return reconstruct(series, lambdas, {"ct": lambdas["miss"] - lambdas["ct"]}, "ct", p)
 
 
@@ -156,8 +163,9 @@ def averted_app(series: CaseSeries, lambdas: dict[str, float], p: ModelParams) -
 
     App-warned cases fall back on what manual tracing would have done for
     them: a share ``e_app`` would have been missed entirely, the rest found
-    by a tracing call.
+    by a tracing call. ``reconstruct``'s errors apply.
     """
+    _require_case_types(lambdas, "app")
     fallback = p.e_app * lambdas["miss"] + (1.0 - p.e_app) * lambdas["ct"]
     delta = {name: fallback - lambdas[name] for name in ("app_minus", "app_plus")}
     return reconstruct(series, lambdas, delta, "app", p)

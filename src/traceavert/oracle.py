@@ -74,6 +74,31 @@ _BLOCK = 8192
 #: numpy refuses a float array of more elements than this before allocating it
 _MAX_TREES = np.iinfo(np.intp).max // 8
 
+#: i_w summed over days 1..d, for d = 0..14
+_CUM_I_W = np.concatenate(([0.0], np.cumsum(_I_W)))
+
+# Bins k = floor(x * _SCALE) of the x = u * M of ``_day``; per bin, how many
+# sums fall in lower bins, the one distinct sum in it (inf if none) and how
+# many times it repeats (days 0-2 all sum to 0.0 and days 13-14 to 0.99)
+_SCALE = 256 / _CUM_I_W[-1]
+_SUM_BIN = (_CUM_I_W * _SCALE).astype(np.intp)
+_BELOW = np.searchsorted(_SUM_BIN, np.arange(_SUM_BIN[-1] + 1), side="left")
+_TIES = np.searchsorted(_SUM_BIN, np.arange(_SUM_BIN[-1] + 1), side="right") - _BELOW
+_EDGE = np.where(_TIES > 0, _CUM_I_W.take(_BELOW, mode="clip"), np.inf)
+
+
+def _day(x: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(_CUM_I_W, x, side="right")``, the number of sums <= x,
+    for x in [0, ``_CUM_I_W[-1]``], by one bin lookup.
+
+    ``x -> floor(x * _SCALE)`` is monotone, so a sum in a lower bin than x is
+    <= x and one in a higher bin is > x. Distinct sums are at least 0.01
+    apart, wider than a bin (0.0039), so a bin holds at most one distinct sum,
+    and x counts its repeats when x is at least that sum.
+    """
+    k = (x * _SCALE).astype(np.intp)
+    return _BELOW.take(k) + _TIES.take(k) * (x >= _EDGE.take(k))
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -134,7 +159,11 @@ def _run_trees(
     ``floor(u * m)``, below ``m`` as ``u <= 1 - 2**-53`` and
     ``(1 - 2**-53) * m`` rounds below ``m``. A warned secondary's infection
     day is drawn with a second uniform, weights ``i_w`` over the days the
-    index is out; an unwarned one realizes ``i_c_inf`` whatever its day.
+    index is out: the number of sums ``_CUM_I_W`` at or below ``u * M``, by
+    one bin lookup (``_day``), capped at the last day out as ``u * M`` can
+    round up to ``M``. Its term is read from the state's table of the clipped
+    ``i_c`` terms by that number, 0..15. An unwarned secondary realizes
+    ``i_c_inf`` whatever its day.
 
     The multinomial is drawn first. Then the states with trees are walked in
     C order, each state's trees one run of the ratios after the last state's:
@@ -150,8 +179,6 @@ def _run_trees(
     # a tertiary term of the ratio by warning day clipped to 0..13:
     # 0, i_c(1..12), i_c_inf, each over the potential _R0
     i_c = np.concatenate(([0.0], np.cumsum(i_a)[:_SATURATION_DAY])) / _R0
-    # i_w summed over days 1..d, for d = 0..14
-    cum_i_w = np.concatenate(([0.0], np.cumsum(_I_W)))
     # the last profile day out of an index that does not and one that does
     # follow base adherence, which self-isolates
     days_out = (_PROFILE_DAYS, min(self_iso_day, _PROFILE_DAYS))
@@ -163,21 +190,22 @@ def _run_trees(
         m = int(counts[i, channel, adheres])
         quarantine = int(quarantine_days[i])
         last = min(quarantine, days_out[adheres])
-        mean, f = _R0 * m * cum_i_w[last], warn_fraction[channel]
+        mean, f = _R0 * m * _CUM_I_W[last], warn_fraction[channel]
         unwarned, warned = rng.poisson((mean * (1.0 - f), mean * f))
+        trees = ratios[first:first + m]
+        first += m
         for start in range(0, unwarned, _BLOCK):
             u = rng.random(min(_BLOCK, unwarned - start))
-            np.add.at(ratios, first + (u * m).astype(np.intp), i_c[_SATURATION_DAY])
+            np.add.at(trees, (u * m).astype(np.intp), i_c[_SATURATION_DAY])
+        # a warned secondary's term by its number of sums d = 0..15: it is
+        # infected on day min(d, last) and warned quarantine + latency - that
+        # day days later
+        infected = np.minimum(np.arange(_CUM_I_W.size + 1), last)
+        term = i_c.take(np.clip(quarantine + latency[channel] - infected, 0, _SATURATION_DAY))
         for start in range(0, warned, _BLOCK):
             u = rng.random((min(_BLOCK, warned - start), 2))
-            day = np.searchsorted(cum_i_w, u[:, 1] * cum_i_w[last], side="right")
-            day = np.minimum(day, last)  # u * M can round up to M
-            # a secondary infected on day d is warned quarantine + latency - d
-            # days after its infection
-            warn_delay = quarantine + latency[channel] - day
-            np.add.at(ratios, first + (u[:, 0] * m).astype(np.intp),
-                      i_c[np.clip(warn_delay, 0, _SATURATION_DAY)])
-        first += m
+            day = _day(u[:, 1] * _CUM_I_W[last])
+            np.add.at(trees, (u[:, 0] * m).astype(np.intp), term.take(day))
     return ratios
 
 

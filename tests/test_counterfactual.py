@@ -123,6 +123,17 @@ class TestAvertedCt:
                                              r"sym, app_plus$"):
             reconstruct(series, partial, {"ct": 0.25}, "ct", params)
 
+    @pytest.mark.parametrize("averted, channel", [(averted_ct, "ct"), (averted_app, "app")])
+    @pytest.mark.parametrize("dropped", CASE_TYPES)
+    def test_channel_names_the_case_type_lambdas_lacks(self, series, table, params, averted,
+                                                       channel, dropped):
+        # both channels read miss and ct (and the app its two types) before the
+        # replay: a missing one raised a bare KeyError
+        partial = {name: value for name, value in table.per_type.items() if name != dropped}
+        with pytest.raises(ValueError, match=rf"^{channel} counterfactual: lambdas lacks case "
+                                             rf"type\(s\) {dropped}$"):
+            averted(series, partial, params)
+
     def test_zero_total_midseries_rejected(self, lambdas, params):
         series = _series([
             (50.0, 10.0, 2.0, 2.0, 1.0, 1.0),

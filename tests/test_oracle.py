@@ -1,4 +1,5 @@
 import ast
+import copy
 import dataclasses
 import itertools
 import math
@@ -437,6 +438,113 @@ class TestBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 3.5 * 2**20
+
+
+class TestDayLookup:
+    """``oracle._day`` finds a warned secondary's number of sums by one bin
+    lookup; it must be ``np.searchsorted(_CUM_I_W, x, side="right")`` for
+    every x = u * M in [0, ``_CUM_I_W[-1]``]."""
+
+    @staticmethod
+    def _assert_searchsorted(x):
+        expected = np.searchsorted(oracle._CUM_I_W, x, side="right")
+        assert np.array_equal(oracle._day(x), expected), x
+
+    def test_every_sum_and_its_neighbours(self):
+        sums = oracle._CUM_I_W
+        x = np.concatenate((sums, np.nextafter(sums, -np.inf), np.nextafter(sums, np.inf)))
+        self._assert_searchsorted(x[(x >= 0.0) & (x <= sums[-1])])
+
+    def test_zero(self):
+        # days 0-2 all sum to 0.0, so x = 0 counts three sums
+        self._assert_searchsorted(np.zeros(1))
+
+    def test_largest_draws_of_every_last_day(self):
+        # u * M for the largest uniform, 1 - 2**-53, and M itself, which the
+        # product can round up to
+        top = oracle._CUM_I_W[:oracle._PROFILE_DAYS + 1]
+        self._assert_searchsorted(np.concatenate(((1.0 - 2.0**-53) * top, top)))
+
+    def test_seeded_uniforms(self):
+        x = np.random.default_rng(0).random(100_000) * oracle._CUM_I_W[-1]
+        self._assert_searchsorted(x)
+
+    def test_no_bin_holds_two_distinct_sums(self):
+        sums = oracle._CUM_I_W
+        bins = (sums * oracle._SCALE).astype(np.intp)
+        for k in np.unique(bins):
+            assert np.unique(sums[bins == k]).size == 1, k
+
+
+def _reference_run_trees(rng, n, quarantine_days, state_weights, latency, warn_fraction, p):
+    """``oracle._run_trees`` with the warned-block arithmetic of its first
+    design: ``np.searchsorted`` over the cumulative ``i_w``, capped at the last
+    day out, then the warning delay clipped to 0..13 and read from ``i_c``,
+    added at ``first +`` tree indices into the whole ratio array. The draws
+    and the order of the additions are the module's."""
+    days = np.arange(1, oracle._PROFILE_DAYS + 1)
+    self_iso_day = min(p.t_sym + p.t_plan, oracle._LAST_DAY)
+    i_a = np.where(days <= self_iso_day, oracle._I_W, oracle._I_W * (1.0 - p.a_base))
+    i_c = np.concatenate(([0.0], np.cumsum(i_a)[:oracle._SATURATION_DAY])) / oracle._R0
+    cum_i_w = np.concatenate(([0.0], np.cumsum(oracle._I_W)))
+    days_out = (oracle._PROFILE_DAYS, min(self_iso_day, oracle._PROFILE_DAYS))
+
+    ratios = np.zeros(n)
+    counts = rng.multinomial(n, state_weights.ravel()).reshape(state_weights.shape)
+    first = 0
+    for i, channel, adheres in np.argwhere(counts):
+        m = int(counts[i, channel, adheres])
+        quarantine = int(quarantine_days[i])
+        last = min(quarantine, days_out[adheres])
+        mean, f = oracle._R0 * m * cum_i_w[last], warn_fraction[channel]
+        unwarned, warned = rng.poisson((mean * (1.0 - f), mean * f))
+        for start in range(0, unwarned, oracle._BLOCK):
+            u = rng.random(min(oracle._BLOCK, unwarned - start))
+            np.add.at(ratios, first + (u * m).astype(np.intp), i_c[oracle._SATURATION_DAY])
+        for start in range(0, warned, oracle._BLOCK):
+            u = rng.random((min(oracle._BLOCK, warned - start), 2))
+            day = np.searchsorted(cum_i_w, u[:, 1] * cum_i_w[last], side="right")
+            day = np.minimum(day, last)
+            warn_delay = quarantine + latency[channel] - day
+            np.add.at(ratios, first + (u[:, 0] * m).astype(np.intp),
+                      i_c[np.clip(warn_delay, 0, oracle._SATURATION_DAY)])
+        first += m
+    return ratios
+
+
+_REFERENCE_SETS = (
+    [{}]
+    + [{"t_ct": str(t)} for t in range(1, 8)]
+    + [{"t_app": str(t)} for t in range(1, 7)]
+    + [{"t_sym": "1"}, {"t_sym": "12"}]
+    + [{"a_sym": "0"}, {"a_sym": "1", "f_sym": "1"}]  # a_base 0 and 1
+    + [{"u_app": "0"}, {"u_app": "1"}]
+)
+
+
+class TestReferenceTrees:
+    @pytest.mark.parametrize("block", [1, 7, 8192])
+    @pytest.mark.parametrize("overrides", _REFERENCE_SETS,
+                             ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()) or "defaults")
+    def test_ratios_equal_the_searchsorted_reference(self, monkeypatch, params, overrides, block):
+        # every tree's ratio, not only the mean and standard error; 20,000 trees
+        # draw several blocks of 8,192 secondaries per case type
+        p = apply_overrides(params, overrides)
+        run_trees = oracle._run_trees
+        runs = []
+
+        def both(rng, *args):
+            reference = _reference_run_trees(copy.deepcopy(rng), *args)
+            ratios = run_trees(rng, *args)
+            runs.append(np.array_equal(ratios, reference))
+            return ratios
+
+        monkeypatch.setattr(oracle, "_BLOCK", block)
+        monkeypatch.setattr(oracle, "_run_trees", both)
+        cfg = SimConfig(trees=20_000 if block == 8192 else 300, seed=23)
+        for case_type in CASE_TYPES:
+            empirical_case_type_taf(case_type, cfg, p)
+        assert runs == [True] * len(CASE_TYPES)
 
 
 _BAD_CHANNEL_FIELDS = [
