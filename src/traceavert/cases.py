@@ -171,6 +171,12 @@ def _iso_week_one(year: np.ndarray) -> np.ndarray:
     return jan4 - (jan4 + 6) % 7
 
 
+def _shown_day(day: int) -> str:
+    """A day ordinal as ``YYYY-MM-DD``, or as its number outside ``datetime.date``."""
+    return (dt.date.fromordinal(int(day)).isoformat()
+            if 0 < day <= dt.date.max.toordinal() else str(day))
+
+
 def build_series_from_raw(
     raw: tuple[Sequence[str], np.ndarray],
     admissions: tuple[np.ndarray, np.ndarray],
@@ -199,18 +205,15 @@ def build_series_from_raw(
         raise ValueError(f"ihr must be > 0 to estimate cases from admissions, got {p.ihr!r}")
     late = np.diff(days) <= 0
     if late.any():
-        day = days[1 + int(np.argmax(late))]
-        shown = (dt.date.fromordinal(int(day)).isoformat()
-                 if 0 < day <= dt.date.max.toordinal() else day)
-        raise ValueError(f"admission day {shown} is not after the day before it "
-                         f"(days must be strictly increasing)")
+        raise ValueError(f"admission day {_shown_day(days[1 + int(np.argmax(late))])} is not "
+                         f"after the day before it (days must be strictly increasing)")
     window = mondays[:, None] + _HOSP_WINDOW_OFFSETS
     uncovered = ~np.isin(window, days)
     if uncovered.any():
         week, offset = divmod(int(np.argmax(uncovered)), window.shape[1])
-        start, day = (dt.date.fromordinal(int(d)) for d in (mondays[week], window[week, offset]))
-        raise ValueError(f"hospitalization series does not cover {day.isoformat()} "
-                         f"(needed for week starting {start.isoformat()})")
+        day, start = _shown_day(window[week, offset]), _shown_day(mondays[week])
+        raise ValueError(f"hospitalization series does not cover {day} "
+                         f"(needed for week starting {start})")
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite total is named below
         # left to right, and from +0.0 so that an all-zero window never gives -0.0
         total = (0.0 + np.cumsum(values[np.searchsorted(days, window)], axis=1)[:, -1]) / p.ihr
@@ -327,11 +330,10 @@ def _load_table(
         values = np.array([_number_or_nan(cell) for cell in cells])
     values = values.reshape(len(lines), -1)
     with np.errstate(invalid="ignore", over="ignore"):  # at non-finite or huge numbers
-        if (error is None and (days >= 0).all() and np.isfinite(values).all()
-                and not rejects(values, days).any()):
-            return tuple(labels), days, values
         flagged = (days < 0) | ~np.isfinite(values).all(axis=1) | rejects(values, days)
         if not flagged.any():
+            if error is None:
+                return tuple(labels), days, values
             raise error
         w = int(flagged.argmax())
         lineno, width = lines[w], values.shape[1]

@@ -688,6 +688,13 @@ class TestRawPipeline:
             build_series_from_raw(_one_week(label="2020/42"),
                                   _flat_admissions(MONDAY, 20, 5.0), params)
 
+    def test_window_past_the_last_date_names_the_day_and_week(self, params):
+        # the window starts on 1 January 10000, past the range of datetime.date
+        with pytest.raises(ValueError, match=r"^hospitalization series does not cover 3652060 "
+                                             r"\(needed for week starting 9999-12-27\)$"):
+            build_series_from_raw(_one_week(label="9999-52"),
+                                  _flat_admissions(dt.date(9999, 12, 27), 5, 5.0), params)
+
     def test_week_mondays_match_iso_calendar(self):
         labels, expected = [], []
         for year in (1, 4, 100, 400, 1900, 2000, 2004, 2020, 2021, 2100, 9999):

@@ -974,20 +974,20 @@ _ODD_CELLS = ("nan", "inf", "-inf", "", "abc", "-5", "-0.0", "0", "1e308", "5e-3
 _ODD_LABELS = ("bogus", "2020-54", "2021-53", "2021-1", "", "2020-52", "2021-04", "2021-W02")
 
 
-def _weekly_text(draw, header: str, draw_cells) -> str:
-    """A weekly CSV of ``draw_cells(label)`` rows, one of them perhaps corrupted."""
-    weeks = draw(st.integers(min_value=0, max_value=len(_LABELS)))
+def _table_text(draw, header: str, draw_cells, labels=_LABELS, odd_labels=_ODD_LABELS) -> str:
+    """A CSV of ``draw_cells(label)`` rows, one of them perhaps corrupted."""
+    rows = draw(st.integers(min_value=0, max_value=len(labels)))
     corruption = draw(st.sampled_from(("none", "cell", "label", "drop", "extra", "blank")))
-    corrupted = draw(st.integers(min_value=0, max_value=max(weeks - 1, 0)))
+    corrupted = draw(st.integers(min_value=0, max_value=max(rows - 1, 0)))
     lines = [header]
-    for w in range(weeks):
-        cells = draw_cells(_LABELS[w])
+    for w in range(rows):
+        cells = draw_cells(labels[w])
         if w != corrupted:
             pass
         elif corruption == "cell":
             cells[draw(st.integers(1, len(cells) - 1))] = draw(st.sampled_from(_ODD_CELLS))
         elif corruption == "label":
-            cells[0] = draw(st.sampled_from(_ODD_LABELS))
+            cells[0] = draw(st.sampled_from(odd_labels))
         elif corruption == "drop":
             del cells[draw(st.integers(0, len(cells) - 1))]
         elif corruption == "extra":
@@ -1006,7 +1006,7 @@ def _presplit_text(draw):
         total = sum(typed) + draw(st.integers(min_value=0, max_value=100_000))
         return [label, str(total), *map(str, typed)]
 
-    return _weekly_text(draw, _PRESPLIT_HEADER, cells)
+    return _table_text(draw, _PRESPLIT_HEADER, cells)
 
 
 @st.composite
@@ -1016,7 +1016,21 @@ def _raw_text(draw):
         counts = draw(st.lists(st.integers(min_value=0, max_value=5000), min_size=4, max_size=4))
         return [label, *map(str, counts), str(draw(st.floats(min_value=0.0, max_value=1.0)))]
 
-    return _weekly_text(draw, RAW_HEADER, cells)
+    return _table_text(draw, RAW_HEADER, cells)
+
+
+#: consecutive days across the end of February of the leap year 2020
+_DATES = tuple((dt.date(2020, 2, 26) + dt.timedelta(days=d)).isoformat() for d in range(7))
+_ODD_DATES = ("bogus", "20200227", "2020-02-30", "2021-02-29", "", "2020-02-26", "2020-W09-1")
+
+
+@st.composite
+def _hosp_text(draw):
+    """A daily admissions CSV of well-formed rows, one of them perhaps corrupted."""
+    def cells(date):
+        return [date, str(draw(st.floats(min_value=0.0, max_value=500.0)))]
+
+    return _table_text(draw, "date,admissions", cells, _DATES, _ODD_DATES)
 
 
 def _finite_cells(text: str) -> bool:
@@ -1083,30 +1097,35 @@ def test_mutated_raw_inputs_end_in_finite_reports_or_a_named_error(command, whic
 
 
 def _loaded(load, path):
-    """Labels, shape and value bytes of a weekly file, or its error message."""
+    """Labels (or days), shape and value bytes of a file, or its error message."""
     try:
         result = load(path)
     except ValueError as exc:
         return str(exc)
     if isinstance(result, cases.CaseSeries):
         result = result.labels, np.column_stack((result.total, result.counts))
-    return result[0], result[1].shape, result[1].tobytes()
+    return tuple(result[0]), result[1].shape, result[1].tobytes()
+
+
+_TEXTS = {"presplit": (_presplit_text, cases.load_presplit_csv),
+          "raw": (_raw_text, cases.load_raw_csv),
+          "hosp": (_hosp_text, cases.load_hospitalizations_csv)}
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), raw=st.booleans())
-def test_line_ends_and_quotes_load_the_same(data, raw):
-    # quote-free files are split in one pass, quoted ones read row by row
-    text = data.draw(_raw_text() if raw else _presplit_text())
-    load = cases.load_raw_csv if raw else cases.load_presplit_csv
+@given(data=st.data(), kind=st.sampled_from(sorted(_TEXTS)))
+def test_line_ends_and_quotes_load_the_same(data, kind):
+    # CRLF line ends and quoted cells are csv syntax: every copy loads as the plain file
+    draw_text, load = _TEXTS[kind]
+    text = data.draw(draw_text())
     with tempfile.TemporaryDirectory() as work:
-        path = Path(work) / "weekly.csv"
+        path = Path(work) / "table.csv"
         outcomes = []
-        for variant in (text, text.replace("\n", "\r\n"), _quoted(text)):
+        for variant in (text, text.replace("\n", "\r\n"), _quoted(text),
+                        _quoted(text).replace("\n", "\r\n")):
             path.write_bytes(variant.encode())
             outcomes.append(_loaded(load, path))
-        assert outcomes[1] == outcomes[0]
-        assert outcomes[2] == outcomes[0]
+        assert outcomes[1:] == outcomes[:1] * 3
         if not isinstance(outcomes[0], str):  # a valid file: columns in any order
             path.write_bytes("\n".join(",".join(line.split(",")[::-1])
                                         for line in text.split("\n")).encode())

@@ -371,3 +371,17 @@ class TestPublishedColumnsFromConstantDeltas:
         assert delta == pytest.approx({"app_plus": 0.137, "app_minus": 0.246})
         s_weekly = reconstruct(series, lambdas, delta, "app", params).s_weekly
         assert self._worst_week(s_weekly, PUBLISHED_WEEKLY_S_APP) < 0.01
+
+    def test_hypothesis_h1_fit_is_as_the_readme_states(self, series, lambdas, params):
+        # H1 (README, "Known red"): app-warned cases counted as if tracing had
+        # found them; stated there with this fit, and not adopted
+        gap = lambdas["miss"] - lambdas["ct"]
+        h1 = reconstruct(series, lambdas, {"app_plus": params.e_app * gap, "app_minus": gap},
+                         "app", params)
+        assert round(h1.s_total) == 47_673
+        ratios = np.asarray(h1.s_weekly[1:]) / np.asarray(PUBLISHED_WEEKLY_S_APP[1:])
+        assert 1.053 <= ratios.min() and ratios.max() <= 1.079
+        assert ratios[1:].max() <= 1.075  # without week 2020-43, published 64
+        ct = averted_ct(series, lambdas, params)
+        assert ct.s_total / h1.s_total == pytest.approx(16.8, abs=0.05)
+        assert h1.rt_reduction_avg == pytest.approx(0.00053, abs=1e-5)

@@ -9,7 +9,14 @@ from test_oracle import _expected_taf
 from traceavert.infectivity import InfectivityProfile
 from traceavert.oracle import SimConfig, empirical_case_type_taf
 from traceavert.params import apply_overrides
-from traceavert.taf import CASE_TYPES, VARIANTS, LambdaTable, _Days
+from traceavert.taf import (
+    CASE_TYPES,
+    REFERENCE_LAMBDA_APP_ROW,
+    REFERENCE_LAMBDA_CT_ROW,
+    VARIANTS,
+    LambdaTable,
+    _Days,
+)
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +130,24 @@ class TestLambdaAlpha:
         saturated = days.row(27, 0.5, variant).tolist()
         for delay in (28, 40, 10**12, 2**63, 10**30):
             assert days.row(delay, 0.5, variant).tolist() == saturated
+
+
+class TestPublishedPlateau:
+    """The published ct and app rows coincide on days 12-14, although their
+    delays differ (3 and 2) at equal warn fractions."""
+
+    def test_published_rows_coincide_below_the_missed_constant(self, lambdas):
+        assert REFERENCE_LAMBDA_CT_ROW[11:] == REFERENCE_LAMBDA_APP_ROW[11:] == (
+            0.8577, 0.8607, 0.8607)
+        assert round(lambdas["miss"], 4) == 0.8724
+        assert max(REFERENCE_LAMBDA_CT_ROW + REFERENCE_LAMBDA_APP_ROW) < lambdas["miss"]
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP.md item 4: the warned term reads pair at a "
+                       "span shifted by the delay, so the computed rows differ by 0.0120, "
+                       "0.0095 and 0.0064 on days 12-14")
+    def test_computed_rows_coincide_on_days_12_to_14(self, table):
+        assert table.lambda_ct_row[11:] == pytest.approx(table.lambda_app_row[11:], abs=5e-5)
 
 
 class TestCapitalLambda:
