@@ -50,3 +50,17 @@ def test_readme_quick_start_matches_estimate(tmp_path, capsys):
     expected = _quick_start_output()
     assert len(expected) == 9
     assert capsys.readouterr().out.splitlines()[: len(expected)] == expected
+
+
+def test_readme_cites_only_tests_that_exist():
+    text = README.read_text(encoding="utf-8")
+    cited = re.findall(r"tests/(test_\w+)\.py::(\w+)(?:::(\w+))?", text)
+    assert cited
+    for module, name, method in cited:
+        tree = ast.parse((README.parent / "tests" / f"{module}.py").read_text(encoding="utf-8"))
+        defined = {node.name: node for node in tree.body
+                   if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+        assert name in defined, f"{module}::{name}"
+        if method:
+            assert any(getattr(node, "name", None) == method for node in defined[name].body), \
+                f"{module}::{name}::{method}"

@@ -217,7 +217,7 @@ class TestObservedRt:
     def test_first_nonpositive_week_is_named(self, totals, week, text):
         series = CaseSeries(["2020-42", "2020-43", "2020-44"], totals, np.zeros((3, 6)))
         message = f"week {week}: nonpositive case total {text} breaks the growth recurrence"
-        with pytest.raises(ValueError, match=re.escape(message)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             series.observed_rt
 
     @pytest.mark.parametrize("totals, week, text", [
@@ -225,7 +225,8 @@ class TestObservedRt:
     ])
     def test_growth_that_is_not_finite_is_named(self, totals, week, text):
         series = CaseSeries(["2020-42", "2020-43", "2020-44"], totals, np.zeros((3, 6)))
-        with pytest.raises(ValueError, match=re.escape(f"week {week} is not finite ({text})")):
+        message = f"week {week} is not finite ({text})"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             series.observed_rt
 
     @pytest.mark.parametrize("totals, week", [

@@ -185,16 +185,6 @@ def test_weekly_rows_print_each_cell_as_percent_formats(data, weeks):
 
 
 class TestEstimateErrors:
-    def test_out_of_range_param_exits_1(self, capsys):
-        code, _, err = run_cli(capsys, "estimate", "--param", "u_app=1.5")
-        assert code == 1
-        assert "u_app" in err
-
-    def test_unknown_param_exits_2(self, capsys):
-        code, _, err = run_cli(capsys, "estimate", "--param", "bogus=1")
-        assert code == 2
-        assert "unknown parameter" in err
-
     @pytest.mark.parametrize("flags, message", [
         (["--param", "a_ct=0.67"], "error: unknown parameter(s): a_ct\n"),
         (["--config", "model.conf"], "error: model.conf:1: unknown parameter 'a_base'\n"),
@@ -221,17 +211,6 @@ class TestEstimateErrors:
         code, _, err = run_cli(capsys, "estimate", "--data", str(missing))
         assert code == 2
         assert "nope.csv" in err
-
-    def test_malformed_header_exits_2(self, tmp_path, capsys):
-        bad = tmp_path / "bad.csv"
-        bad.write_text(
-            "week,c_total,c_sym,c_ct,c_app_minus,c_app_plus\n"
-            "2020-10,100,10,5,1,1\n",
-            encoding="utf-8",
-        )
-        code, _, err = run_cli(capsys, "estimate", "--data", str(bad))
-        assert code == 2
-        assert "c_pers" in err
 
     @pytest.mark.parametrize("command", ["estimate", "sweep", "validate"])
     def test_hosp_without_data_exits_2(self, tmp_path, capsys, command):
@@ -276,30 +255,34 @@ class TestEstimateErrors:
         assert err.startswith("error: model.conf: 'utf-8' codec can't decode byte 0xff")
         assert not Path("out").exists()
 
-    def test_zero_tracing_delay_exits_2_naming_delay(self, tmp_path, capsys):
-        code, _, err = run_cli(
-            capsys, "estimate", "--param", "t_ct=0", "--out", str(tmp_path))
-        assert code == 2
-        assert err == "error: t_ct must be >= 1, got 0\n"
+
+#: each command that builds the TAF table; ``estimate`` writes to ./out by default
+_TABLE_COMMANDS = pytest.mark.parametrize(
+    "argv", [("lambda-table",), ("simulate", "--trees", "10"), ("estimate",)],
+    ids=["lambda-table", "simulate", "estimate"])
 
 
-@pytest.mark.parametrize("argv", [("lambda-table",), ("simulate", "--trees", "10")],
-                         ids=["lambda-table", "simulate"])
+@_TABLE_COMMANDS
 @pytest.mark.parametrize("delays, message", [
     (("t_plan=0",), "t_plan must be >= 1, got 0"),
     (("t_sym=13",), "t_sym must be <= 12, got 13"),
     (("t_sym=1", "t_plan=1"), "t_sym + t_plan must be >= 3, got 2"),
-], ids=["same_day_testing", "late_symptoms", "short_span"])
-def test_delay_outside_the_taf_domain_exits_2_naming_it(capsys, argv, delays, message):
+    (("t_ct=0",), "t_ct must be >= 1, got 0"),
+], ids=["same_day_testing", "late_symptoms", "short_span", "zero_tracing_delay"])
+def test_delay_outside_the_taf_domain_exits_2_naming_it(tmp_path, capsys, monkeypatch, argv,
+                                                        delays, message):
+    monkeypatch.chdir(tmp_path)
     params = [arg for delay in delays for arg in ("--param", delay)]
     assert run_cli(capsys, *argv, *params) == (2, "", f"error: {message}\n")
+    assert not Path("out").exists()
 
 
-@pytest.mark.parametrize("argv", [("lambda-table",), ("simulate", "--trees", "10")],
-                         ids=["lambda-table", "simulate"])
-def test_out_of_range_param_exits_1(capsys, argv):
+@_TABLE_COMMANDS
+def test_out_of_range_param_exits_1(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(capsys, *argv, "--param", "u_app=1.5")
     assert (code, out, err) == (1, "", "params: u_app must lie in [0, 1], got 1.5\n")
+    assert not Path("out").exists()
 
 
 # --------------------------------------------------------------------------
@@ -365,13 +348,6 @@ class TestSimulate:
         lines = out.splitlines()
         assert [line.split(",")[0] for line in lines[1:]] == list(CASE_TYPES)
 
-    def test_repeat_run_is_identical(self, capsys):
-        argv = ("simulate", "--case-type", "ct", "--trees", "1500",
-                "--seed", "11")
-        first = run_cli(capsys, *argv)
-        second = run_cli(capsys, *argv)
-        assert first == second
-
 
 class TestSimulateThreads:
     """``simulate`` runs its case types on one thread per usable core."""
@@ -380,6 +356,12 @@ class TestSimulateThreads:
     def cores(monkeypatch, count):
         monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(count)),
                             raising=False)
+
+    @staticmethod
+    def counted(monkeypatch, count):
+        """An OS without CPU affinity, whose ``cpu_count`` says ``count``."""
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: count)
 
     @pytest.mark.parametrize("params", [
         (), ("--param", "u_app=1", "--param", "t_app=3", "--param", "t_ct=5"),
@@ -402,7 +384,12 @@ class TestSimulateThreads:
         monkeypatch.setattr(cli.oracle, "empirical_case_type_taf", recorded)
         self.cores(monkeypatch, 1)
         assert run_cli(capsys, "simulate", "--trees", "200")[0] == 0
+        self.counted(monkeypatch, None)  # no affinity and no core count: one core
+        assert cli._usable_cores() == 1
+        assert run_cli(capsys, "simulate", "--trees", "200")[0] == 0
         assert threads == {threading.main_thread()}
+        self.counted(monkeypatch, 3)
+        assert cli._usable_cores() == 3
 
     def test_two_cores_run_two_case_types_at_once(self, capsys, monkeypatch):
         # miss and sym each wait for the other: run one after the other, the
@@ -716,7 +703,7 @@ class TestZeroIhr:
         assert code == 0
         assert err == ""
         summary = (out_dir / "summary.csv").read_text().splitlines()
-        assert summary[1] == "averted_cases,803079,68884"
+        assert summary[1] == DEFAULT_SUMMARY[1]
         assert summary[2] == "averted_hospitalizations,0,0"
 
 
@@ -727,66 +714,38 @@ class TestZeroIhr:
 @pytest.mark.parametrize("command", ["validate", "estimate"])
 @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
 class TestNonFiniteInput:
-    def run(self, capsys, tmp_path, command, *argv):
+    """The CLI's exit path for an input file a loader rejects, for each kind of
+    input file; ``test_cases.TestCsvLoaders`` pins each loader's other messages."""
+
+    def assert_named(self, capsys, tmp_path, command, argv, where, message):
         out_dir = tmp_path / "out"
         extra = ("--out", str(out_dir)) if command == "estimate" else ()
-        code, out, err = run_cli(capsys, command, *argv, *extra)
-        assert code == 2
-        assert "Traceback" not in err
+        assert run_cli(capsys, command, *argv, *extra) == (2, "", f"error: {where}: {message}\n")
         assert not out_dir.exists()
-        return err
 
     def test_presplit(self, capsys, tmp_path, command, text):
         data = write_presplit(tmp_path / "weekly.csv", [
             ("2020-10", 1000, 300, 40, 60, 5, 10),
             ("2020-11", 1100, text, 44, 66, 6, 11),
         ])
-        err = self.run(capsys, tmp_path, command, "--data", data)
-        assert f"weekly.csv:3: column 'c_sym': not a finite number: '{text}'" in err
+        self.assert_named(capsys, tmp_path, command, ("--data", data), f"{data}:3",
+                          f"column 'c_sym': not a finite number: '{text}'")
 
     def test_raw_counts(self, capsys, tmp_path, command, text):
         raw, hosp = write_raw_inputs(
             tmp_path, rows=("2020-10,100,50,10,5,0.5", f"2020-11,120,60,{text},6,0.5"))
-        err = self.run(capsys, tmp_path, command, "--data", raw, "--hosp", hosp)
-        assert f"raw.csv:3: column 'app_with_symptoms': not a finite number: '{text}'" in err
+        self.assert_named(capsys, tmp_path, command, ("--data", raw, "--hosp", hosp), f"{raw}:3",
+                          f"column 'app_with_symptoms': not a finite number: '{text}'")
 
     def test_raw_admissions(self, capsys, tmp_path, command, text):
         admissions = ["1.32"] * 14
         admissions[4] = text
         raw, hosp = write_raw_inputs(tmp_path, admissions=admissions)
-        err = self.run(capsys, tmp_path, command, "--data", raw, "--hosp", hosp)
-        assert f"hosp.csv:6: column 'admissions': not a finite number: '{text}'" in err
-
-
-class TestEmptyInput:
-    def test_presplit_without_rows_exits_2(self, tmp_path, capsys):
-        data = write_presplit(tmp_path / "weekly.csv", [])
-        code, _, err = run_cli(capsys, "validate", "--data", data)
-        assert code == 2
-        assert "weekly.csv: no data rows" in err
-
-    def test_raw_without_rows_exits_2(self, tmp_path, capsys):
-        raw, hosp = write_raw_inputs(tmp_path, rows=())
-        code, _, err = run_cli(capsys, "validate", "--data", raw, "--hosp", hosp)
-        assert code == 2
-        assert "raw.csv: no data rows" in err
+        self.assert_named(capsys, tmp_path, command, ("--data", raw, "--hosp", hosp), f"{hosp}:6",
+                          f"column 'admissions': not a finite number: '{text}'")
 
 
 class TestWeekLabels:
-    @pytest.mark.parametrize("command", ["validate", "estimate"])
-    def test_unparseable_labels_exit_2(self, tmp_path, capsys, command):
-        data = write_presplit(tmp_path / "weekly.csv", [
-            ("bogus", 1000, 300, 40, 60, 5, 10),
-            ("bogus", 1100, 320, 44, 66, 6, 11),
-            ("2019-03", 1210, 350, 48, 72, 7, 12),
-        ])
-        out_dir = tmp_path / "out"
-        extra = ("--out", str(out_dir)) if command == "estimate" else ()
-        code, _, err = run_cli(capsys, command, "--data", data, *extra)
-        assert code == 2
-        assert "weekly.csv:2: invalid ISO week label 'bogus'" in err
-        assert not out_dir.exists()
-
     def test_week_gap_exits_1_naming_the_gap(self, tmp_path, capsys):
         data = write_presplit(tmp_path / "weekly.csv", [
             ("2020-42", 1000, 300, 40, 60, 5, 10),
@@ -806,27 +765,6 @@ class TestWeekLabels:
         code, out, _ = run_cli(capsys, "validate", "--data", data)
         assert code == 1
         assert "series: week 2020-42: repeats 2020-42 (ISO weeks must be consecutive)" in out
-
-
-class TestMalformedRows:
-    @pytest.mark.parametrize("row, got", [("2020-11,1100,320,44", 4),
-                                          ("2020-11,1100,320,44,66,6,11,0", 8)])
-    def test_ragged_presplit_row_exits_2(self, tmp_path, capsys, row, got):
-        path = tmp_path / "weekly.csv"
-        path.write_text("week,c_total,c_sym,c_pers,c_ct,c_app_minus,c_app_plus\n"
-                        "2020-10,1000,300,40,60,5,10\n\n" + row + "\n", encoding="utf-8")
-        code, _, err = run_cli(capsys, "estimate", "--data", str(path),
-                               "--out", str(tmp_path / "out"))
-        assert code == 2
-        assert err == f"error: {path}:4: expected 7 fields, got {got}\n"
-
-    def test_negative_raw_count_exits_2(self, tmp_path, capsys):
-        raw, hosp = write_raw_inputs(
-            tmp_path, rows=("2020-10,100,50,10,5,0.5", "2020-11,120,-60,12,6,0.5"))
-        code, _, err = run_cli(capsys, "estimate", "--data", raw, "--hosp", hosp,
-                               "--out", str(tmp_path / "out"))
-        assert code == 2
-        assert "raw.csv:3: column 'ct_found': negative count: '-60'" in err
 
 
 class TestOverflow:
