@@ -12,8 +12,7 @@ Subcommands
     values and the calibration-variant choice.
 ``simulate``
     Monte-Carlo check: empirical per-type TAF next to the analytic constants.
-    The case types run on one thread per usable core; the output does not
-    depend on the number of cores.
+    The case types run in order; the first one that fails names the error.
 ``sweep``
     Re-run the estimate across a list of values for one parameter, one CSV
     row per value.
@@ -29,9 +28,7 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
-import threading
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -287,7 +284,7 @@ def _run_simulate(args: argparse.Namespace) -> int:
     table = LambdaTable.build(p, InfectivityProfile.from_params(p))
     kinds = CASE_TYPES if args.case_type == "all" else (args.case_type,)
     try:
-        outcomes = _simulate(kinds, cfg, p)
+        outcomes = [oracle.empirical_case_type_taf(kind, cfg, p) for kind in kinds]
     except MemoryError as exc:
         raise ValueError(f"--trees {cfg.trees}: not enough memory to simulate "
                          f"{cfg.trees} trees") from exc
@@ -300,50 +297,6 @@ def _run_simulate(args: argparse.Namespace) -> int:
                      f"{outcome.empirical_taf - analytic:+.4f}")
     print("\n".join(lines))  # the header only with the rows: nothing before an error
     return 0
-
-
-def _usable_cores() -> int:
-    """The cores this process may run on, or all of them where the OS cannot say."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _simulate(kinds: tuple[str, ...], cfg: oracle.SimConfig,
-              p: ModelParams) -> list[oracle.SimOutcome]:
-    """The oracle's outcome for each of ``kinds``, in order, on one thread per
-    usable core, the calling thread being one of them.  Each kind draws from
-    its own generator seeded with ``cfg.seed``, so the outcomes do not depend
-    on the thread count.  The first kind that failed, in order, raises its
-    error once every kind has ended."""
-    results: list = [None] * len(kinds)
-    queue = iter(range(len(kinds)))
-    lock = threading.Lock()
-
-    def work() -> None:
-        while True:
-            with lock:
-                index = next(queue, None)
-            if index is None:
-                return
-            try:
-                results[index] = oracle.empirical_case_type_taf(kinds[index], cfg, p)
-            except Exception as exc:  # raised below, by the calling thread
-                results[index] = exc
-
-    # daemons, so that an interrupt ends the run without waiting for the rest
-    helpers = [threading.Thread(target=work, daemon=True)
-               for _ in range(min(len(kinds), _usable_cores()) - 1)]
-    for helper in helpers:
-        helper.start()
-    work()
-    for helper in helpers:
-        helper.join()
-    for result in results:
-        if isinstance(result, Exception):
-            raise result
-    return results
 
 
 def _run_sweep(args: argparse.Namespace) -> int:

@@ -30,8 +30,8 @@ parameters itself, so a fault in the analytic code cannot hide on both sides
 of the cross-check.
 
 The only array of ``n`` trees is the float ratios; the rest is per state or
-per block of secondaries, so two case types run at once (``cli`` runs them on
-one thread per core, each with its own seeded generator).
+per block of secondaries.  Each case type draws from its own generator seeded
+with ``SimConfig.seed``, so its outcome does not depend on the other types run.
 """
 from __future__ import annotations
 

@@ -11,9 +11,7 @@ import dataclasses
 import datetime as dt
 import io
 import math
-import sys
 import tempfile
-import threading
 import warnings
 from pathlib import Path
 
@@ -348,65 +346,7 @@ class TestSimulate:
         lines = out.splitlines()
         assert [line.split(",")[0] for line in lines[1:]] == list(CASE_TYPES)
 
-
-class TestSimulateThreads:
-    """``simulate`` runs its case types on one thread per usable core."""
-
-    @staticmethod
-    def cores(monkeypatch, count):
-        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(count)),
-                            raising=False)
-
-    @staticmethod
-    def counted(monkeypatch, count):
-        """An OS without CPU affinity, whose ``cpu_count`` says ``count``."""
-        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: count)
-
-    @pytest.mark.parametrize("params", [
-        (), ("--param", "u_app=1", "--param", "t_app=3", "--param", "t_ct=5"),
-    ], ids=["defaults", "app-heavy"])
-    def test_core_count_changes_no_byte(self, capsys, monkeypatch, params):
-        runs = []
-        for count in (1, 6):
-            self.cores(monkeypatch, count)
-            runs.append(run_cli(capsys, "simulate", "--trees", "3000", *params))
-        assert runs[0][0] == 0
-        assert runs[0] == runs[1]
-
-    def test_one_core_starts_no_thread(self, capsys, monkeypatch):
-        simulate, threads = cli.oracle.empirical_case_type_taf, set()
-
-        def recorded(*args):
-            threads.add(threading.current_thread())
-            return simulate(*args)
-
-        monkeypatch.setattr(cli.oracle, "empirical_case_type_taf", recorded)
-        self.cores(monkeypatch, 1)
-        assert run_cli(capsys, "simulate", "--trees", "200")[0] == 0
-        self.counted(monkeypatch, None)  # no affinity and no core count: one core
-        assert cli._usable_cores() == 1
-        assert run_cli(capsys, "simulate", "--trees", "200")[0] == 0
-        assert threads == {threading.main_thread()}
-        self.counted(monkeypatch, 3)
-        assert cli._usable_cores() == 3
-
-    def test_two_cores_run_two_case_types_at_once(self, capsys, monkeypatch):
-        # miss and sym each wait for the other: run one after the other, the
-        # barrier breaks and the run ends in a BrokenBarrierError
-        simulate, barrier = cli.oracle.empirical_case_type_taf, threading.Barrier(2, timeout=30)
-
-        def meeting(kind, *args):
-            if kind in ("miss", "sym"):
-                barrier.wait()
-            return simulate(kind, *args)
-
-        monkeypatch.setattr(cli.oracle, "empirical_case_type_taf", meeting)
-        self.cores(monkeypatch, 2)
-        assert run_cli(capsys, "simulate", "--trees", "200")[0] == 0
-
-    @pytest.mark.parametrize("count", [1, 6])
-    def test_out_of_memory_in_one_case_type_exits_2(self, capsys, monkeypatch, count):
+    def test_out_of_memory_in_one_case_type_exits_2(self, capsys, monkeypatch):
         simulate = cli.oracle.empirical_case_type_taf
 
         def app_plus_exhausted(kind, *args):
@@ -415,46 +355,65 @@ class TestSimulateThreads:
             return simulate(kind, *args)
 
         monkeypatch.setattr(cli.oracle, "empirical_case_type_taf", app_plus_exhausted)
-        self.cores(monkeypatch, count)
         code, out, err = run_cli(capsys, "simulate", "--trees", "3000")
         assert (code, out) == (2, "")
         assert err == "error: --trees 3000: not enough memory to simulate 3000 trees\n"
 
     def test_first_failing_case_type_in_order_raises(self, capsys, monkeypatch):
-        # sym fails while miss still runs; miss comes first, so its error is named
-        sym_failed = threading.Event()
+        simulate = cli.oracle.empirical_case_type_taf
 
         def failing(kind, *args):
-            if kind == "miss":
-                assert sym_failed.wait(timeout=30)
-            elif kind == "sym":
-                sym_failed.set()
-            raise ValueError(f"{kind} failed")
+            if kind in ("sym", "ct"):
+                raise ValueError(f"{kind} failed")
+            return simulate(kind, *args)
 
         monkeypatch.setattr(cli.oracle, "empirical_case_type_taf", failing)
-        self.cores(monkeypatch, 6)
-        assert run_cli(capsys, "simulate", "--trees", "200") == (2, "", "error: miss failed\n")
+        assert run_cli(capsys, "simulate", "--trees", "200") == (2, "", "error: sym failed\n")
 
-    def test_each_case_type_runs_once_under_frequent_switches(self, monkeypatch):
-        # six threads on fewer cores, switching every microsecond: a case type
-        # taken twice from the shared queue, or a lost result, breaks the run
-        calls = []
+    @pytest.mark.parametrize("trees", ["1", "0"])
+    def test_fewer_than_two_trees_exits_2(self, capsys, trees):
+        code, out, err = run_cli(capsys, "simulate", "--trees", trees, "--case-type", "ct")
+        assert code == 2
+        assert out == ""
+        assert f"trees must be at least 2 for a standard error, got {trees}" in err
 
-        def recorded(kind, cfg, p):
-            calls.append(kind)
-            return kind
+    @pytest.mark.parametrize("delay", ["t_plan=1000000000000", "t_ct=1000000000000000000000"])
+    def test_huge_delay_ends_in_a_report(self, capsys, delay):
+        code, out, err = run_cli(capsys, "simulate", "--trees", "50", "--param", delay)
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 1 + len(CASE_TYPES)
 
-        monkeypatch.setattr(cli.oracle, "empirical_case_type_taf", recorded)
-        self.cores(monkeypatch, 6)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(200):
-                calls.clear()
-                assert cli._simulate(CASE_TYPES, None, None) == list(CASE_TYPES)
-                assert sorted(calls) == sorted(CASE_TYPES)
-        finally:
-            sys.setswitchinterval(interval)
+    def test_delay_past_the_float_range_runs_as_a_long_one(self, tmp_path, capsys):
+        def outputs(days):
+            out = tmp_path / "out"
+            commands = (("lambda-table",), ("simulate", "--trees", "200"),
+                        ("estimate", "--out", str(out)))
+            runs = [run_cli(capsys, *argv, "--param", f"t_ct={days}") for argv in commands]
+            return runs, [(out / name).read_bytes() for name in ("weekly.csv", "summary.csv")]
+
+        huge = outputs("1" + "0" * 400)
+        assert [code for code, _, _ in huge[0]] == [0, 0, 0]
+        assert huge == outputs("100000")
+
+    def test_out_of_memory_exits_2_naming_trees(self, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError("Unable to allocate 7.45 GiB")
+
+        monkeypatch.setattr(cli.oracle, "empirical_case_type_taf", exhausted)
+        code, out, err = run_cli(capsys, "simulate", "--trees", "1000000000", "--case-type", "ct")
+        assert (code, out) == (2, "")
+        assert err == ("error: --trees 1000000000: not enough memory to simulate "
+                       "1000000000 trees\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--seed", "-1"), "seed must be >= 0, got -1"),
+        (("--trees", "99999999999999999999999"),
+         f"trees must be at most {np.iinfo(np.intp).max // 8}, got 99999999999999999999999"),
+    ], ids=["negative_seed", "trees_past_numpy_size"])
+    def test_bad_flag_exits_2_naming_it_before_any_output(self, capsys, argv, message):
+        # both are rejected before a tree is drawn, so nothing is allocated
+        code, out, err = run_cli(capsys, "simulate", "--case-type", "ct", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 # --------------------------------------------------------------------------
@@ -852,53 +811,6 @@ class TestParserReuse:
         assert heads[0].startswith("param,value,s_ct_total")
         assert heads[1] == "case_type,trees,empirical_taf,standard_error,analytic_taf,delta"
         assert heads[2] == "# infectivity profile"
-
-
-class TestSimulateTrees:
-    @pytest.mark.parametrize("trees", ["1", "0"])
-    def test_fewer_than_two_trees_exits_2(self, capsys, trees):
-        code, out, err = run_cli(capsys, "simulate", "--trees", trees, "--case-type", "ct")
-        assert code == 2
-        assert out == ""
-        assert f"trees must be at least 2 for a standard error, got {trees}" in err
-
-    @pytest.mark.parametrize("delay", ["t_plan=1000000000000", "t_ct=1000000000000000000000"])
-    def test_huge_delay_ends_in_a_report(self, capsys, delay):
-        code, out, err = run_cli(capsys, "simulate", "--trees", "50", "--param", delay)
-        assert (code, err) == (0, "")
-        assert len(out.splitlines()) == 1 + len(CASE_TYPES)
-
-    def test_delay_past_the_float_range_runs_as_a_long_one(self, tmp_path, capsys):
-        def outputs(days):
-            out = tmp_path / "out"
-            commands = (("lambda-table",), ("simulate", "--trees", "200"),
-                        ("estimate", "--out", str(out)))
-            runs = [run_cli(capsys, *argv, "--param", f"t_ct={days}") for argv in commands]
-            return runs, [(out / name).read_bytes() for name in ("weekly.csv", "summary.csv")]
-
-        huge = outputs("1" + "0" * 400)
-        assert [code for code, _, _ in huge[0]] == [0, 0, 0]
-        assert huge == outputs("100000")
-
-    def test_out_of_memory_exits_2_naming_trees(self, capsys, monkeypatch):
-        def exhausted(*args):
-            raise MemoryError("Unable to allocate 7.45 GiB")
-
-        monkeypatch.setattr(cli.oracle, "empirical_case_type_taf", exhausted)
-        code, out, err = run_cli(capsys, "simulate", "--trees", "1000000000", "--case-type", "ct")
-        assert (code, out) == (2, "")
-        assert err == ("error: --trees 1000000000: not enough memory to simulate "
-                       "1000000000 trees\n")
-
-    @pytest.mark.parametrize("argv, message", [
-        (("--seed", "-1"), "seed must be >= 0, got -1"),
-        (("--trees", "99999999999999999999999"),
-         f"trees must be at most {np.iinfo(np.intp).max // 8}, got 99999999999999999999999"),
-    ], ids=["negative_seed", "trees_past_numpy_size"])
-    def test_bad_flag_exits_2_naming_it_before_any_output(self, capsys, argv, message):
-        # both are rejected before a tree is drawn, so nothing is allocated
-        code, out, err = run_cli(capsys, "simulate", "--case-type", "ct", *argv)
-        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 # --------------------------------------------------------------------------
