@@ -81,7 +81,6 @@ def test_criterion_3_cumulative_exposure_rows(table):
         REFERENCE_LAMBDA_PAIR_ROW,
     )
 
-    assert table.variant in {"table", "text"}
     assert table.variant == "table"
     rows = (
         (table.lambda_pair_row, REFERENCE_LAMBDA_PAIR_ROW, "pair"),

@@ -52,7 +52,9 @@ def _one_week(counts=(0.0, 0.0, 0.0, 0.0, 0.1), label="2020-42"):
     return (label,), np.array([counts], dtype=float)
 
 
-class TestEstimateTotalCases:
+class TestRawPipeline:
+    """``build_series_from_raw`` and the week-label arithmetic it reads."""
+
     def test_flat_series(self, params):
         series = build_series_from_raw(_one_week(), _flat_admissions(MONDAY, 20, 10.0), params)
         assert series.total[0] == pytest.approx(70 / 0.0132)
@@ -107,8 +109,6 @@ class TestEstimateTotalCases:
         two = build_series_from_raw(_one_week(), _flat_admissions(MONDAY, 14, 6.0), params)
         assert two.total[0] == pytest.approx(2 * one.total[0])
 
-
-class TestDeriveCaseTypes:
     def _split(self, params, total, sym=0.0, ct_found=0.0, app_sym=0.0, app_nosym=0.0):
         """One week's counts, its total set exactly through ``ihr = 1``."""
         days, values = _flat_admissions(MONDAY, 14, 0.0)
@@ -136,6 +136,49 @@ class TestDeriveCaseTypes:
     def test_total_below_reported_rejected(self, params):
         with pytest.raises(ValueError, match="below"):
             self._split(params, 50, sym=100)
+
+    def test_build_series_from_raw(self, params):
+        raw = (("2020-42", "2020-43"), np.array([[500.0, 200.0, 30.0, 10.0, 8.4],
+                                                   [600.0, 250.0, 40.0, 20.0, 8.0]]))
+        series = build_series_from_raw(raw, _flat_admissions(MONDAY, 25, 10.0), params)
+        assert series.labels == ("2020-42", "2020-43")
+        total = 70 / params.ihr
+        assert series.total.tolist() == [total, total]
+        assert series.counts[0].tolist() == pytest.approx(
+            [total - 740, 500, 120, 80, 2, 38])
+        assert validate_series(series).ok
+
+    def test_week_mondays(self):
+        assert _week_mondays(["2020-42", "2021-19"]).tolist() == [
+            dt.date(2020, 10, 12).toordinal(), dt.date(2021, 5, 10).toordinal()]
+
+    def test_week_mondays_check_each_label_length(self):
+        # 6 and 8 characters average 7, so only the length of each label tells
+        assert _week_mondays(["2020-4", "2020-42\0", "2020-43"]).tolist() == [
+            -1, -1, dt.date(2020, 10, 19).toordinal()]
+
+    def test_bad_week_label(self, params):
+        with pytest.raises(ValueError, match="label '2020/42'"):
+            build_series_from_raw(_one_week(label="2020/42"),
+                                  _flat_admissions(MONDAY, 20, 5.0), params)
+
+    def test_window_past_the_last_date_names_the_day_and_week(self, params):
+        # the window starts on 1 January 10000, past the range of datetime.date
+        with pytest.raises(ValueError, match=r"^hospitalization series does not cover 3652060 "
+                                             r"\(needed for week starting 9999-12-27\)$"):
+            build_series_from_raw(_one_week(label="9999-52"),
+                                  _flat_admissions(dt.date(9999, 12, 27), 5, 5.0), params)
+
+    def test_week_mondays_match_iso_calendar(self):
+        labels, expected = [], []
+        for year in (1, 4, 100, 400, 1900, 2000, 2004, 2020, 2021, 2100, 9999):
+            for week in range(1, 54):
+                labels.append(f"{year:04d}-{week:02d}")
+                try:
+                    expected.append(dt.date.fromisocalendar(year, week, 1).toordinal())
+                except ValueError:
+                    expected.append(-1)
+        assert _week_mondays(labels).tolist() == expected
 
 
 class TestFixture:
@@ -198,6 +241,26 @@ class TestCaseSeries:
 
 
 class TestObservedRt:
+    """``CaseSeries.observed_rt`` and the ``rt_series`` it computes."""
+
+    LABELS = ("2020-42", "2020-43", "2020-44")
+
+    def test_constant_series(self):
+        assert cases.rt_series([100.0, 100.0, 100.0], self.LABELS) == pytest.approx([1.0, 1.0])
+
+    def test_doubling(self):
+        got = cases.rt_series([100.0, 200.0], self.LABELS)
+        assert got == pytest.approx([2 ** (4 / 7)])
+        assert got[0] == pytest.approx(1.486, abs=0.001)
+
+    def test_fixture_first_transition(self, series):
+        rt = cases.rt_series(series.total, series.labels)
+        assert rt[0] == pytest.approx((145302 / 134772) ** (4 / 7))
+        assert rt[0] == pytest.approx(1.044, abs=0.001)
+
+    def test_length(self, series):
+        assert len(cases.rt_series(series.total, series.labels)) == len(series) - 1
+
     def test_is_rt_series_of_the_totals_computed_once(self):
         series = load_fixture()
         rt = series.observed_rt
@@ -215,7 +278,7 @@ class TestObservedRt:
         ((1e-300, 1e300, 0.0), "2020-44", "0.0"),  # before any growth past the float range
     ])
     def test_first_nonpositive_week_is_named(self, totals, week, text):
-        series = CaseSeries(["2020-42", "2020-43", "2020-44"], totals, np.zeros((3, 6)))
+        series = CaseSeries(self.LABELS, totals, np.zeros((3, 6)))
         message = f"week {week}: nonpositive case total {text} breaks the growth recurrence"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             series.observed_rt
@@ -224,7 +287,7 @@ class TestObservedRt:
         ((1.0, 1e-300, 1e300), "2020-43: case growth to week 2020-44", "1e-300 -> 1e+300"),
     ])
     def test_growth_that_is_not_finite_is_named(self, totals, week, text):
-        series = CaseSeries(["2020-42", "2020-43", "2020-44"], totals, np.zeros((3, 6)))
+        series = CaseSeries(self.LABELS, totals, np.zeros((3, 6)))
         message = f"week {week} is not finite ({text})"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             series.observed_rt
@@ -235,13 +298,13 @@ class TestObservedRt:
         ((np.inf, 5.0, 6.0), "2020-42"),  # the growth from it, 0, is finite
     ])
     def test_infinite_total_is_named(self, totals, week):
-        series = CaseSeries(["2020-42", "2020-43", "2020-44"], totals, np.ones((3, 6)))
+        series = CaseSeries(self.LABELS, totals, np.ones((3, 6)))
         with pytest.raises(ValueError, match=f"^week {week}: case total inf is not finite$"):
             series.observed_rt
 
     def test_infinite_total_is_named_before_the_replay(self, lambdas, params):
         # the observed week is named, not a counterfactual that reaches inf
-        series = CaseSeries(["2020-42", "2020-43", "2020-44"], (np.inf, 5.0, 6.0), np.ones((3, 6)))
+        series = CaseSeries(self.LABELS, (np.inf, 5.0, 6.0), np.ones((3, 6)))
         with pytest.raises(ValueError, match="^week 2020-42: case total inf is not finite$"):
             counterfactual.averted_ct(series, lambdas, params)
 
@@ -361,7 +424,7 @@ class TestCsvLoaders:
             "2020-42,100,1,1,1,1,1\n"
             "2020-43,abc,1,1,1,1,1\n"
         )
-        with pytest.raises(ValueError, match=r":3"):
+        with pytest.raises(ValueError, match=r"weekly.csv:3: column 'c_total': not a number: 'abc'$"):
             load_presplit_csv(path)
 
     def test_presplit_overfull_partition_rejected(self, tmp_path):
@@ -370,8 +433,27 @@ class TestCsvLoaders:
             "week,c_total,c_sym,c_pers,c_ct,c_app_minus,c_app_plus\n"
             "2020-42,10,20,0,0,0,0\n"
         )
-        with pytest.raises(ValueError, match="exceed"):
+        with pytest.raises(ValueError, match=r"weekly.csv:2: typed counts exceed c_total "
+                                             r"\(residual missed count -10\.0\)$"):
             load_presplit_csv(path)
+
+    #: each loader's file name, its text with one cell to fill and that cell's column
+    NON_FINITE = {
+        "presplit": (load_presplit_csv, "weekly.csv", HEADER + "2020-42,100,{},1,1,1,1\n", "c_sym"),
+        "raw": (load_raw_csv, "raw.csv", RAW_HEADER + "2020-42,1,{},3,4,0.5\n", "ct_found"),
+        "hospitalizations": (load_hospitalizations_csv, "hosp.csv",
+                             "date,admissions\n2020-10-12,{}\n", "admissions"),
+    }
+
+    @pytest.mark.parametrize("kind", list(NON_FINITE))
+    def test_non_finite_number_names_line_and_column(self, tmp_path, kind):
+        load, name, template, column = self.NON_FINITE[kind]
+        path = tmp_path / name
+        for text in ("nan", "inf", "-inf"):
+            path.write_text(template.format(text))
+            with pytest.raises(ValueError) as info:
+                load(path)
+            assert str(info.value) == f"{path}:2: column '{column}': not a finite number: '{text}'"
 
     def test_presplit_blank_line_keeps_physical_line_number(self, tmp_path):
         path = tmp_path / "weekly.csv"
@@ -636,13 +718,13 @@ class TestCsvLoaders:
     def test_hospitalizations_strictly_increasing(self, tmp_path):
         path = tmp_path / "hosp.csv"
         path.write_text("date,admissions\n2020-10-12,5\n2020-10-12,6\n")
-        with pytest.raises(ValueError, match="increasing"):
+        with pytest.raises(ValueError, match=r"hosp.csv:3: dates must be strictly increasing$"):
             load_hospitalizations_csv(path)
 
     def test_hospitalizations_negative_rejected(self, tmp_path):
         path = tmp_path / "hosp.csv"
         path.write_text("date,admissions\n2020-10-12,-5\n")
-        with pytest.raises(ValueError, match="negative"):
+        with pytest.raises(ValueError, match=r"hosp.csv:2: negative admissions -5\.0$"):
             load_hospitalizations_csv(path)
 
     def test_hospitalizations_bad_date_named(self, tmp_path):
@@ -652,7 +734,6 @@ class TestCsvLoaders:
         with pytest.raises(ValueError, match=r"hosp.csv:3: invalid date 'yesterday'$"):
             load_hospitalizations_csv(path)
 
-
     @pytest.mark.parametrize("text", ["20201012", "2020-W42-1", "2021-02-30", "0000-01-01"])
     def test_hospitalizations_date_is_yyyy_mm_dd(self, tmp_path, text):
         # Python 3.11 and later read both compact forms with date.fromisoformat;
@@ -661,48 +742,3 @@ class TestCsvLoaders:
         path.write_text(f"date,admissions\n2020-10-11,4\n{text},5\n")
         with pytest.raises(ValueError, match=f"hosp.csv:3: invalid date '{text}'$"):
             load_hospitalizations_csv(path)
-
-
-class TestRawPipeline:
-    def test_build_series_from_raw(self, params):
-        raw = (("2020-42", "2020-43"), np.array([[500.0, 200.0, 30.0, 10.0, 8.4],
-                                                   [600.0, 250.0, 40.0, 20.0, 8.0]]))
-        series = build_series_from_raw(raw, _flat_admissions(MONDAY, 25, 10.0), params)
-        assert series.labels == ("2020-42", "2020-43")
-        total = 70 / params.ihr
-        assert series.total.tolist() == [total, total]
-        assert series.counts[0].tolist() == pytest.approx(
-            [total - 740, 500, 120, 80, 2, 38])
-        assert validate_series(series).ok
-
-    def test_week_mondays(self):
-        assert _week_mondays(["2020-42", "2021-19"]).tolist() == [
-            dt.date(2020, 10, 12).toordinal(), dt.date(2021, 5, 10).toordinal()]
-
-    def test_week_mondays_check_each_label_length(self):
-        # 6 and 8 characters average 7, so only the length of each label tells
-        assert _week_mondays(["2020-4", "2020-42\0", "2020-43"]).tolist() == [
-            -1, -1, dt.date(2020, 10, 19).toordinal()]
-
-    def test_bad_week_label(self, params):
-        with pytest.raises(ValueError, match="label '2020/42'"):
-            build_series_from_raw(_one_week(label="2020/42"),
-                                  _flat_admissions(MONDAY, 20, 5.0), params)
-
-    def test_window_past_the_last_date_names_the_day_and_week(self, params):
-        # the window starts on 1 January 10000, past the range of datetime.date
-        with pytest.raises(ValueError, match=r"^hospitalization series does not cover 3652060 "
-                                             r"\(needed for week starting 9999-12-27\)$"):
-            build_series_from_raw(_one_week(label="9999-52"),
-                                  _flat_admissions(dt.date(9999, 12, 27), 5, 5.0), params)
-
-    def test_week_mondays_match_iso_calendar(self):
-        labels, expected = [], []
-        for year in (1, 4, 100, 400, 1900, 2000, 2004, 2020, 2021, 2100, 9999):
-            for week in range(1, 54):
-                labels.append(f"{year:04d}-{week:02d}")
-                try:
-                    expected.append(dt.date.fromisocalendar(year, week, 1).toordinal())
-                except ValueError:
-                    expected.append(-1)
-        assert _week_mondays(labels).tolist() == expected

@@ -134,28 +134,16 @@ class TestAvertedCt:
                                              rf"type\(s\) {dropped}$"):
             averted(series, partial, params)
 
-    def test_zero_total_midseries_rejected(self, lambdas, params):
-        series = _series([
-            (50.0, 10.0, 2.0, 2.0, 1.0, 1.0),
-            (0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
-            (50.0, 10.0, 2.0, 2.0, 1.0, 1.0),
-        ])
-        with pytest.raises(ValueError, match="week 2020-41: nonpositive case total"):
-            averted_ct(series, lambdas, params)
-
-    def test_zero_total_in_last_week_rejected(self, lambdas, params):
-        series = _series([(50.0, 10.0, 2.0, 2.0, 1.0, 1.0), (0.0,) * 6])
-        with pytest.raises(ValueError, match="week 2020-41: nonpositive case total"):
-            averted_ct(series, lambdas, params)
-
-    @pytest.mark.parametrize("total, miss, message", [
-        (math.nan, 50.0, "nonpositive case total nan"),
-        (100.0, math.nan, "nonpositive transmission volume nan"),
-    ], ids=["total", "count"])
-    def test_nan_midseries_names_its_week(self, lambdas, params, total, miss, message):
+    @pytest.mark.parametrize("totals, miss, message", [
+        ((100.0, math.nan, 100.0), 50.0, "nonpositive case total nan"),
+        ((100.0, 100.0, 100.0), math.nan, "nonpositive transmission volume nan"),
+        ((100.0, 0.0), 50.0, "nonpositive case total 0.0"),
+    ], ids=["total", "count", "zero_total_in_last_week"])
+    def test_nan_midseries_names_its_week(self, lambdas, params, totals, miss, message):
         row = (50.0, 30.0, 10.0, 5.0, 3.0, 2.0)
-        series = CaseSeries(["2020-40", "2020-41", "2020-42"], [100.0, total, 100.0],
-                            [row, (miss, *row[1:]), row])
+        weeks = len(totals)
+        series = CaseSeries(["2020-40", "2020-41", "2020-42"][:weeks], totals,
+                            [row, (miss, *row[1:]), row][:weeks])
         with pytest.raises(ValueError, match=f"^week 2020-41: {message}"):
             averted_ct(series, lambdas, params)
 
@@ -242,44 +230,6 @@ class TestSeverity:
         assert result.hospitalizations == result.s_total * params.ihr
         assert result.icu_admissions == result.s_total * params.iir
         assert result.deaths == result.s_total * params.ifr
-
-
-class TestRtSeries:
-    LABELS = ("2020-40", "2020-41", "2020-42")
-
-    def test_constant_series(self):
-        assert rt_series([100.0, 100.0, 100.0], self.LABELS) == pytest.approx([1.0, 1.0])
-
-    def test_doubling(self):
-        got = rt_series([100.0, 200.0], self.LABELS)
-        assert got == pytest.approx([2 ** (4 / 7)])
-        assert got[0] == pytest.approx(1.486, abs=0.001)
-
-    def test_fixture_first_transition(self, series):
-        rt = rt_series(series.total, series.labels)
-        assert rt[0] == pytest.approx((145302 / 134772) ** (4 / 7))
-        assert rt[0] == pytest.approx(1.044, abs=0.001)
-
-    def test_length(self, series):
-        assert len(rt_series(series.total, series.labels)) == len(series) - 1
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError, match=r"^week 2020-41: nonpositive case total 0\.0 "):
-            rt_series([100.0, 0.0, 50.0], self.LABELS)
-
-    NOT_FINITE = {
-        (1e-300, 1e300): "week 2020-40: case growth to week 2020-41 is not finite "
-                         "(1e-300 -> 1e+300)",
-        # an infinite total is named before any growth from or to it
-        (1.0, math.inf): "week 2020-41: case total inf is not finite",
-        (math.inf, math.inf): "week 2020-40: case total inf is not finite",
-    }
-
-    @pytest.mark.parametrize("totals", list(NOT_FINITE))
-    def test_ratio_that_is_not_finite_rejected(self, totals):
-        with pytest.raises(ValueError) as info:
-            rt_series(totals, self.LABELS)
-        assert str(info.value) == self.NOT_FINITE[totals]
 
 
 class TestRtReduction:
