@@ -218,14 +218,13 @@ def empirical_case_type_taf(case_type: str, cfg: SimConfig, p: ModelParams) -> S
     ValueError
         If ``case_type`` is not one of the six model types, or ``p`` fails
         ``params.check``, which names every field of ``p`` out of
-        ``validate``'s range or, for the published ``i_w``, out of the delay
-        domain.
+        ``validate``'s range or out of the delay domain.
     """
     if case_type not in CASE_TYPES:
         raise ValueError(
             f"unknown case type {case_type!r}; expected one of {CASE_TYPES!r}"
         )
-    check(p, _I_W)
+    check(p)
     # each channel's warning delay, clipped at _LAST_DAY, and adherence x reach,
     # indexed by channel: 0 manual tracing, 1 the app
     latency = (min(p.t_ct, _LAST_DAY), min(p.t_app, _LAST_DAY))

@@ -149,7 +149,7 @@ def _coerce(name: str, value: object) -> float | int:
                 raise ValueError
             return int(as_float)
         return float(value)  # type: ignore[arg-type]
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"invalid value for parameter {name!r}: {value!r}") from None
 
 
@@ -160,7 +160,7 @@ def apply_overrides(base: ModelParams, overrides: Mapping[str, object]) -> Model
     ------
     ValueError
         For unknown parameter names, the derived composites included, or
-        values of the wrong type.
+        values that do not convert to the field's type.
     """
     unknown = sorted(set(overrides) - _FIELD_NAMES)
     if unknown:
@@ -184,20 +184,18 @@ def validate(p: ModelParams) -> ValidationReport:
     return ValidationReport(tuple(violations))
 
 
-def check(p: ModelParams, i_w: Iterable[float]) -> None:
+def check(p: ModelParams) -> None:
     """Raise one ``ValueError`` naming every field of ``p`` at fault: the
     ``validate`` violations if any (the bounds below compare delays, which need
-    not be integers then), else each delay out of the domain that the
-    infectivity weights ``i_w`` of profile days 1, 2, ... give the model."""
+    not be integers then), else each delay out of the model's delay domain."""
     violations = validate(p).violations
     if not violations:
-        # Exact because the published i_w is nonzero on every day from its first
-        # nonzero day (3) to its last (13): app_minus weighs days t_sym + 1 ..
+        # The 12 and 3 are exact because the published i_w is nonzero on every day
+        # from 3 to 13 and on no other day: app_minus weighs days t_sym + 1 ..
         # t_sym + t_plan, pers and ct days 1 .. t_sym + t_plan, and app_plus
         # isolates on day t_sym. A warning comes a day or more after isolation.
-        infectious = [day for day, weight in enumerate(i_w, start=1) if weight]
-        bounds = {"t_sym": (p.t_sym, 1, infectious[-1] - 1), "t_plan": (p.t_plan, 1, math.inf),
-                  "t_sym + t_plan": (p.t_sym + p.t_plan, infectious[0], math.inf),
+        bounds = {"t_sym": (p.t_sym, 1, 12), "t_plan": (p.t_plan, 1, math.inf),
+                  "t_sym + t_plan": (p.t_sym + p.t_plan, 3, math.inf),
                   "t_ct": (p.t_ct, 1, math.inf), "t_app": (p.t_app, 1, math.inf)}
         violations = tuple(
             f"{name} must be {f'>= {low}' if value < low else f'<= {high}'}, got {value}"

@@ -188,8 +188,8 @@ class LambdaTable:
     def build(cls, p: ModelParams, profile: InfectivityProfile) -> "LambdaTable":
         """Compute the full table with the calibrated pairing; ``params.check``
         raises a ``ValueError`` naming every field of ``p`` out of ``validate``'s
-        range or, for ``profile.i_w``, out of the delay domain."""
-        check(p, profile.i_w)
+        range or out of the delay domain."""
+        check(p)
         days = _Days(profile)
         rows = days.rows(p, _VARIANT)
         n = profile.i_w.size

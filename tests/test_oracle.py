@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from traceavert import cases, counterfactual, oracle
 from traceavert.infectivity import WEIBULL_PROFILE, InfectivityProfile
 from traceavert.oracle import SimConfig, empirical_case_type_taf
-from traceavert.params import ModelParams, apply_overrides, check
+from traceavert.params import ModelParams, apply_overrides
 from traceavert.taf import CASE_TYPES, LambdaTable
 
 
@@ -268,7 +268,8 @@ _MECHANISMS = ("(a) post-isolation contacts in the warned term, a warning delay 
 
 
 def _known_gap(overrides, reason):
-    return pytest.param(overrides, marks=pytest.mark.xfail(strict=True, reason=reason))
+    return pytest.param(overrides, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason=reason))
 
 
 class TestAwayFromDefaults:
@@ -371,7 +372,7 @@ class TestExactExpectation:
 
     @pytest.mark.parametrize("case_type", [CASE_TYPES[0]] + [
         pytest.param(kind, marks=pytest.mark.xfail(
-            strict=True, reason=f"ROADMAP.md item 2: {_MECHANISMS}"))
+            strict=True, raises=AssertionError, reason=f"ROADMAP.md item 2: {_MECHANISMS}"))
         for kind in CASE_TYPES[1:]])
     # quiet and unshrunk, so that a strict xfail stops at its first failing set;
     # the assertion names that set
@@ -379,7 +380,6 @@ class TestExactExpectation:
               phases=(Phase.explicit, Phase.reuse, Phase.generate))
     @given(p=_validated_sets)
     def test_constant_is_the_expectation(self, case_type, p):
-        check(p, WEIBULL_PROFILE)
         analytic = LambdaTable.build(p, InfectivityProfile.from_params(p)).per_type[case_type]
         expected = _expected_taf(case_type, p)
         assert abs(analytic - expected) <= 1e-12, (analytic, expected, p)

@@ -1,5 +1,6 @@
 import dataclasses
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -110,6 +111,12 @@ class TestOverrides:
     def test_garbage_value_rejected(self, params):
         with pytest.raises(ValueError, match="u_app"):
             apply_overrides(params, {"u_app": "lots"})
+
+    @pytest.mark.parametrize("name, value", [("u_app", 10**400), ("t_ct", Fraction(10**400))],
+                             ids=["int-u_app", "Fraction-t_ct"])
+    def test_number_past_the_float_range_is_named(self, params, name, value):
+        with pytest.raises(ValueError, match=rf"^invalid value for parameter '{name}'"):
+            apply_overrides(params, {name: value})
 
     @pytest.mark.parametrize("value", [True, False, np.True_], ids=["True", "False", "numpy"])
     @pytest.mark.parametrize("name", ["t_ct", "u_app"])

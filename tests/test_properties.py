@@ -266,8 +266,9 @@ def test_every_table_uses_the_default_calibration(fractions, delays, params, tab
     assert t.per_type["app_minus"] == days.mix(p, rows, p.t_app, p.t_plan, p.t_sym)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP.md item 2: the warned term of a channel row "
-                   "reads pair at span x + delay and weighs by i_w, not i_a")
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP.md item 2: the warned term of a channel row "
+                          "reads pair at span x + delay and weighs by i_w, not i_a")
 @settings(deadline=None)
 @_example_at()
 @given(
